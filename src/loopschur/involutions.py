@@ -38,13 +38,12 @@ exploit this by operating on row tuples positionally.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, permutations, product
-from typing import Iterator
+from itertools import combinations_with_replacement, permutations, product
+from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError, MembershipError
 from .polyring import Monomial, Polynomial
@@ -142,11 +141,11 @@ def _with_rows(st: SignedTableau, shape: Shape, rows, tau) -> SignedTableau:
 # ---------------------------------------------------------------------------
 
 
-def _row_lengths(lam: Partition, N: int, extra: int = 0, row: int = 0) -> list[int]:
-    return [
+def _row_lengths(lam: Partition, N: int, extra: int = 0, row: int = 0) -> tuple[int, ...]:
+    return tuple(
         lam.part(r) + (N - r + 1) + (extra if r == row else 0)
         for r in range(1, N + 1)
-    ]
+    )
 
 
 def count_weakly_increasing(lo: int, hi: int, length: int) -> int:
@@ -177,32 +176,99 @@ def unrank_weakly_increasing(lo: int, hi: int, length: int, index: int) -> tuple
     return tuple(seq)
 
 
-def _label_weight(tau: tuple[int, ...], lengths: list[int], N: int) -> int:
-    w = 1
-    for label, length in zip(tau, lengths):
-        w *= count_weakly_increasing(label, N, length)
-        if w == 0:
-            return 0
-    return w
+class _LabelTable(NamedTuple):
+    """Counts of one row-labeled family on a fixed shape, by subset dynamic programming.
+
+    ``fillings[r][t]`` is the number of weakly increasing fillings of row
+    r + 1 whose entries lie in [t + 1, his[r]], that is, with label t + 1.
+    ``subsets[S]`` is the number of fillings of the last |S| rows whose labels
+    are exactly the set S (bit t stands for label t + 1), so ``subsets[-1]``
+    is the size of the family: the permanent of ``fillings``.
+    """
+
+    lengths: tuple[int, ...]
+    his: tuple[int, ...]
+    fillings: tuple[tuple[int, ...], ...]
+    subsets: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return self.subsets[-1]
+
+    def unrank_labels(self, index: int) -> tuple[int, ...]:
+        """The labeling of the index-th member, members ordered by labeling
+        lexicographically and each labeling weighted by its fillings."""
+        free = len(self.subsets) - 1
+        tau = []
+        for row in self.fillings:
+            for t, count in enumerate(row):
+                if not free >> t & 1:
+                    continue
+                block = count * self.subsets[free ^ (1 << t)]
+                if index < block:
+                    tau.append(t + 1)
+                    free ^= 1 << t
+                    index //= count
+                    break
+                index -= block
+        return tuple(tau)
+
+
+@lru_cache(maxsize=64)
+def _label_table(lengths: tuple[int, ...], his: tuple[int, ...]) -> _LabelTable:
+    """The :class:`_LabelTable` of rows with these lengths and entry bounds.
+
+    Costs O(2^N * N) integer products and holds 2^N counts for N rows; the
+    row counts come from one precomputed N x N matrix.
+    """
+    N = len(lengths)
+    fillings = tuple(
+        tuple(count_weakly_increasing(t, hi, length) for t in range(1, N + 1))
+        for length, hi in zip(lengths, his)
+    )
+    subsets = [1] + [0] * ((1 << N) - 1)
+    for labels in range(1, 1 << N):
+        row = fillings[N - labels.bit_count()]
+        total = 0
+        rest = labels
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            total += row[bit.bit_length() - 1] * subsets[labels ^ bit]
+        subsets[labels] = total
+    return _LabelTable(lengths, his, fillings, tuple(subsets))
+
+
+def _staircase_table(lam: Partition, N: int) -> _LabelTable:
+    return _label_table(_row_lengths(lam, N), (N,) * N)
+
+
+def _augmented_tables(lam: Partition, k: int, n: int, N: int, l: int) -> list[_LabelTable]:
+    """One table per lengthened row i = 1..N; row i stays at or below N - k*l."""
+    return [
+        _label_table(
+            _row_lengths(lam, N, extra=k * n, row=i),
+            tuple(N - k * l if r == i else N for r in range(1, N + 1)),
+        )
+        for i in range(1, N + 1)
+    ]
 
 
 def count_staircase_tableaux(lam: Partition, N: int) -> int:
-    """Exact size of the base family, summed over all labelings."""
-    lengths = _row_lengths(lam, N)
-    return sum(
-        _label_weight(tau, lengths, N) for tau in permutations(range(1, N + 1))
-    )
+    """Exact size of the base family.
+
+    Counted by subset dynamic programming over the labels, in O(2^N * N)
+    time with a 2^N-entry table, not by summing over all N! labelings.
+    """
+    return _staircase_table(lam, N).size
 
 
 def count_augmented_tableaux(lam: Partition, k: int, n: int, N: int) -> int:
-    """Exact size of the augmented family, summed over the lengthened row i."""
-    total = 0
-    for i in range(1, N + 1):
-        lengths = _row_lengths(lam, N, extra=k * n, row=i)
-        total += sum(
-            _label_weight(tau, lengths, N) for tau in permutations(range(1, N + 1))
-        )
-    return total
+    """Exact size of the augmented family, summed over the lengthened row i.
+
+    Costs N label tables, each O(2^N * N) time and 2^N entries.
+    """
+    return sum(table.size for table in _augmented_tables(lam, k, n, N, 0))
 
 
 def _enumerate_on_shape(shape: Shape) -> Iterator[SignedTableau]:
@@ -223,7 +289,7 @@ def enumerate_staircase_tableaux(
     """Deterministic exhaustive stream of the base family on the staircase extension.
 
     Refuses with :class:`CapExceededError` when the exact member count
-    exceeds ``cap``.
+    exceeds ``cap``; counting costs O(2^N * N), so a refusal is cheap.
     """
     count = count_staircase_tableaux(lam, N)
     if count > cap:
@@ -234,7 +300,10 @@ def enumerate_staircase_tableaux(
 def enumerate_augmented_tableaux(
     lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP
 ) -> Iterator[SignedTableau]:
-    """Deterministic exhaustive stream of the augmented family, i ascending."""
+    """Deterministic exhaustive stream of the augmented family, i ascending.
+
+    Refuses like :func:`enumerate_staircase_tableaux`, after N label tables.
+    """
     count = count_augmented_tableaux(lam, k, n, N)
     if count > cap:
         raise CapExceededError(count, cap)
@@ -246,34 +315,13 @@ def _as_rng(seed: int | random.Random) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-@lru_cache(maxsize=256)
-def _staircase_weight_table(parts: tuple[int, ...], N: int):
-    lengths = _row_lengths(Partition(parts), N)
-    taus = list(permutations(range(1, N + 1)))
-    cumulative = list(accumulate(_label_weight(tau, lengths, N) for tau in taus))
-    return taus, cumulative
-
-
-@lru_cache(maxsize=256)
-def _augmented_weight_table(parts: tuple[int, ...], k: int, n: int, N: int):
-    choices = []
-    weights = []
-    for i in range(1, N + 1):
-        lengths = _row_lengths(Partition(parts), N, extra=k * n, row=i)
-        for tau in permutations(range(1, N + 1)):
-            choices.append((i, tau))
-            weights.append(_label_weight(tau, lengths, N))
-    return choices, list(accumulate(weights))
-
-
-def _sample_rows(shape: Shape, tau: tuple[int, ...], rng: random.Random) -> SignedTableau:
-    N = shape.N
+def _draw(shape: Shape, table: _LabelTable, index: int, rng: random.Random) -> SignedTableau:
+    """The member of ``table``'s family whose labeling holds the index-th
+    weighted slot, with each row unranked uniformly among its fillings."""
+    tau = table.unrank_labels(index)
     rows = []
-    for r in range(1, N + 1):
-        length = shape.row_length(r)
-        lo = tau[r - 1]
-        idx = rng.randrange(count_weakly_increasing(lo, N, length))
-        rows.append(unrank_weakly_increasing(lo, N, length, idx))
+    for row, t, length, hi in zip(table.fillings, tau, table.lengths, table.his):
+        rows.append(unrank_weakly_increasing(t, hi, length, rng.randrange(row[t - 1])))
     return SignedTableau(Tableau(shape, tuple(rows)), tau)
 
 
@@ -284,29 +332,36 @@ def sample_staircase_tableau(
 
     Labelings are drawn proportionally to the number of fillings they admit,
     then each row is unranked uniformly, which makes the overall draw uniform
-    over the family.
+    over the family.  The labeling is unranked from the subset table of
+    :func:`count_staircase_tableaux`: O(2^N * N) time and 2^N entries to
+    build it once, then O(N^2) per labeling drawn.
     """
     rng = _as_rng(seed)
-    taus, cumulative = _staircase_weight_table(lam.parts, N)
-    tau = taus[_weighted_index(cumulative, rng)]
-    return _sample_rows(make_extended(lam, N, n), tau, rng)
+    table = _staircase_table(lam, N)
+    return _draw(make_extended(lam, N, n), table, rng.randrange(table.size), rng)
 
 
 def sample_augmented_tableau(
-    lam: Partition, n: int, k: int, N: int, seed: int | random.Random
+    lam: Partition, n: int, k: int, N: int, seed: int | random.Random, l: int = 0
 ) -> SignedTableau:
-    """A uniformly random member of the augmented family, deterministic given a seed."""
+    """A uniformly random member of the augmented family, deterministic given a seed.
+
+    With ``l`` >= 1 the draw is uniform over the low family of the fourth
+    map, whose lengthened row stays at or below N - k*l.  Building the N
+    subset tables costs O(2^N * N) time each, with 2^N entries; a labeling
+    then costs O(N^2) to draw.
+    """
     rng = _as_rng(seed)
-    choices, cumulative = _augmented_weight_table(lam.parts, k, n, N)
-    i, tau = choices[_weighted_index(cumulative, rng)]
-    return _sample_rows(make_extended_row(lam, N, k * n, i, n), tau, rng)
-
-
-def _weighted_index(cumulative: list[int], rng: random.Random) -> int:
-    total = cumulative[-1] if cumulative else 0
+    tables = _augmented_tables(lam, k, n, N, l)
+    total = sum(table.size for table in tables)
     if total <= 0:
         raise ValueError("family is empty")
-    return bisect.bisect_right(cumulative, rng.randrange(total))
+    index = rng.randrange(total)
+    i = 0
+    while index >= tables[i].size:
+        index -= tables[i].size
+        i += 1
+    return _draw(make_extended_row(lam, N, k * n, i + 1, n), tables[i], index, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConfigError, MembershipError, PreconditionError
 from .involutions import (
@@ -100,23 +101,16 @@ def _difference_witness(diff: Polynomial) -> dict | None:
 # Classical oracle
 # ---------------------------------------------------------------------------
 
-_H_CACHE: dict[int, list[Polynomial]] = {}
-_SCHUR_CACHE: dict[tuple[tuple[int, ...], int], Polynomial] = {}
-
-
-def _homogeneous_basis(N: int, max_m: int) -> list[Polynomial]:
+@lru_cache(maxsize=32)
+def _homogeneous_basis(N: int, max_m: int) -> tuple[Polynomial, ...]:
     """Complete homogeneous sums h_0..h_max in y_1..y_N, by the one-variable
     recurrence h_m(y_1..y_j) = h_m(y_1..y_{j-1}) + y_j h_{m-1}(y_1..y_j)."""
-    cached = _H_CACHE.get(N)
-    if cached is not None and len(cached) > max_m:
-        return cached
     hs = [Polynomial.one(1)] + [Polynomial.zero(1)] * max_m
     for j in range(1, N + 1):
         y_j = Polynomial.from_term(1, Monomial.from_exponents({(0, j): 1}))
         for m in range(1, max_m + 1):
             hs[m] = hs[m] + y_j * hs[m - 1]
-    _H_CACHE[N] = hs
-    return hs
+    return tuple(hs)
 
 
 def _determinant(entries: list[list[Polynomial]]) -> Polynomial:
@@ -141,6 +135,7 @@ def _determinant(entries: list[list[Polynomial]]) -> Polynomial:
     return minor(tuple(range(size)))
 
 
+@lru_cache(maxsize=256)
 def classical_schur(lam: Partition, N: int) -> Polynomial:
     """Classical Schur polynomial in y_1..y_N via the Jacobi-Trudi determinant.
 
@@ -148,28 +143,22 @@ def classical_schur(lam: Partition, N: int) -> Polynomial:
     so it serves as an independent oracle for the color-forgetting
     specialization of the loop Schur builders.
     """
-    key = (lam.parts, N)
-    if key in _SCHUR_CACHE:
-        return _SCHUR_CACHE[key]
     ell = len(lam)
     if ell == 0:
-        result = Polynomial.one(1)
-    elif ell > N:
-        result = Polynomial.zero(1)
-    else:
-        max_m = lam.part(1) + ell - 1
-        hs = _homogeneous_basis(N, max_m)
-        zero = Polynomial.zero(1)
-        matrix = [
-            [
-                hs[lam.part(i) - i + j] if 0 <= lam.part(i) - i + j <= max_m else zero
-                for j in range(1, ell + 1)
-            ]
-            for i in range(1, ell + 1)
+        return Polynomial.one(1)
+    if ell > N:
+        return Polynomial.zero(1)
+    max_m = lam.part(1) + ell - 1
+    hs = _homogeneous_basis(N, max_m)
+    zero = Polynomial.zero(1)
+    matrix = [
+        [
+            hs[lam.part(i) - i + j] if 0 <= lam.part(i) - i + j <= max_m else zero
+            for j in range(1, ell + 1)
         ]
-        result = _determinant(matrix)
-    _SCHUR_CACHE[key] = result
-    return result
+        for i in range(1, ell + 1)
+    ]
+    return _determinant(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +438,9 @@ def check_involution(
     draws the requested number of members with the given seed.  Checked per
     member: the involution property, closure in the family, sign reversal and
     weight preservation off fixed points, and the fixed-point behavior
-    specific to the map.  The fourth map additionally requires l >= 1 and, in
-    exhaustive mode, the members it cannot reach must carry the whole signed
+    specific to the map.  The fourth map additionally requires l >= 1; its
+    sampled members are drawn directly from the members it acts on, and in
+    exhaustive mode the members it cannot reach must carry the whole signed
     shifted sum.
     """
     which = which.upper()
@@ -508,14 +498,9 @@ def check_involution(
             elif which in ("I2", "I3"):
                 handle(sample_augmented_tableau(lam, n, k, N, rng))
             else:
-                attempts = 0
-                while True:
-                    st = sample_augmented_tableau(lam, n, k, N, rng)
-                    if in_low_family(st, shift):
-                        break
-                    attempts += 1
-                    if attempts > 100000:
-                        raise MembershipError("could not sample a low-family member")
+                st = sample_augmented_tableau(lam, n, k, N, rng, l)
+                if not in_low_family(st, shift):
+                    raise MembershipError("the low-family sampler drew a member outside it")
                 handle(st)
 
     witness = None

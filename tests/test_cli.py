@@ -85,6 +85,20 @@ def test_involution_check_sampled(capsys):
     assert "failures=0" in out
 
 
+def test_refusal_cites_exact_family_size(capsys):
+    code, out, err = run(capsys, "lemma-verify", "--which", "2", "--lambda", "0",
+                         "--n", "2", "--k", "1", "--N", "9")
+    assert code == 2 and out == ""
+    assert "family has 1438535881293778692366015 members" in err
+
+
+def test_sampled_check_on_a_ten_row_family(capsys):
+    code, out, _ = run(capsys, "involution-check", "--which", "I2", "--lambda", "0",
+                       "--n", "2", "--k", "1", "--N", "10", "--samples", "5")
+    assert code == 0
+    assert out.startswith("PASS involution-check") and "checked=5 failures=0" in out
+
+
 def test_specialize_check(capsys):
     code, out, _ = run(capsys, "specialize-check", "--lambda", "3,1", "--n", "2", "--N", "4")
     assert code == 0

@@ -1,0 +1,181 @@
+"""The subset-table counters and samplers against N!-sized reference versions.
+
+The references below sum over all N! labelings and draw a labeling by
+bisecting a cumulative weight table, as the package once did.  The fast path
+must give the same counts and, for the same seed, the same members.
+"""
+
+import bisect
+import math
+import random
+from itertools import accumulate, permutations
+
+import pytest
+
+from loopschur import (
+    Partition,
+    ShiftParams,
+    count_augmented_tableaux,
+    count_staircase_tableaux,
+    enumerate_augmented_tableaux,
+    in_low_family,
+    sample_augmented_tableau,
+    sample_staircase_tableau,
+    validate_member,
+)
+from loopschur.involutions import (
+    _augmented_tables,
+    count_weakly_increasing,
+    unrank_weakly_increasing,
+)
+
+PARTITIONS = [(), (1,), (2,), (1, 1), (2, 1)]  # every lambda inside (2,1)
+RING = [(n, k) for n in (1, 2, 3) for k in (1, 2)]
+SIZES = [(lam, N) for lam in PARTITIONS for N in range(max(1, len(lam)), 7)]
+
+
+def low_family_size(lam, k, n, N, l):
+    """Members whose lengthened row stays at or below N - k*l, from the tables
+    the low-family sampler draws with."""
+    return sum(table.size for table in _augmented_tables(lam, k, n, N, l))
+
+
+def reference_bounds(lam, N, extra=0, row=0, top=None):
+    lengths = [lam.part(r) + (N - r + 1) + (extra if r == row else 0) for r in range(1, N + 1)]
+    his = [top if r == row and top is not None else N for r in range(1, N + 1)]
+    return lengths, his
+
+
+def reference_weight(tau, lengths, his):
+    w = 1
+    for label, length, hi in zip(tau, lengths, his):
+        w *= count_weakly_increasing(label, hi, length)
+    return w
+
+
+def reference_count_staircase(lam, N):
+    lengths, his = reference_bounds(lam, N)
+    return sum(reference_weight(tau, lengths, his) for tau in permutations(range(1, N + 1)))
+
+
+def reference_count_augmented(lam, k, n, N, top=None):
+    total = 0
+    for i in range(1, N + 1):
+        lengths, his = reference_bounds(lam, N, k * n, i, top)
+        total += sum(reference_weight(tau, lengths, his) for tau in permutations(range(1, N + 1)))
+    return total
+
+
+def reference_staircase_table(lam, N):
+    lengths, his = reference_bounds(lam, N)
+    choices = [(0, lengths, his, tau) for tau in permutations(range(1, N + 1))]
+    return choices, list(accumulate(reference_weight(tau, lengths, his) for *_, tau in choices))
+
+
+def reference_augmented_table(lam, k, n, N):
+    choices = []
+    for i in range(1, N + 1):
+        lengths, his = reference_bounds(lam, N, k * n, i)
+        choices += [(i, lengths, his, tau) for tau in permutations(range(1, N + 1))]
+    weights = [reference_weight(tau, lengths, his) for _, lengths, his, tau in choices]
+    return choices, list(accumulate(weights))
+
+
+def reference_draw(table, rng):
+    """Bisect the cumulative table for the labeling, then unrank each row.
+
+    Returns (lengthened row, rows, tau); the lengthened row is 0 on the base
+    family, as on its shape.
+    """
+    choices, cumulative = table
+    i, lengths, his, tau = choices[bisect.bisect_right(cumulative, rng.randrange(cumulative[-1]))]
+    rows = []
+    for label, length, hi in zip(tau, lengths, his):
+        idx = rng.randrange(count_weakly_increasing(label, hi, length))
+        rows.append(unrank_weakly_increasing(label, hi, length, idx))
+    return i, tuple(rows), tau
+
+
+class TestCounts:
+    @pytest.mark.parametrize("lam,N", SIZES)
+    def test_base_count_matches_labeling_sum(self, lam, N):
+        lam = Partition(lam)
+        assert count_staircase_tableaux(lam, N) == reference_count_staircase(lam, N)
+
+    @pytest.mark.parametrize("n,k", RING)
+    @pytest.mark.parametrize("lam,N", SIZES)
+    def test_augmented_count_matches_labeling_sum(self, lam, N, n, k):
+        lam = Partition(lam)
+        assert count_augmented_tableaux(lam, k, n, N) == reference_count_augmented(lam, k, n, N)
+
+    @pytest.mark.parametrize("lam,n,k,N,l", [((), 2, 1, 3, 1), ((1,), 3, 1, 4, 2), ((2, 1), 3, 2, 5, 1)])
+    def test_low_count_matches_labeling_sum(self, lam, n, k, N, l):
+        lam = Partition(lam)
+        expected = reference_count_augmented(lam, k, n, N, top=N - k * l)
+        assert low_family_size(lam, k, n, N, l) == expected
+
+
+class TestDraws:
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("lam,N", SIZES)
+    def test_base_draws_match_bisected_table(self, lam, N, n):
+        lam = Partition(lam)
+        table = reference_staircase_table(lam, N)
+        for seed in range(200):
+            st = sample_staircase_tableau(lam, n, N, seed)
+            assert (st.shape.row, st.rows, st.tau) == reference_draw(table, random.Random(seed))
+
+    @pytest.mark.parametrize("n,k", RING)
+    @pytest.mark.parametrize("lam,N", SIZES)
+    def test_augmented_draws_match_bisected_table(self, lam, N, n, k):
+        lam = Partition(lam)
+        table = reference_augmented_table(lam, k, n, N)
+        for seed in range(200):
+            st = sample_augmented_tableau(lam, n, k, N, seed)
+            assert (st.shape.row, st.rows, st.tau) == reference_draw(table, random.Random(seed))
+
+
+class TestLowFamily:
+    def test_count_matches_filtered_enumeration(self):
+        lam, n, k, N, l = Partition(), 2, 1, 4, 1
+        shift = ShiftParams(n, l)
+        enumerated = sum(
+            1 for st in enumerate_augmented_tableaux(lam, n, k, N) if in_low_family(st, shift)
+        )
+        assert enumerated == 21_138
+        assert low_family_size(lam, k, n, N, l) == 21_138
+
+    @pytest.mark.parametrize("lam,n,k,N,l", [((), 2, 1, 4, 1), ((2, 1), 3, 1, 5, 1), ((1,), 3, 2, 7, 2)])
+    def test_draws_are_low_members(self, lam, n, k, N, l):
+        lam, shift = Partition(lam), ShiftParams(n, l)
+        rng = random.Random(9)
+        for _ in range(300):
+            st = sample_augmented_tableau(lam, n, k, N, rng, l)
+            validate_member(st)
+            assert in_low_family(st, shift)
+
+    def test_uniformity_within_three_sigma(self):
+        # every member of the 18-element low family should appear ~200 times
+        lam, n, k, N, l = Partition(), 3, 1, 3, 2
+        shift = ShiftParams(n, l)
+        population = {
+            (st.shape.row, st.rows, st.tau): 0
+            for st in enumerate_augmented_tableaux(lam, n, k, N)
+            if in_low_family(st, shift)
+        }
+        assert len(population) == low_family_size(lam, k, n, N, l) == 18
+        draws = 3600
+        rng = random.Random(1414)
+        for _ in range(draws):
+            st = sample_augmented_tableau(lam, n, k, N, rng, l)
+            population[(st.shape.row, st.rows, st.tau)] += 1
+        expected = draws / 18
+        sigma = math.sqrt(draws * (1 / 18) * (17 / 18))
+        for count in population.values():
+            assert abs(count - expected) <= 3 * sigma
+
+    def test_empty_low_family_is_refused(self):
+        # N - k*l = 0 leaves no entry for the lengthened row
+        assert low_family_size(Partition(), 1, 2, 2, 2) == 0
+        with pytest.raises(ValueError, match="empty"):
+            sample_augmented_tableau(Partition(), 2, 1, 2, 0, 2)

@@ -53,6 +53,13 @@ class TestClassicalOracle:
         # h_m equals the one-row Schur polynomial
         assert classical_schur(Partition.of(3), 3) == verify_mod._homogeneous_basis(3, 3)[3]
 
+    def test_module_caches_are_bounded(self):
+        from loopschur import involutions
+
+        for cached in (verify_mod._homogeneous_basis, verify_mod.classical_schur,
+                       involutions._label_table):
+            assert cached.cache_info().maxsize is not None
+
 
 class TestMurnaghanNakayama:
     def test_single_variable_instance(self):
