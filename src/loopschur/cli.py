@@ -15,7 +15,8 @@ from .errors import LoopSchurError
 from .polyring import Polynomial, serialize
 from .shapes import Partition, enumerate_border_strips
 from .tableaux import ShiftParams, loop_power_sum, loop_schur, shifted_loop_schur
-from .verify import (
+from .verify import (  # also the verifiers, which callers may look up or replace here
+    CHECKS,
     DEFAULT_CAP,
     VerificationReport,
     check_involution,
@@ -23,17 +24,45 @@ from .verify import (
     default_grid_config,
     parse_grid_config,
     run_grid,
+    truncation,
     verify_degree_bound,
     verify_expansion,
     verify_murnaghan_nakayama,
 )
 
 
-def _partition(text: str) -> Partition:
-    try:
-        return Partition.from_text(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _flag_type(parse):
+    """``parse`` as an argparse type: its ValueError message becomes the usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
+
+
+class _SampleCount(argparse.Action):
+    """``--samples M`` spells the grid's ``mode=samples samples=M``."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.mode, namespace.samples = "samples", value
+
+
+def _add_params(p: argparse.ArgumentParser, params) -> None:
+    for param in params:
+        # mode= and the samples= that follows it are --exhaustive | --samples M here.
+        if param.key == "mode":
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--exhaustive", dest="mode", action="store_const",
+                               const="exhaustive", default=param.default)
+        elif param.key == "samples":
+            group.add_argument("--samples", action=_SampleCount,
+                               type=_flag_type(param.parse), default=param.default)
+        else:
+            p.add_argument(f"--{param.key}", dest=param.key, type=_flag_type(param.parse),
+                           metavar="LAM" if param.key == "lambda" else None,
+                           choices=param.choices, required=param.default is None,
+                           default=param.default)
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -49,73 +78,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Loop Schur functions, border-strip expansions, and their pairing maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    partition, nonnegative = _flag_type(Partition.from_text), _flag_type(truncation)
 
     p = sub.add_parser("schur", help="print a (shifted) truncated loop Schur function")
-    p.add_argument("--lambda", dest="lam", type=_partition, required=True)
+    p.add_argument("--lambda", dest="lam", type=partition, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=nonnegative, required=True)
     p.add_argument("--l", type=int, default=0)
     _add_format(p)
 
     p = sub.add_parser("power-sum", help="print a truncated loop power sum")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=nonnegative, required=True)
     _add_format(p)
 
     p = sub.add_parser("border-strips", help="list border-strip enlargements of length k*n")
-    p.add_argument("--lambda", dest="lam", type=_partition, required=True)
+    p.add_argument("--lambda", dest="lam", type=partition, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
     _add_format(p)
 
-    p = sub.add_parser("mn-verify",
-                       help="check the power-sum product against the signed border-strip sum")
-    p.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("thm2-verify",
-                       help="check the degree floor of the signed shifted border-strip sum")
-    p.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("lemma-verify",
-                       help="check one of the three signed-family expansion identities")
-    p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_format(p)
-
-    p = sub.add_parser("involution-check", help="exercise one pairing map over its family")
-    p.add_argument("--which", choices=("I1", "I2", "I3", "I4"), required=True)
-    p.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--l", type=int, default=0)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_format(p)
-
-    p = sub.add_parser("specialize-check",
-                       help="compare the color-forgetting specialization with the determinant oracle")
-    p.add_argument("--lambda", dest="lam", type=_partition, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    _add_format(p)
+    for spec in CHECKS:
+        p = sub.add_parser(spec.name, help=spec.help)
+        _add_params(p, spec.params)
+        _add_format(p)
 
     p = sub.add_parser("grid", help="run a configured batch of checks")
     p.add_argument("--config", help="config file; the built-in default grid when omitted")
@@ -147,6 +134,11 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    for spec in CHECKS:
+        if args.command == spec.name:
+            options = {param.key: getattr(args, param.key) for param in spec.params}
+            return _emit_report(spec.run(options), args)
+
     if args.command == "schur":
         shift = ShiftParams(args.n, args.l)
         poly = (loop_schur(args.lam, args.n, args.N) if args.l == 0
@@ -174,34 +166,6 @@ def _dispatch(args) -> int:
                 print(f"sigma={b.sigma} height={b.height}")
         return 0
 
-    if args.command == "mn-verify":
-        return _emit_report(
-            verify_murnaghan_nakayama(args.lam, args.n, args.k, args.N), args
-        )
-
-    if args.command == "thm2-verify":
-        return _emit_report(
-            verify_degree_bound(args.lam, args.n, args.k, args.N, args.l), args
-        )
-
-    if args.command == "lemma-verify":
-        return _emit_report(
-            verify_expansion(args.which, args.lam, args.n, args.k, args.N, args.cap), args
-        )
-
-    if args.command == "involution-check":
-        mode = "samples" if args.samples is not None else "exhaustive"
-        return _emit_report(
-            check_involution(
-                args.which, args.lam, args.n, args.k, args.N, l=args.l, mode=mode,
-                samples=args.samples or 1000, seed=args.seed, cap=args.cap,
-            ),
-            args,
-        )
-
-    if args.command == "specialize-check":
-        return _emit_report(check_specialization(args.lam, args.n, args.N), args)
-
     if args.command == "grid":
         if args.config is None:
             text = default_grid_config()
@@ -210,13 +174,7 @@ def _dispatch(args) -> int:
                 text = handle.read()
         entries = parse_grid_config(text)
         reports = run_grid(entries, seed=args.seed, cap=args.cap)
-        failed = 0
-        for report in reports:
-            print(report.to_json() if args.format == "structured" else report.text())
-            if args.timings:
-                print(f"# {report.check} {report.wall_time_s:.3f}s", file=sys.stderr)
-            if not report.passed:
-                failed += 1
+        failed = sum(_emit_report(report, args) for report in reports)
         summary = {"checks": len(reports), "failed": failed}
         if args.format == "structured":
             print(json.dumps({"summary": summary}, sort_keys=True, separators=(",", ":")))

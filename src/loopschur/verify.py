@@ -1,4 +1,5 @@
-"""Identity verifiers, the classical determinant oracle, and the grid runner.
+"""Identity verifiers, the classical determinant oracle, the check registry
+and the grid runner.
 
 Every verifier returns a :class:`VerificationReport` whose canonical rendering
 is byte-stable: equal inputs produce identical documents.  Wall time is
@@ -8,7 +9,9 @@ measured but excluded from canonical output.
 from __future__ import annotations
 
 import json
+import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -64,17 +67,14 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
-    def to_document(self, include_timing: bool = False) -> dict:
-        doc = {
+    def to_document(self) -> dict:
+        return {
             "check": self.check,
             "params": self.params,
             "pass": self.passed,
             "witness": self.witness,
             "details": self.details,
         }
-        if include_timing:
-            doc["wall_time_s"] = round(self.wall_time_s, 6)
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
@@ -318,7 +318,7 @@ def _power_sum_factor(n: int, value: int, k: int) -> Monomial:
     return Monomial.from_exponents({(c, n * value): k for c in range(n)})
 
 
-def _check_i1_member(st: SignedTableau, failures: list) -> bool:
+def _check_i1_member(st: SignedTableau, failures: list, lam: Partition, shift: ShiftParams) -> bool:
     image = i1(st)
     again = i1(image)
     if again != st:
@@ -342,7 +342,7 @@ def _check_i1_member(st: SignedTableau, failures: list) -> bool:
     return fixed
 
 
-def _check_i2_member(st: SignedTableau, failures: list) -> bool:
+def _check_i2_member(st: SignedTableau, failures: list, lam: Partition, shift: ShiftParams) -> bool:
     image = i2(st)
     if i2(image) != st:
         failures.append(("involution", st))
@@ -368,7 +368,7 @@ def _check_i2_member(st: SignedTableau, failures: list) -> bool:
     return fixed
 
 
-def _check_i3_member(st: SignedTableau, failures: list, l: int, lam: Partition) -> bool:
+def _check_i3_member(st: SignedTableau, failures: list, lam: Partition, shift: ShiftParams) -> bool:
     image = i3(st)
     if i3(image) != st:
         failures.append(("involution", st))
@@ -393,13 +393,13 @@ def _check_i3_member(st: SignedTableau, failures: list, l: int, lam: Partition) 
         if image.sign != -st.sign or image.monomial() != st.monomial():
             failures.append(("sign_or_weight", st))
             return False
-        if l and image.monomial(l) != st.monomial(l):
+        if shift.l and image.monomial(shift.l) != st.monomial(shift.l):
             failures.append(("shifted_weight", st))
             return False
     return fixed
 
 
-def _check_i4_member(st: SignedTableau, failures: list, shift: ShiftParams) -> bool:
+def _check_i4_member(st: SignedTableau, failures: list, lam: Partition, shift: ShiftParams) -> bool:
     image = i4(st, shift)
     if i4(image, shift) != st:
         failures.append(("involution", st))
@@ -420,6 +420,10 @@ def _check_i4_member(st: SignedTableau, failures: list, shift: ShiftParams) -> b
     return image == st
 
 
+_MEMBER_CHECKS = {"I1": _check_i1_member, "I2": _check_i2_member,
+                  "I3": _check_i3_member, "I4": _check_i4_member}
+
+
 def check_involution(
     which: str,
     lam: Partition,
@@ -435,7 +439,7 @@ def check_involution(
     """Exercise one pairing map over its family and report property failures.
 
     Exhaustive mode walks the whole family (subject to the cap); sampled mode
-    draws the requested number of members with the given seed.  Checked per
+    draws the requested number of members (at least one) with the given seed.  Checked per
     member: the involution property, closure in the family, sign reversal and
     weight preservation off fixed points, and the fixed-point behavior
     specific to the map.  The fourth map additionally requires l >= 1; its
@@ -444,64 +448,44 @@ def check_involution(
     shifted sum.
     """
     which = which.upper()
-    if which not in ("I1", "I2", "I3", "I4"):
+    if which not in _MEMBER_CHECKS:
         raise PreconditionError(f"unknown pairing map {which!r}")
     if which == "I4" and not 1 <= l < n:
         raise PreconditionError(f"the fourth map needs 1 <= l < n, got l={l}, n={n}")
     if mode not in ("exhaustive", "samples"):
         raise PreconditionError(f"mode must be 'exhaustive' or 'samples', got {mode!r}")
+    if mode == "samples" and samples < 1:
+        raise PreconditionError(f"samples must be at least 1, got {samples}")
     start = time.perf_counter()
     failures: list[tuple[str, SignedTableau]] = []
     fixed_count = 0
     total = 0
     shift = ShiftParams(n, l)
-
-    def handle(st: SignedTableau) -> None:
-        nonlocal fixed_count, total
-        total += 1
-        if which == "I1":
-            fixed = _check_i1_member(st, failures)
-        elif which == "I2":
-            fixed = _check_i2_member(st, failures)
-        elif which == "I3":
-            fixed = _check_i3_member(st, failures, l, lam)
-        else:
-            fixed = _check_i4_member(st, failures, shift)
-        if fixed:
-            fixed_count += 1
+    check_member = _MEMBER_CHECKS[which]
+    low = which == "I4"
 
     if mode == "exhaustive":
-        if which == "I1":
-            for st in enumerate_staircase_tableaux(lam, n, N, cap):
-                handle(st)
-        elif which in ("I2", "I3"):
-            for st in enumerate_augmented_tableaux(lam, n, k, N, cap):
-                handle(st)
-        else:
-            unreachable: dict[Monomial, int] = {}
-            for st in enumerate_augmented_tableaux(lam, n, k, N, cap):
-                if in_low_family(st, shift):
-                    handle(st)
-                else:
-                    m = st.monomial(l)
-                    unreachable[m] = unreachable.get(m, 0) + st.sign
-            whole = augmented_signed_sum(lam, n, k, N, l, cap)
-            if Polynomial(n, unreachable) != whole:
-                failures.append(("unreachable_sum_mismatch", None))
+        members = (enumerate_staircase_tableaux(lam, n, N, cap) if which == "I1"
+                   else enumerate_augmented_tableaux(lam, n, k, N, cap))
     else:
-        import random
-
         rng = random.Random(seed)
-        for _ in range(samples):
-            if which == "I1":
-                handle(sample_staircase_tableau(lam, n, N, rng))
-            elif which in ("I2", "I3"):
-                handle(sample_augmented_tableau(lam, n, k, N, rng))
-            else:
-                st = sample_augmented_tableau(lam, n, k, N, rng, l)
-                if not in_low_family(st, shift):
-                    raise MembershipError("the low-family sampler drew a member outside it")
-                handle(st)
+        members = (sample_staircase_tableau(lam, n, N, rng) if which == "I1"
+                   else sample_augmented_tableau(lam, n, k, N, rng, l if low else 0)
+                   for _ in range(samples))
+    unreachable: dict[Monomial, int] = {}
+    for st in members:
+        if low and not in_low_family(st, shift):
+            if mode == "samples":
+                raise MembershipError("the low-family sampler drew a member outside it")
+            m = st.monomial(l)
+            unreachable[m] = unreachable.get(m, 0) + st.sign
+            continue
+        total += 1
+        if check_member(st, failures, lam, shift):
+            fixed_count += 1
+    if low and mode == "exhaustive":
+        if Polynomial(n, unreachable) != augmented_signed_sum(lam, n, k, N, l, cap):
+            failures.append(("unreachable_sum_mismatch", None))
 
     witness = None
     if failures:
@@ -528,10 +512,93 @@ def check_involution(
 
 
 # ---------------------------------------------------------------------------
-# Grid runner
+# Check registry and grid runner
 # ---------------------------------------------------------------------------
 
-GRID_KINDS = ("mn", "thm2", "lemma", "involution", "specialize")
+
+def integer(text: str) -> int:
+    """Parse an integer option."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def truncation(text: str) -> int:
+    """Parse a truncation ``N``: an integer, at least 0."""
+    value = integer(text)
+    if value < 0:
+        raise ValueError(f"must be non-negative, got {value}")
+    return value
+
+
+@dataclass(frozen=True)
+class Param:
+    """One option of a check: the grid key ``key=`` and the flag ``--key``.
+    ``parse`` raises ValueError on bad text; a ``default`` of None means required."""
+
+    key: str
+    parse: Callable[[str], object] = integer
+    default: object = None
+    choices: tuple | None = None
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """A check's subcommand ``name``, grid ``kind``, options, and runner on parsed options."""
+
+    name: str
+    kind: str
+    help: str
+    params: tuple[Param, ...]
+    run: Callable[[dict], VerificationReport]
+
+
+_LAMBDA = Param("lambda", Partition.from_text)
+_N = Param("n")
+_K = Param("k")
+_TRUNCATION = Param("N", truncation)
+_CAP = Param("cap", default=DEFAULT_CAP)
+
+# Each ``run`` looks its verifier up by name when it is called, so a verifier
+# replaced on this module (to trace or to corrupt it) is the one that runs.
+CHECKS = (
+    CheckSpec(
+        "mn-verify", "mn", "check the power-sum product against the signed border-strip sum",
+        (_LAMBDA, _N, _K, _TRUNCATION),
+        lambda o: verify_murnaghan_nakayama(o["lambda"], o["n"], o["k"], o["N"]),
+    ),
+    CheckSpec(
+        "thm2-verify", "thm2", "check the degree floor of the signed shifted border-strip sum",
+        (_LAMBDA, _N, _K, _TRUNCATION, Param("l")),
+        lambda o: verify_degree_bound(o["lambda"], o["n"], o["k"], o["N"], o["l"]),
+    ),
+    CheckSpec(
+        "lemma-verify", "lemma", "check one of the three signed-family expansion identities",
+        (Param("which", choices=(1, 2, 3)), _LAMBDA, _N, _TRUNCATION, Param("k", default=1), _CAP),
+        lambda o: verify_expansion(o["which"], o["lambda"], o["n"], o["k"], o["N"], o["cap"]),
+    ),
+    CheckSpec(
+        "involution-check", "involution", "exercise one pairing map over its family",
+        (
+            Param("which", str.upper, choices=tuple(_MEMBER_CHECKS)), _LAMBDA, _N, _TRUNCATION,
+            Param("k", default=1), Param("l", default=0),
+            Param("mode", str, "exhaustive", ("exhaustive", "samples")),
+            Param("samples", default=1000), Param("seed", default=0), _CAP,
+        ),
+        lambda o: check_involution(
+            o["which"], o["lambda"], o["n"], o["k"], o["N"], l=o["l"], mode=o["mode"],
+            samples=o["samples"], seed=o["seed"], cap=o["cap"],
+        ),
+    ),
+    CheckSpec(
+        "specialize-check", "specialize",
+        "compare the color-forgetting specialization with the determinant oracle",
+        (_LAMBDA, _N, _TRUNCATION),
+        lambda o: check_specialization(o["lambda"], o["n"], o["N"]),
+    ),
+)
+CHECKS_BY_KIND = {spec.kind: spec for spec in CHECKS}
 
 
 @dataclass(frozen=True)
@@ -554,7 +621,7 @@ def parse_grid_config(text: str) -> list[GridEntry]:
             continue
         tokens = line.split()
         kind = tokens[0]
-        if kind not in GRID_KINDS:
+        if kind not in CHECKS_BY_KIND:
             raise ConfigError(f"unknown check kind {kind!r}", lineno)
         options = {}
         for token in tokens[1:]:
@@ -568,62 +635,35 @@ def parse_grid_config(text: str) -> list[GridEntry]:
     return entries
 
 
-def _opt_int(entry: GridEntry, key: str, default: int | None = None) -> int:
-    if key not in entry.options:
-        if default is None:
-            raise ConfigError(f"{entry.kind} requires {key}=", entry.line)
-        return default
+def _grid_value(entry: GridEntry, param: Param, inherited: dict):
+    if param.key not in entry.options:
+        value = inherited.get(param.key, param.default)
+        if value is None:
+            raise ConfigError(f"{entry.kind} requires {param.key}=", entry.line)
+        return value
     try:
-        return int(entry.options[key])
-    except ValueError:
-        raise ConfigError(f"bad integer for {key}: {entry.options[key]!r}", entry.line)
-
-
-def _opt_partition(entry: GridEntry) -> Partition:
-    if "lambda" not in entry.options:
-        raise ConfigError(f"{entry.kind} requires lambda=", entry.line)
-    try:
-        return Partition.from_text(entry.options["lambda"])
+        value = param.parse(entry.options[param.key])
     except ValueError as exc:
-        raise ConfigError(str(exc), entry.line)
+        raise ConfigError(f"{param.key}: {exc}", entry.line)
+    if param.choices is not None and value not in param.choices:
+        choices = ", ".join(map(repr, param.choices))
+        raise ConfigError(f"{param.key}: invalid choice: {value!r} (choose from {choices})", entry.line)
+    return value
 
 
 def execute_entry(entry: GridEntry, seed: int = 0, cap: int = DEFAULT_CAP) -> VerificationReport:
-    allowed = {
-        "mn": {"lambda", "n", "k", "N"},
-        "thm2": {"lambda", "n", "k", "N", "l"},
-        "lemma": {"which", "lambda", "n", "k", "N", "cap"},
-        "involution": {"which", "lambda", "n", "k", "N", "l", "mode", "samples", "seed", "cap"},
-        "specialize": {"lambda", "n", "N"},
-    }[entry.kind]
+    """Run one grid line; ``seed`` and ``cap`` are the defaults of the lines that take them."""
+    spec = CHECKS_BY_KIND[entry.kind]
+    keys = {param.key for param in spec.params}
     for key in entry.options:
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(f"{entry.kind} does not accept {key}=", entry.line)
-    lam = _opt_partition(entry)
-    n = _opt_int(entry, "n")
-    if entry.kind == "mn":
-        return verify_murnaghan_nakayama(lam, n, _opt_int(entry, "k"), _opt_int(entry, "N"))
-    if entry.kind == "thm2":
-        return verify_degree_bound(
-            lam, n, _opt_int(entry, "k"), _opt_int(entry, "N"), _opt_int(entry, "l")
-        )
-    if entry.kind == "lemma":
-        return verify_expansion(
-            _opt_int(entry, "which"), lam, n, _opt_int(entry, "k", 1),
-            _opt_int(entry, "N"), _opt_int(entry, "cap", cap),
-        )
-    if entry.kind == "involution":
-        which = entry.options.get("which")
-        if which is None:
-            raise ConfigError("involution requires which=", entry.line)
-        mode = entry.options.get("mode", "exhaustive")
-        return check_involution(
-            which, lam, n, _opt_int(entry, "k", 1), _opt_int(entry, "N"),
-            l=_opt_int(entry, "l", 0), mode=mode,
-            samples=_opt_int(entry, "samples", 1000),
-            seed=_opt_int(entry, "seed", seed), cap=_opt_int(entry, "cap", cap),
-        )
-    return check_specialization(lam, n, _opt_int(entry, "N"))
+    inherited = {"seed": seed, "cap": cap}
+    options = {param.key: _grid_value(entry, param, inherited) for param in spec.params}
+    # The grid's spelling of the command line's exclusive --exhaustive | --samples M.
+    if options.get("mode") == "exhaustive" and "samples" in entry.options:
+        raise ConfigError("samples= needs mode=samples", entry.line)
+    return spec.run(options)
 
 
 def run_grid(entries: list[GridEntry], seed: int = 0, cap: int = DEFAULT_CAP) -> list[VerificationReport]:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +11,22 @@ from loopschur.cli import main
 from loopschur.shapes import BorderStripAddition, enumerate_border_strips
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_exit(capsys, *argv):
+    """Like ``run``, but a usage error's SystemExit becomes the exit status."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 def test_schur_structured_roundtrip(capsys):
@@ -169,3 +184,77 @@ def test_timings_go_to_stderr(capsys):
     assert code == 0
     assert "wall" not in out
     assert err.startswith("# mn-verify")
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_sample_count_must_be_positive(capsys, samples):
+    code, out, err = run_exit(capsys, "involution-check", "--which", "I1", "--lambda", "1",
+                              "--n", "2", "--N", "3", "--samples", samples)
+    assert code == 2 and out == ""
+    assert f"samples must be at least 1, got {samples}" in err
+
+
+@pytest.mark.parametrize("command", [
+    "schur --lambda 1 --n 2 --N {N}",
+    "power-sum --k 1 --n 2 --N {N}",
+    "mn-verify --lambda 0 --n 1 --k 1 --N {N}",
+    "thm2-verify --lambda 0 --n 2 --k 1 --N {N} --l 1",
+    "lemma-verify --which 1 --lambda 0 --n 1 --N {N}",
+    "involution-check --which I1 --lambda 0 --n 1 --N {N} --samples 3",
+    "specialize-check --lambda 1 --n 1 --N {N}",
+    "grid --config {config}",
+])
+def test_negative_truncation_is_refused(capsys, tmp_path, command):
+    def run_with(N):
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"mn lambda=0 n=1 k=1 N=2\nspecialize lambda=1 n=1 N={N}\n")
+        return run_exit(capsys, *command.format(N=N, config=config).split())
+
+    code, out, err = run_with(-1)
+    assert code == 2 and out == ""
+    assert "must be non-negative, got -1" in err
+    if command.startswith("grid"):
+        assert "line 2: N:" in err
+    _, _, err = run_with(0)
+    assert "non-negative" not in err
+
+
+def test_which_is_case_insensitive(capsys):
+    _, upper, _ = run(capsys, "involution-check", "--which", "I2", "--lambda", "0",
+                      "--n", "1", "--k", "1", "--N", "2")
+    code, lower, _ = run(capsys, "involution-check", "--which", "i2", "--lambda", "0",
+                         "--n", "1", "--k", "1", "--N", "2")
+    assert code == 0 and lower == upper
+    [grid_report] = verify_mod.run_grid(verify_mod.parse_grid_config(
+        "involution which=i2 lambda=0 n=1 k=1 N=2"))
+    assert grid_report.text() + "\n" == upper
+
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracing import Tracer, install
+tracer = Tracer()
+main = install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["grid"]) == 0
+    assert main("involution-check --which I4 --lambda 0 --n 2 --N 3 --l 1 --samples 5".split()) == 0
+print(json.dumps(tracer.name_calls))
+"""
+
+
+def test_traced_run_sees_every_verifier_call():
+    # The benchmark's tracer replaces the verifiers on ``cli`` and ``verify``;
+    # every check, on the command line and in the grid, must run the replacement.
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(ROOT / "bench")],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    calls = json.loads(result.stdout)
+    assert {name: calls.get(f"verify.{name}") for name in (
+        "verify_murnaghan_nakayama", "verify_degree_bound", "verify_expansion",
+        "check_involution", "check_specialization",
+    )} == {
+        "verify_murnaghan_nakayama": 3, "verify_degree_bound": 2, "verify_expansion": 3,
+        "check_involution": 5, "check_specialization": 1,
+    }

@@ -167,6 +167,14 @@ class TestInvolutionCheck:
         with pytest.raises(PreconditionError):
             check_involution("I4", Partition(), 2, 1, 3, l=0)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sampled_mode_needs_a_sample(self, samples):
+        with pytest.raises(PreconditionError, match="samples must be at least 1"):
+            check_involution("I1", Partition(), 1, 1, 2, mode="samples", samples=samples)
+        line = f"involution which=I1 lambda=0 n=1 N=2 mode=samples samples={samples}"
+        with pytest.raises(PreconditionError, match="samples must be at least 1"):
+            run_grid(parse_grid_config(line))
+
 
 class TestGrid:
     def test_empty_config(self):
@@ -192,6 +200,17 @@ class TestGrid:
             run_grid(parse_grid_config("mn lambda=0 n=1 k=1 N=2 what=no"))
         with pytest.raises(ConfigError):
             run_grid(parse_grid_config("involution lambda=0 n=1 k=1 N=2"))
+        for line in (
+            "involution which=I1 lambda=0 n=1 N=2 mode=bogus",
+            "involution which=I9 lambda=0 n=1 N=2",
+            "involution which=I1 lambda=0 n=1 N=2 mode=exhaustive samples=5",
+            "involution which=I1 lambda=0 n=1 N=2 samples=5",
+            "lemma which=4 lambda=1 n=2 N=3",
+            "specialize lambda=1 n=1 N=-1",
+        ):
+            with pytest.raises(ConfigError) as err:
+                run_grid(parse_grid_config("mn lambda=0 n=1 k=1 N=2\n" + line))
+            assert err.value.line == 2, line
 
     def test_corrupted_sign_is_detected(self, monkeypatch):
         # flip one strip height; the difference polynomial must be nonzero
