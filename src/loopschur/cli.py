@@ -23,6 +23,7 @@ from .verify import (  # also the verifiers, which callers may look up or replac
     check_specialization,
     default_grid_config,
     parse_grid_config,
+    positive,
     run_grid,
     truncation,
     verify_degree_bound,
@@ -95,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("border-strips", help="list border-strip enlargements of length k*n")
     p.add_argument("--lambda", dest="lam", type=partition, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--k", type=_flag_type(positive), required=True)
+    p.add_argument("--n", type=_flag_type(positive), default=1)
     _add_format(p)
 
     for spec in CHECKS:

@@ -34,6 +34,14 @@ along their diagonals or jump a multiple of n columns, which is why the
 weights survive.  All rows of the extended shapes start at column r - N, so a
 cell's content depends only on its index within its row; the maps below
 exploit this by operating on row tuples positionally.
+
+Each map is written once, as a ``*_core`` function on a member given as plain
+data, ``(rows, tau, i)``: the row tuples, the labels and the lengthened row
+(0 on the base family).  A core trusts its input and builds no tableau or
+shape.  The public maps are thin wrappers that validate their input, call the
+core, then validate and wrap the output.  ``check_involution`` applies the
+cores directly and validates each image once with :func:`validate_in_family`;
+enumerated and sampled members are valid by construction.
 """
 
 from __future__ import annotations
@@ -55,9 +63,12 @@ from .shapes import (
     make_extended,
     make_extended_row,
 )
-from .tableaux import ShiftParams, Tableau, shifted_weight_monomial, weight_monomial
+from .tableaux import ShiftParams, Tableau, shifted_weight_monomial
 
 DEFAULT_CAP = 10**7
+
+Member = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
+"""A family member as plain data: rows, labels tau, lengthened row (0 on the base family)."""
 
 
 def permutation_sign(tau: tuple[int, ...]) -> int:
@@ -90,8 +101,6 @@ class SignedTableau:
         return permutation_sign(self.tau)
 
     def monomial(self, l: int = 0) -> Monomial:
-        if l == 0:
-            return weight_monomial(self.tableau)
         return shifted_weight_monomial(self.tableau, ShiftParams(self.shape.n, l))
 
     def to_document(self) -> dict:
@@ -115,25 +124,44 @@ def validate_member(st: SignedTableau) -> None:
     shape = st.shape
     if shape.kind not in (EXTENDED, EXTENDED_ROW):
         raise MembershipError(f"shape kind {shape.kind!r} is not a staircase extension")
-    N = shape.N
-    if sorted(st.tau) != list(range(1, N + 1)):
-        raise MembershipError(f"labels {st.tau} are not a permutation of 1..{N}")
-    for r, row in enumerate(st.rows, start=1):
+    validate_in_family(_member(st), shape.lam, shape.N, shape.extra)
+
+
+def validate_in_family(member: Member, lam: Partition, N: int, d: int) -> None:
+    """Raise :class:`MembershipError` unless ``member`` belongs to the family of
+    ``lam`` with N rows and d cells appended to its lengthened row (d = 0: the
+    base family)."""
+    rows, tau, i = member
+    if not (1 <= i <= N if d else i == 0):
+        raise MembershipError(f"lengthened row {i} outside the family")
+    lengths = tuple(map(len, rows))
+    if lengths != _row_lengths(lam, N, d, i):
+        raise MembershipError(f"row lengths {lengths} do not match the family")
+    if sorted(tau) != list(range(1, N + 1)):
+        raise MembershipError(f"labels {tau} are not a permutation of 1..{N}")
+    for r, row in enumerate(rows, start=1):
         for idx, value in enumerate(row):
             if not 1 <= value <= N:
                 raise MembershipError(f"entry {value} in row {r} outside 1..{N}")
             if idx and row[idx - 1] > value:
                 raise MembershipError(f"row {r} is not weakly increasing: {row}")
-        if row[0] < st.tau[r - 1]:
+        if row[0] < tau[r - 1]:
             raise MembershipError(
-                f"row {r} starts with {row[0]}, below its label {st.tau[r - 1]}"
+                f"row {r} starts with {row[0]}, below its label {tau[r - 1]}"
             )
 
 
-def _with_rows(st: SignedTableau, shape: Shape, rows, tau) -> SignedTableau:
-    out = SignedTableau(Tableau(shape, tuple(tuple(r) for r in rows)), tuple(tau))
+def as_signed_tableau(member: Member, lam: Partition, n: int, N: int, d: int = 0) -> SignedTableau:
+    """Wrap a member of the family of :func:`validate_in_family` and validate it."""
+    rows, tau, i = member
+    shape = make_extended_row(lam, N, d, i, n) if d else make_extended(lam, N, n)
+    out = SignedTableau(Tableau(shape, rows), tau)
     validate_member(out)
     return out
+
+
+def _member(st: SignedTableau) -> Member:
+    return tuple(tuple(row) for row in st.rows), tuple(st.tau), st.shape.row
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +169,7 @@ def _with_rows(st: SignedTableau, shape: Shape, rows, tau) -> SignedTableau:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _row_lengths(lam: Partition, N: int, extra: int = 0, row: int = 0) -> tuple[int, ...]:
     return tuple(
         lam.part(r) + (N - r + 1) + (extra if r == row else 0)
@@ -271,22 +300,24 @@ def count_augmented_tableaux(lam: Partition, k: int, n: int, N: int) -> int:
     return sum(table.size for table in _augmented_tables(lam, k, n, N, 0))
 
 
-def _enumerate_on_shape(shape: Shape) -> Iterator[SignedTableau]:
-    N = shape.N
-    lengths = [shape.row_length(r) for r in range(1, N + 1)]
-    for tau in permutations(range(1, N + 1)):
-        options = [
-            combinations_with_replacement(range(tau[r], N + 1), lengths[r])
-            for r in range(N)
-        ]
-        for rows in product(*options):
-            yield SignedTableau(Tableau(shape, rows), tau)
+def _on_shapes(shapes) -> Iterator[tuple[Shape, Member]]:
+    for shape in shapes:
+        N = shape.N
+        lengths = [shape.row_length(r) for r in range(1, N + 1)]
+        for tau in permutations(range(1, N + 1)):
+            options = [
+                combinations_with_replacement(range(tau[r], N + 1), lengths[r])
+                for r in range(N)
+            ]
+            for rows in product(*options):
+                yield shape, (rows, tau, shape.row)
 
 
-def enumerate_staircase_tableaux(
+def staircase_members(
     lam: Partition, n: int, N: int, cap: int = DEFAULT_CAP
-) -> Iterator[SignedTableau]:
-    """Deterministic exhaustive stream of the base family on the staircase extension.
+) -> Iterator[tuple[Shape, Member]]:
+    """Deterministic exhaustive stream of the base family, each member as plain
+    data with its shape.
 
     Refuses with :class:`CapExceededError` when the exact member count
     exceeds ``cap``; counting costs O(2^N * N), so a refusal is cheap.
@@ -294,21 +325,36 @@ def enumerate_staircase_tableaux(
     count = count_staircase_tableaux(lam, N)
     if count > cap:
         raise CapExceededError(count, cap)
-    yield from _enumerate_on_shape(make_extended(lam, N, n))
+    yield from _on_shapes([make_extended(lam, N, n)])
+
+
+def augmented_members(
+    lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP
+) -> Iterator[tuple[Shape, Member]]:
+    """Like :func:`staircase_members` for the augmented family, i ascending;
+    refuses after N label tables."""
+    count = count_augmented_tableaux(lam, k, n, N)
+    if count > cap:
+        raise CapExceededError(count, cap)
+    yield from _on_shapes(make_extended_row(lam, N, k * n, i, n) for i in range(1, N + 1))
+
+
+def enumerate_staircase_tableaux(
+    lam: Partition, n: int, N: int, cap: int = DEFAULT_CAP
+) -> Iterator[SignedTableau]:
+    """Deterministic exhaustive stream of the base family on the staircase
+    extension; wraps :func:`staircase_members`."""
+    members = staircase_members(lam, n, N, cap)
+    return (SignedTableau(Tableau(shape, m[0]), m[1]) for shape, m in members)
 
 
 def enumerate_augmented_tableaux(
     lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP
 ) -> Iterator[SignedTableau]:
-    """Deterministic exhaustive stream of the augmented family, i ascending.
-
-    Refuses like :func:`enumerate_staircase_tableaux`, after N label tables.
-    """
-    count = count_augmented_tableaux(lam, k, n, N)
-    if count > cap:
-        raise CapExceededError(count, cap)
-    for i in range(1, N + 1):
-        yield from _enumerate_on_shape(make_extended_row(lam, N, k * n, i, n))
+    """Deterministic exhaustive stream of the augmented family, i ascending;
+    wraps :func:`augmented_members`."""
+    members = augmented_members(lam, n, k, N, cap)
+    return (SignedTableau(Tableau(shape, m[0]), m[1]) for shape, m in members)
 
 
 def _as_rng(seed: int | random.Random) -> random.Random:
@@ -369,42 +415,63 @@ def sample_augmented_tableau(
 # ---------------------------------------------------------------------------
 
 
-def _find_column_violation(st: SignedTableau) -> tuple[int, int] | None:
+def _swapped(items: tuple, a: int, b: int) -> tuple:
+    out = list(items)
+    out[a], out[b] = out[b], out[a]
+    return tuple(out)
+
+
+def _moved(items: tuple, a: int, b: int) -> tuple:
+    """``items`` with its a-th entry (1-based) moved to place b."""
+    out = list(items)
+    out.insert(b - 1, out.pop(a - 1))
+    return tuple(out)
+
+
+def column_violation(rows) -> tuple[int, int] | None:
     """Rightmost, then highest, vertical pair with upper entry >= lower entry.
 
-    Returns (row, prefix) where the violating upper cell is the prefix-th
-    entry of its row (0-based index), or None when the filling is
-    column-strict.  A cell's column is its row index offset by its position,
-    so the pair at column c sits at positions q and q-1 of rows r and r+1.
+    Returns (r, q) where the violating upper cell is the q-th entry (0-based)
+    of row r (0-based), or None when the filling is column-strict.  A cell's
+    column is its row index offset by its position, so the pair at column c
+    sits at positions q and q-1 of rows r and r+1, and c grows with r + q.
     """
-    shape = st.shape
-    N = shape.N
-    best: tuple[int, int] | None = None
-    best_col = None
-    for r in range(1, N):
-        upper, lower = st.rows[r - 1], st.rows[r]
-        # Shared columns: position q in row r aligns with q-1 in row r+1.
+    best = None
+    for r in range(len(rows) - 1):
+        upper, lower = rows[r], rows[r + 1]
         for q in range(min(len(upper), len(lower) + 1) - 1, 0, -1):
             if upper[q] >= lower[q - 1]:
-                col = (r - N) + q
-                if best_col is None or col > best_col or (col == best_col and r < best[0]):
+                if best is None or r + q > sum(best):
                     best = (r, q)
-                    best_col = col
                 break
     return best
 
 
 def is_column_strict(st: SignedTableau) -> bool:
-    return _find_column_violation(st) is None
+    return column_violation(st.rows) is None
+
+
+def entries_standard_core(rows) -> bool:
+    """True when every cell in columns <= 0 carries its own row index."""
+    N = len(rows)
+    return all(value == r for r, row in enumerate(rows, start=1) for value in row[:N - r + 1])
 
 
 def staircase_entries_standard(st: SignedTableau) -> bool:
     """True when every cell in columns <= 0 carries its own row index."""
-    for r, row in enumerate(st.rows, start=1):
-        staircase_cells = st.shape.N - r + 1
-        if any(value != r for value in row[:staircase_cells]):
-            return False
-    return True
+    return entries_standard_core(st.rows)
+
+
+def i1_core(member: Member) -> Member:
+    """:func:`i1` on plain data."""
+    rows, tau, i = member
+    hit = column_violation(rows)
+    if hit is None:
+        return member
+    r, q = hit
+    upper, lower = rows[r], rows[r + 1]
+    rows = rows[:r] + (lower[:q] + upper[q:], upper[:q] + lower[q:]) + rows[r + 2:]
+    return rows, _swapped(tau, r, r + 1), i
 
 
 def i1(st: SignedTableau) -> SignedTableau:
@@ -416,17 +483,10 @@ def i1(st: SignedTableau) -> SignedTableau:
     are forced to their row index and the labels to the identity.
     """
     validate_member(st)
-    if st.shape.kind != EXTENDED:
+    shape = st.shape
+    if shape.kind != EXTENDED:
         raise MembershipError("the first pairing map acts on plain staircase extensions")
-    hit = _find_column_violation(st)
-    if hit is None:
-        return st
-    r, q = hit
-    rows = [list(row) for row in st.rows]
-    rows[r - 1][:q], rows[r][:q] = rows[r][:q], rows[r - 1][:q]
-    tau = list(st.tau)
-    tau[r - 1], tau[r] = tau[r], tau[r - 1]
-    return _with_rows(st, st.shape, rows, tau)
+    return as_signed_tableau(i1_core(_member(st)), shape.lam, shape.n, shape.N)
 
 
 def _augmented_params(st: SignedTableau) -> tuple[Partition, int, int, int, int]:
@@ -434,6 +494,24 @@ def _augmented_params(st: SignedTableau) -> tuple[Partition, int, int, int, int]
     if shape.kind != EXTENDED_ROW:
         raise MembershipError("expected a staircase extension with a lengthened row")
     return shape.lam, shape.n, shape.N, shape.extra, shape.row
+
+
+def i2_fixed_core(member: Member, d: int) -> bool:
+    rows, tau, i = member
+    return rows[i - 1][d - 1] == tau[i - 1]
+
+
+def i2_core(member: Member, d: int) -> Member:
+    """:func:`i2` on plain data; d is the number of appended cells."""
+    if i2_fixed_core(member, d):
+        return member
+    rows, tau, i = member
+    row = rows[i - 1]
+    j = tau.index(row[d - 1]) + 1
+    moved = list(rows)
+    moved[i - 1] = row[d:]
+    moved[j - 1] = row[:d] + rows[j - 1]
+    return tuple(moved), _swapped(tau, i - 1, j - 1), j
 
 
 def i2(st: SignedTableau) -> SignedTableau:
@@ -448,24 +526,18 @@ def i2(st: SignedTableau) -> SignedTableau:
     """
     validate_member(st)
     lam, n, N, d, i = _augmented_params(st)
-    row_i = st.rows[i - 1]
-    label = st.tau[i - 1]
-    if row_i[d - 1] == label:
-        return st
-    value = row_i[d - 1]
-    j = st.tau.index(value) + 1
-    rows = [list(row) for row in st.rows]
-    removed = rows[i - 1][:d]
-    rows[i - 1] = rows[i - 1][d:]
-    rows[j - 1] = removed + rows[j - 1]
-    tau = list(st.tau)
-    tau[i - 1], tau[j - 1] = tau[j - 1], tau[i - 1]
-    return _with_rows(st, make_extended_row(lam, N, d, j, n), rows, tau)
+    return as_signed_tableau(i2_core(_member(st), d), lam, n, N, d)
 
 
 def i2_is_fixed(st: SignedTableau) -> bool:
     lam, n, N, d, i = _augmented_params(st)
-    return st.rows[i - 1][d - 1] == st.tau[i - 1]
+    return i2_fixed_core(_member(st), d)
+
+
+def extract_core(member: Member, d: int) -> Member:
+    """:func:`extract_power_sum_factor` on plain data; the row is ``member[2]``."""
+    rows, tau, i = member
+    return rows[:i - 1] + (rows[i - 1][d:],) + rows[i:], tau, 0
 
 
 def extract_power_sum_factor(st: SignedTableau) -> tuple[SignedTableau, int]:
@@ -479,9 +551,13 @@ def extract_power_sum_factor(st: SignedTableau) -> tuple[SignedTableau, int]:
     if not i2_is_fixed(st):
         raise MembershipError("member is not fixed by the second pairing map")
     lam, n, N, d, i = _augmented_params(st)
-    rows = [list(row) for row in st.rows]
-    rows[i - 1] = rows[i - 1][d:]
-    return _with_rows(st, make_extended(lam, N, n), rows, st.tau), i
+    return as_signed_tableau(extract_core(_member(st), d), lam, n, N), i
+
+
+def insert_core(member: Member, i: int, d: int) -> Member:
+    """:func:`insert_power_sum_factor` on plain data, with d = k * n."""
+    rows, tau, _ = member
+    return rows[:i - 1] + ((tau[i - 1],) * d + rows[i - 1],) + rows[i:], tau, i
 
 
 def insert_power_sum_factor(st: SignedTableau, i: int, k: int) -> SignedTableau:
@@ -490,47 +566,53 @@ def insert_power_sum_factor(st: SignedTableau, i: int, k: int) -> SignedTableau:
     if shape.kind != EXTENDED:
         raise MembershipError("expected a plain staircase extension")
     d = k * shape.n
-    rows = [list(row) for row in st.rows]
-    rows[i - 1] = [st.tau[i - 1]] * d + rows[i - 1]
-    return _with_rows(st, make_extended_row(shape.lam, shape.N, d, i, shape.n), rows, st.tau)
+    return as_signed_tableau(insert_core(_member(st), i, d), shape.lam, shape.n, shape.N, d)
 
 
-def _equal_length_partner(st: SignedTableau) -> int | None:
-    """The row sharing the lengthened row's cell count, if any.
-
-    At most one duplicate length can occur and it must involve the lengthened
-    row; both facts are asserted.
-    """
-    _, _, N, _, i = _augmented_params(st)
-    lengths = [len(row) for row in st.rows]
-    partners = [r for r in range(1, N + 1) if r != i and lengths[r - 1] == lengths[i - 1]]
-    if len(partners) > 1:
-        raise AssertionError(f"more than two rows share a length: {lengths}")
-    others = [lengths[r - 1] for r in range(1, N + 1) if r != i]
-    if len(set(others)) != len(others):
-        raise AssertionError(f"two unlengthened rows share a length: {lengths}")
-    return partners[0] if partners else None
+def _equal_length_partner(rows, i: int) -> int | None:
+    """The row sharing the lengthened row's cell count, if any.  The other
+    rows strictly decrease in length, so there is at most one."""
+    length = len(rows[i - 1])
+    for j, row in enumerate(rows, start=1):
+        if j != i and len(row) == length:
+            return j
+    return None
 
 
-def _slide_to_decreasing(rows: list, tau: list, i: int) -> int:
+def slide_to_strip_core(member: Member) -> tuple[tuple[int, ...], int, Member]:
     """Slide row i northwest (swapping whole rows) until lengths strictly decrease.
 
     Rows start at column r - N, so exchanging the row tuples moves every cell
-    one step along its diagonal.  Returns the number of slides.
+    one step along its diagonal.  Returns the parts of the partition sigma
+    the slid rows fill, the number of slides, and the slid member on the
+    base family of sigma.
     """
+    rows, tau, i = member
     p = i
-    while p > 1 and len(rows[p - 2]) <= len(rows[p - 1]):
-        rows[p - 2], rows[p - 1] = rows[p - 1], rows[p - 2]
-        tau[p - 2], tau[p - 1] = tau[p - 1], tau[p - 2]
+    while p > 1 and len(rows[p - 2]) <= len(rows[i - 1]):
         p -= 1
-    return i - p
-
-
-def _lengths_to_partition(rows: list, N: int) -> Partition:
-    parts = [len(rows[r - 1]) - (N - r + 1) for r in range(1, N + 1)]
+    rows = _moved(rows, i, p)
+    N = len(rows)
+    parts = [len(row) - (N - r) for r, row in enumerate(rows)]
     while parts and parts[-1] == 0:
         parts.pop()
-    return Partition(tuple(parts))
+    return tuple(parts), i - p, (rows, _moved(tau, i, p), 0)
+
+
+def slide_from_strip_core(member: Member, top: int, bottom: int) -> Member:
+    """Slide row ``top`` back down to row ``bottom``, the lengthened row."""
+    rows, tau, _ = member
+    return _moved(rows, top, bottom), _moved(tau, top, bottom), bottom
+
+
+def i3_core(member: Member) -> Member:
+    """:func:`i3` on plain data."""
+    rows, tau, i = member
+    j = _equal_length_partner(rows, i)
+    if j is not None:
+        return _swapped(rows, i - 1, j - 1), _swapped(tau, i - 1, j - 1), i
+    _, slides, slid = slide_to_strip_core(member)
+    return slide_from_strip_core(i1_core(slid), i - slides, i)
 
 
 def i3(st: SignedTableau) -> SignedTableau:
@@ -546,24 +628,7 @@ def i3(st: SignedTableau) -> SignedTableau:
     """
     validate_member(st)
     lam, n, N, d, i = _augmented_params(st)
-    partner = _equal_length_partner(st)
-    rows = [list(row) for row in st.rows]
-    tau = list(st.tau)
-    if partner is not None:
-        j = partner
-        rows[i - 1], rows[j - 1] = rows[j - 1], rows[i - 1]
-        tau[i - 1], tau[j - 1] = tau[j - 1], tau[i - 1]
-        return _with_rows(st, st.shape, rows, tau)
-    slides = _slide_to_decreasing(rows, tau, i)
-    sigma = _lengths_to_partition(rows, N)
-    slid = _with_rows(st, make_extended(sigma, N, n), rows, tau)
-    paired = i1(slid)
-    rows = [list(row) for row in paired.rows]
-    tau = list(paired.tau)
-    for p in range(i - slides, i):
-        rows[p - 1], rows[p] = rows[p], rows[p - 1]
-        tau[p - 1], tau[p] = tau[p], tau[p - 1]
-    return _with_rows(st, st.shape, rows, tau)
+    return as_signed_tableau(i3_core(_member(st)), lam, n, N, d)
 
 
 def slide_to_border_strip(st: SignedTableau) -> tuple[Partition, int, SignedTableau]:
@@ -576,16 +641,28 @@ def slide_to_border_strip(st: SignedTableau) -> tuple[Partition, int, SignedTabl
     """
     validate_member(st)
     lam, n, N, d, i = _augmented_params(st)
-    if _equal_length_partner(st) is not None:
+    member = _member(st)
+    if _equal_length_partner(member[0], i) is not None:
         raise MembershipError("member has an equal-length row pair, so it is not fixed")
-    rows = [list(row) for row in st.rows]
-    tau = list(st.tau)
-    slides = _slide_to_decreasing(rows, tau, i)
-    sigma = _lengths_to_partition(rows, N)
-    slid = _with_rows(st, make_extended(sigma, N, n), rows, tau)
-    if not is_column_strict(slid):
+    parts, slides, slid = slide_to_strip_core(member)
+    if column_violation(slid[0]) is not None:
         raise MembershipError("member is not fixed by the third pairing map")
-    return sigma, slides, slid
+    sigma = Partition(parts)
+    return sigma, slides, as_signed_tableau(slid, sigma, n, N)
+
+
+def strip_rows(sigma: Partition, lam: Partition) -> tuple[int, int]:
+    """First and last row of the strip sigma / lam; ValueError unless sigma
+    contains lam and exceeds it in a nonempty run of contiguous rows."""
+    if not sigma.contains(lam):
+        raise ValueError(f"{sigma} does not contain {lam}")
+    rows = [r for r in range(1, max(len(sigma), len(lam)) + 1) if sigma.part(r) > lam.part(r)]
+    if not rows:
+        raise ValueError(f"{sigma} equals {lam}; no strip to undo")
+    top, bottom = rows[0], rows[-1]
+    if rows != list(range(top, bottom + 1)):
+        raise ValueError(f"{sigma} minus {lam} does not occupy contiguous rows")
+    return top, bottom
 
 
 def slide_from_border_strip(member: SignedTableau, lam: Partition) -> SignedTableau:
@@ -593,22 +670,27 @@ def slide_from_border_strip(member: SignedTableau, lam: Partition) -> SignedTabl
     shape = member.shape
     if shape.kind != EXTENDED:
         raise MembershipError("expected a plain staircase extension")
-    sigma, N, n = shape.lam, shape.N, shape.n
-    if not sigma.contains(lam):
-        raise ValueError(f"{sigma} does not contain {lam}")
-    strip_rows = [r for r in range(1, max(len(sigma), len(lam)) + 1) if sigma.part(r) > lam.part(r)]
-    if not strip_rows:
-        raise ValueError(f"{sigma} equals {lam}; no strip to undo")
-    top, bottom = strip_rows[0], strip_rows[-1]
-    if strip_rows != list(range(top, bottom + 1)):
-        raise ValueError(f"{sigma} minus {lam} does not occupy contiguous rows")
-    d = sigma.size - lam.size
-    rows = [list(row) for row in member.rows]
-    tau = list(member.tau)
-    for p in range(top, bottom):
-        rows[p - 1], rows[p] = rows[p], rows[p - 1]
-        tau[p - 1], tau[p] = tau[p], tau[p - 1]
-    return _with_rows(member, make_extended_row(lam, N, d, bottom, n), rows, tau)
+    sigma = shape.lam
+    top, bottom = strip_rows(sigma, lam)
+    slid = slide_from_strip_core(_member(member), top, bottom)
+    return as_signed_tableau(slid, lam, shape.n, shape.N, sigma.size - lam.size)
+
+
+def in_low_core(member: Member, kl: int) -> bool:
+    """True when the lengthened row stays at or below N - kl."""
+    rows, _, i = member
+    return rows[i - 1][-1] <= len(rows) - kl
+
+
+def i4_core(member: Member, d: int, kl: int) -> Member:
+    """:func:`i4` on plain data, with d = k * n appended cells and kl = k * l."""
+    rows, tau, i = member
+    row = rows[i - 1]
+    j = tau.index(row[d - 1] + kl) + 1
+    moved = list(rows)
+    moved[i - 1] = tuple(value + kl for value in row[d:])
+    moved[j - 1] = row[:d] + tuple(value - kl for value in moved[j - 1])
+    return tuple(moved), _swapped(tau, i - 1, j - 1), j
 
 
 def i4(st: SignedTableau, shift: ShiftParams) -> SignedTableau:
@@ -628,28 +710,19 @@ def i4(st: SignedTableau, shift: ShiftParams) -> SignedTableau:
         raise ValueError(f"shift modulus {shift.n} does not match shape modulus {n}")
     if d % n != 0:
         raise ValueError(f"appended cell count {d} is not a multiple of {n}")
-    k = d // n
-    kl = k * shift.l
-    row_i = st.rows[i - 1]
-    if row_i[-1] > N - kl:
+    kl = d // n * shift.l
+    member = _member(st)
+    if not in_low_core(member, kl):
         raise MembershipError(
-            f"row {i} reaches {row_i[-1]}, above the bound {N - kl}"
+            f"row {i} reaches {st.rows[i - 1][-1]}, above the bound {N - kl}"
         )
-    removed = list(row_i[:d])
-    m = removed[-1]
-    j = st.tau.index(m + kl) + 1
-    rows = [list(row) for row in st.rows]
-    rows[i - 1] = [value + kl for value in row_i[d:]]
-    rows[j - 1] = removed + [value - kl for value in rows[j - 1]]
-    tau = list(st.tau)
-    tau[i - 1], tau[j - 1] = tau[j - 1], tau[i - 1]
-    return _with_rows(st, make_extended_row(lam, N, d, j, n), rows, tau)
+    return as_signed_tableau(i4_core(member, d, kl), lam, n, N, d)
 
 
 def in_low_family(st: SignedTableau, shift: ShiftParams) -> bool:
     """True when the lengthened row stays at or below N - k*l."""
     _, n, N, d, i = _augmented_params(st)
-    return st.rows[i - 1][-1] <= N - (d // n) * shift.l
+    return in_low_core(_member(st), (d // n) * shift.l)
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +730,19 @@ def in_low_family(st: SignedTableau, shift: ShiftParams) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _signed_sum(members: Iterator[SignedTableau], n: int, l: int) -> Polynomial:
+    terms: dict[Monomial, int] = {}
+    for st in members:
+        m = st.monomial(l)
+        terms[m] = terms.get(m, 0) + st.sign
+    return Polynomial(n, terms)
+
+
 def staircase_signed_sum(
     lam: Partition, n: int, N: int, l: int = 0, cap: int = DEFAULT_CAP
 ) -> Polynomial:
     """Sum of sgn(tau) times the (shifted) weight over the base family."""
-    terms: dict[Monomial, int] = {}
-    for st in enumerate_staircase_tableaux(lam, n, N, cap):
-        m = st.monomial(l)
-        terms[m] = terms.get(m, 0) + st.sign
-    return Polynomial(n, terms)
+    return _signed_sum(enumerate_staircase_tableaux(lam, n, N, cap), n, l)
 
 
 def augmented_signed_sum(
@@ -676,8 +753,4 @@ def augmented_signed_sum(
     This is the generating function that equals both the power-sum product
     and the signed border-strip sum.
     """
-    terms: dict[Monomial, int] = {}
-    for st in enumerate_augmented_tableaux(lam, n, k, N, cap):
-        m = st.monomial(l)
-        terms[m] = terms.get(m, 0) + st.sign
-    return Polynomial(n, terms)
+    return _signed_sum(enumerate_augmented_tableaux(lam, n, k, N, cap), n, l)

@@ -13,6 +13,7 @@ weights stay positive; on staircase extensions they may reach zero or below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .polyring import Monomial, Polynomial
@@ -49,19 +50,6 @@ class Tableau:
         if expected != got:
             raise ValueError(f"row lengths {got} do not match shape rows {expected}")
 
-    def entry(self, r: int, c: int) -> int:
-        lo, hi = self.shape.bounds(r)
-        if not lo <= c <= hi:
-            raise ValueError(f"cell ({r}, {c}) outside row bounds {lo}..{hi}")
-        return self.rows[r - 1][c - lo]
-
-    def cells(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (row, col, entry) in reading order."""
-        for r in range(1, self.shape.num_rows + 1):
-            lo, _ = self.shape.bounds(r)
-            for idx, value in enumerate(self.rows[r - 1]):
-                yield r, lo + idx, value
-
 
 def enumerate_ssyt(lam: Partition, N: int, n: int = 1) -> Iterator[Tableau]:
     """Stream all semistandard tableaux of shape ``lam`` with entries in [1, N].
@@ -97,12 +85,43 @@ def enumerate_ssyt(lam: Partition, N: int, n: int = 1) -> Iterator[Tableau]:
     yield from fill(0, 0)
 
 
+@lru_cache(maxsize=1024)
+def cell_weights(start: int, length: int, n: int, l: int = 0) -> tuple[tuple[int, int], ...]:
+    """``(color, weight offset)`` of each cell of a row whose first cell has content ``start``.
+
+    A cell of content c has color c mod n and contributes the weight numerator
+    ``n * entry + l * c``.  Every row of a staircase extension with N rows
+    starts at content -N, so one table serves all of its rows.
+    """
+    return tuple(((start + q) % n, l * (start + q)) for q in range(length))
+
+
+def rows_monomial(rows, cells, n: int) -> Monomial:
+    """The (shifted) weight monomial of a filling given as row tuples.
+
+    ``cells[r]`` holds the :func:`cell_weights` of row r, at least as long as
+    the row.  Every weight monomial in the package is computed here.
+    """
+    factors: dict[tuple[int, int], int] = {}
+    for row, row_cells in zip(rows, cells):
+        for (color, offset), value in zip(row_cells, row):
+            key = (color, n * value + offset)
+            factors[key] = factors.get(key, 0) + 1
+    return Monomial.from_exponents(factors)
+
+
+@lru_cache(maxsize=256)
+def _shape_cells(shape: Shape, l: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    rows = []
+    for r in range(1, shape.num_rows + 1):
+        lo, hi = shape.bounds(r)
+        rows.append(cell_weights(lo - r, hi - lo + 1, shape.n, l))
+    return tuple(rows)
+
+
 def weight_monomial(t: Tableau) -> Monomial:
     """Product over cells of ``x(color, entry)``."""
-    n = t.shape.n
-    return Monomial.from_variables(
-        ((c - r) % n, n * w) for r, c, w in t.cells()
-    )
+    return rows_monomial(t.rows, _shape_cells(t.shape, 0), t.shape.n)
 
 
 def shifted_weight_monomial(t: Tableau, shift: ShiftParams) -> Monomial:
@@ -113,10 +132,7 @@ def shifted_weight_monomial(t: Tableau, shift: ShiftParams) -> Monomial:
     """
     if shift.n != t.shape.n:
         raise ValueError(f"shift modulus {shift.n} does not match shape modulus {t.shape.n}")
-    n, l = shift.n, shift.l
-    return Monomial.from_variables(
-        ((c - r) % n, n * w + l * (c - r)) for r, c, w in t.cells()
-    )
+    return rows_monomial(t.rows, _shape_cells(t.shape, shift.l), shift.n)
 
 
 def _monomial_sum(n: int, monomials: Iterator[Monomial]) -> Polynomial:

@@ -17,27 +17,45 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigError, MembershipError, PreconditionError
-from .involutions import (
+from .involutions import (  # also the public maps, which callers may look up or replace here
     DEFAULT_CAP,
-    SignedTableau,
+    Member,
+    as_signed_tableau,
+    augmented_members,
     augmented_signed_sum,
+    column_violation,
+    entries_standard_core,
     enumerate_augmented_tableaux,
     enumerate_staircase_tableaux,
+    extract_core,
     extract_power_sum_factor,
     i1,
+    i1_core,
     i2,
+    i2_core,
+    i2_fixed_core,
     i2_is_fixed,
     i3,
+    i3_core,
     i4,
+    i4_core,
+    in_low_core,
     in_low_family,
+    insert_core,
     insert_power_sum_factor,
     is_column_strict,
+    permutation_sign,
     sample_augmented_tableau,
     sample_staircase_tableau,
     slide_from_border_strip,
+    slide_from_strip_core,
     slide_to_border_strip,
+    slide_to_strip_core,
     staircase_entries_standard,
+    staircase_members,
     staircase_signed_sum,
+    strip_rows,
+    validate_in_family,
 )
 from .polyring import (
     Monomial,
@@ -49,8 +67,10 @@ from .polyring import (
 from .shapes import Partition, enumerate_border_strips, is_border_strip
 from .tableaux import (
     ShiftParams,
+    cell_weights,
     loop_power_sum,
     loop_schur,
+    rows_monomial,
     shifted_loop_schur,
     staircase_monomial,
 )
@@ -318,110 +338,141 @@ def _power_sum_factor(n: int, value: int, k: int) -> Monomial:
     return Monomial.from_exponents({(c, n * value): k for c in range(n)})
 
 
-def _check_i1_member(st: SignedTableau, failures: list, lam: Partition, shift: ShiftParams) -> bool:
-    image = i1(st)
-    again = i1(image)
-    if again != st:
-        failures.append(("involution", st))
+class _FamilyCheck:
+    """What the member checks of one family share: its parameters, the failures
+    found, and the signed shifted sum of the members the fourth map reaches.
+
+    Members and images are plain data (see :mod:`loopschur.involutions`).  Every
+    row starts at content -N, so one :func:`cell_weights` table per shift serves
+    all rows; ``l`` is the shift of the map's shifted-weight check.
+    """
+
+    def __init__(self, lam: Partition, n: int, N: int, d: int, l: int):
+        self.lam, self.n, self.N, self.d, self.l = lam, n, N, d, l
+        self.kl = d // n * l
+        longest = lam.part(1) + N + d
+        self.plain = (cell_weights(-N, longest, n),) * N
+        self.shifted = (cell_weights(-N, longest, n, l),) * N
+        self.failures: list[tuple[str, Member | None]] = []
+        self.reachable: dict[Monomial, int] = {}
+
+    def weight(self, member: Member, shifted: bool = False) -> Monomial:
+        return rows_monomial(member[0], self.shifted if shifted else self.plain, self.n)
+
+    def closed(self, image: Member) -> bool:
+        try:
+            validate_in_family(image, self.lam, self.N, self.d)
+        except MembershipError:
+            return False
+        return True
+
+    def fail(self, name: str, member: Member) -> bool:
+        self.failures.append((name, member))
         return False
-    fixed = image == st
-    if fixed != is_column_strict(st):
-        failures.append(("fixed_iff_column_strict", st))
-        return False
+
+
+def _check_i1_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
+    image = i1_core(m)
+    if not c.closed(image):
+        return c.fail("closure", m)
+    if i1_core(image) != m:
+        return c.fail("involution", m)
+    fixed = image == m
+    if fixed != (column_violation(m[0]) is None):
+        return c.fail("fixed_iff_column_strict", m)
     if fixed:
-        if not staircase_entries_standard(st) or st.tau != tuple(range(1, st.shape.N + 1)):
-            failures.append(("fixed_point_shape", st))
-            return False
+        if not entries_standard_core(m[0]) or m[1] != tuple(range(1, c.N + 1)):
+            return c.fail("fixed_point_shape", m)
     else:
-        if image.sign != -st.sign or image.monomial() != st.monomial():
-            failures.append(("sign_or_weight", st))
-            return False
-        if st.shape.n > 1 and image.monomial(1) != st.monomial(1):
-            failures.append(("shifted_weight", st))
-            return False
+        if permutation_sign(image[1]) != -sign or c.weight(image) != c.weight(m):
+            return c.fail("sign_or_weight", m)
+        if c.l and c.weight(image, True) != c.weight(m, True):
+            return c.fail("shifted_weight", m)
     return fixed
 
 
-def _check_i2_member(st: SignedTableau, failures: list, lam: Partition, shift: ShiftParams) -> bool:
-    image = i2(st)
-    if i2(image) != st:
-        failures.append(("involution", st))
-        return False
-    fixed = image == st
-    if fixed != i2_is_fixed(st):
-        failures.append(("fixed_point_rule", st))
-        return False
+def _check_i2_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
+    image = i2_core(m, c.d)
+    if not c.closed(image):
+        return c.fail("closure", m)
+    if i2_core(image, c.d) != m:
+        return c.fail("involution", m)
+    fixed = image == m
+    if fixed != i2_fixed_core(m, c.d):
+        return c.fail("fixed_point_rule", m)
     if fixed:
-        base, i = extract_power_sum_factor(st)
-        k = st.shape.extra // st.shape.n
-        factor = _power_sum_factor(st.shape.n, st.tau[i - 1], k)
-        if base.sign != st.sign or factor * base.monomial() != st.monomial():
-            failures.append(("factor_weight_law", st))
-            return False
-        if insert_power_sum_factor(base, i, k) != st:
-            failures.append(("factor_roundtrip", st))
-            return False
+        base, i = extract_core(m, c.d), m[2]
+        factor = _power_sum_factor(c.n, m[1][i - 1], c.d // c.n)
+        if permutation_sign(base[1]) != sign or factor * c.weight(base) != c.weight(m):
+            return c.fail("factor_weight_law", m)
+        if insert_core(base, i, c.d) != m:
+            return c.fail("factor_roundtrip", m)
     else:
-        if image.sign != -st.sign or image.monomial() != st.monomial():
-            failures.append(("sign_or_weight", st))
-            return False
+        if permutation_sign(image[1]) != -sign or c.weight(image) != c.weight(m):
+            return c.fail("sign_or_weight", m)
     return fixed
 
 
-def _check_i3_member(st: SignedTableau, failures: list, lam: Partition, shift: ShiftParams) -> bool:
-    image = i3(st)
-    if i3(image) != st:
-        failures.append(("involution", st))
-        return False
-    fixed = image == st
+def _check_i3_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
+    image = i3_core(m)
+    if not c.closed(image):
+        return c.fail("closure", m)
+    if i3_core(image) != m:
+        return c.fail("involution", m)
+    fixed = image == m
     if fixed:
-        sigma, height, member = slide_to_border_strip(st)
-        if not is_border_strip(sigma, lam, st.shape.extra):
-            failures.append(("strip_shape", st))
-            return False
-        if not is_column_strict(member) or i1(member) != member:
-            failures.append(("landing_not_fixed", st))
-            return False
+        parts, height, landed = slide_to_strip_core(m)
+        if list(parts) != sorted(parts, reverse=True):  # a tie left the rows unsorted
+            return c.fail("strip_shape", m)
+        sigma = Partition(parts)
+        if not is_border_strip(sigma, c.lam, c.d):
+            return c.fail("strip_shape", m)
+        if column_violation(landed[0]) is not None or i1_core(landed) != landed:
+            return c.fail("landing_not_fixed", m)
         sign_factor = -1 if height % 2 else 1
-        if st.sign != sign_factor * member.sign or member.monomial() != st.monomial():
-            failures.append(("slide_sign_or_weight", st))
-            return False
-        if slide_from_border_strip(member, lam) != st:
-            failures.append(("slide_roundtrip", st))
-            return False
+        if sign != sign_factor * permutation_sign(landed[1]) or c.weight(landed) != c.weight(m):
+            return c.fail("slide_sign_or_weight", m)
+        if slide_from_strip_core(landed, *strip_rows(sigma, c.lam)) != m:
+            return c.fail("slide_roundtrip", m)
     else:
-        if image.sign != -st.sign or image.monomial() != st.monomial():
-            failures.append(("sign_or_weight", st))
-            return False
-        if shift.l and image.monomial(shift.l) != st.monomial(shift.l):
-            failures.append(("shifted_weight", st))
-            return False
+        if permutation_sign(image[1]) != -sign or c.weight(image) != c.weight(m):
+            return c.fail("sign_or_weight", m)
+        if c.l and c.weight(image, True) != c.weight(m, True):
+            return c.fail("shifted_weight", m)
     return fixed
 
 
-def _check_i4_member(st: SignedTableau, failures: list, lam: Partition, shift: ShiftParams) -> bool:
-    image = i4(st, shift)
-    if i4(image, shift) != st:
-        failures.append(("involution", st))
-        return False
-    if not in_low_family(image, shift):
-        failures.append(("closure", st))
-        return False
-    if shift.l >= 1 and image == st:
-        failures.append(("unexpected_fixed_point", st))
-        return False
-    if image != st:
-        if image.sign != -st.sign:
-            failures.append(("sign", st))
-            return False
-        if image.monomial(shift.l) != st.monomial(shift.l):
-            failures.append(("shifted_weight", st))
-            return False
-    return image == st
+def _check_i4_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
+    weight = c.weight(m, True)
+    c.reachable[weight] = c.reachable.get(weight, 0) + sign
+    image = i4_core(m, c.d, c.kl)
+    if not c.closed(image) or not in_low_core(image, c.kl):
+        return c.fail("closure", m)
+    if i4_core(image, c.d, c.kl) != m:
+        return c.fail("involution", m)
+    if image == m:
+        return c.fail("unexpected_fixed_point", m)
+    if permutation_sign(image[1]) != -sign:
+        return c.fail("sign", m)
+    if c.weight(image, True) != weight:
+        return c.fail("shifted_weight", m)
+    return False
 
 
 _MEMBER_CHECKS = {"I1": _check_i1_member, "I2": _check_i2_member,
                   "I3": _check_i3_member, "I4": _check_i4_member}
+
+
+def _sampled_members(which, lam, n, k, N, shift, samples, rng):
+    """The sampled members of :func:`check_involution` as plain data."""
+    for _ in range(samples):
+        if which == "I1":
+            st = sample_staircase_tableau(lam, n, N, rng)
+        else:
+            st = sample_augmented_tableau(lam, n, k, N, rng, shift.l if which == "I4" else 0)
+            if which == "I4" and not in_low_family(st, shift):
+                raise MembershipError("the low-family sampler drew a member outside it")
+        yield st.rows, st.tau, st.shape.row
 
 
 def check_involution(
@@ -445,7 +496,9 @@ def check_involution(
     specific to the map.  The fourth map additionally requires l >= 1; its
     sampled members are drawn directly from the members it acts on, and in
     exhaustive mode the members it cannot reach must carry the whole signed
-    shifted sum.
+    shifted sum, which the same pass checks as the members it reaches
+    cancelling.  Members are walked as plain data, and each image is validated
+    once.
     """
     which = which.upper()
     if which not in _MEMBER_CHECKS:
@@ -457,42 +510,42 @@ def check_involution(
     if mode == "samples" and samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
     start = time.perf_counter()
-    failures: list[tuple[str, SignedTableau]] = []
     fixed_count = 0
     total = 0
     shift = ShiftParams(n, l)
     check_member = _MEMBER_CHECKS[which]
     low = which == "I4"
+    lengthened = which != "I1"
+    d = k * n if lengthened else 0
+    c = _FamilyCheck(lam, n, N, d, (1 if n > 1 else 0) if which == "I1" else l)
 
     if mode == "exhaustive":
-        members = (enumerate_staircase_tableaux(lam, n, N, cap) if which == "I1"
-                   else enumerate_augmented_tableaux(lam, n, k, N, cap))
+        family = (staircase_members(lam, n, N, cap) if which == "I1"
+                  else augmented_members(lam, n, k, N, cap))
+        members = (member for _, member in family)
     else:
-        rng = random.Random(seed)
-        members = (sample_staircase_tableau(lam, n, N, rng) if which == "I1"
-                   else sample_augmented_tableau(lam, n, k, N, rng, l if low else 0)
-                   for _ in range(samples))
-    unreachable: dict[Monomial, int] = {}
-    for st in members:
-        if low and not in_low_family(st, shift):
-            if mode == "samples":
-                raise MembershipError("the low-family sampler drew a member outside it")
-            m = st.monomial(l)
-            unreachable[m] = unreachable.get(m, 0) + st.sign
-            continue
+        members = _sampled_members(which, lam, n, k, N, shift, samples, random.Random(seed))
+    for m in members:
+        if lengthened and not m[2]:  # k = 0 appends nothing: a plain staircase
+            raise MembershipError("expected a staircase extension with a lengthened row")
+        if low and not in_low_core(m, c.kl):
+            continue  # unreachable by the fourth map
         total += 1
-        if check_member(st, failures, lam, shift):
+        if check_member(c, m, permutation_sign(m[1])):
             fixed_count += 1
-    if low and mode == "exhaustive":
-        if Polynomial(n, unreachable) != augmented_signed_sum(lam, n, k, N, l, cap):
-            failures.append(("unreachable_sum_mismatch", None))
+    # The unreachable members carry the whole signed shifted sum exactly when
+    # the reachable ones cancel.
+    if low and mode == "exhaustive" and any(c.reachable.values()):
+        c.failures.append(("unreachable_sum_mismatch", None))
 
+    failures = c.failures
     witness = None
     if failures:
         name, member = failures[0]
         witness = {
             "property": name,
-            "member": member.to_document() if member is not None else None,
+            "member": (as_signed_tableau(member, lam, n, N, d).to_document()
+                       if member is not None else None),
         }
     params = {"which": which, "lambda": str(lam), "n": n, "k": k, "N": N, "mode": mode}
     if l:
@@ -529,6 +582,14 @@ def truncation(text: str) -> int:
     value = integer(text)
     if value < 0:
         raise ValueError(f"must be non-negative, got {value}")
+    return value
+
+
+def positive(text: str) -> int:
+    """Parse an integer option that must be at least 1."""
+    value = integer(text)
+    if value < 1:
+        raise ValueError(f"must be positive, got {value}")
     return value
 
 

@@ -67,6 +67,14 @@ def test_border_strips_structured(capsys):
     ]}
 
 
+@pytest.mark.parametrize("k,n,bad", [("-1", "-1", "--k"), ("0", "2", "--k"), ("2", "0", "--n")])
+def test_border_strips_refuse_nonpositive_k_and_n(capsys, k, n, bad):
+    # Only the product k*n used to be checked, so k = n = -1 listed length-1 strips.
+    code, out, err = run_exit(capsys, "border-strips", "--lambda", "1", "--k", k, "--n", n)
+    assert code == 2 and out == ""
+    assert f"argument {bad}: must be positive" in err
+
+
 def test_mn_verify_pass(capsys):
     code, out, _ = run(capsys, "mn-verify", "--lambda", "1", "--n", "2", "--k", "1", "--N", "4")
     assert code == 0

@@ -54,10 +54,11 @@ class TestClassicalOracle:
         assert classical_schur(Partition.of(3), 3) == verify_mod._homogeneous_basis(3, 3)[3]
 
     def test_module_caches_are_bounded(self):
-        from loopschur import involutions
+        from loopschur import involutions, tableaux
 
         for cached in (verify_mod._homogeneous_basis, verify_mod.classical_schur,
-                       involutions._label_table):
+                       involutions._label_table, involutions._row_lengths,
+                       tableaux.cell_weights, tableaux._shape_cells):
             assert cached.cache_info().maxsize is not None
 
 
@@ -174,6 +175,142 @@ class TestInvolutionCheck:
         line = f"involution which=I1 lambda=0 n=1 N=2 mode=samples samples={samples}"
         with pytest.raises(PreconditionError, match="samples must be at least 1"):
             run_grid(parse_grid_config(line))
+
+
+# which -> (lambda, n, k, N, l) of a small family for each map
+FAULT_FAMILIES = {
+    "I1": (Partition.of(1), 2, 1, 3, 0),
+    "I2": (Partition(), 2, 1, 3, 0),
+    "I3": (Partition.of(1), 2, 1, 3, 1),
+    "I4": (Partition(), 2, 1, 3, 1),
+}
+
+
+class TestInvolutionCheckCatchesFaultyMaps:
+    """``check_involution`` applies the map cores it finds on ``verify``; a
+    corrupted core must give a failing report naming the broken property."""
+
+    def core_args(self, which):
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        return {"I1": (), "I2": (k * n,), "I3": (), "I4": (k * n, k * l)}[which]
+
+    def members(self, which):
+        """The members the check visits, each with its image under the true core."""
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        if which == "I1":
+            stream = verify_mod.staircase_members(lam, n, N)
+        else:
+            stream = verify_mod.augmented_members(lam, n, k, N)
+        core = getattr(verify_mod, f"{which.lower()}_core")
+        args = self.core_args(which)
+        return [(m, core(m, *args)) for _, m in stream
+                if which != "I4" or verify_mod.in_low_core(m, k * l)]
+
+    def check(self, which, monkeypatch, corrupt):
+        """Run the exhaustive check with the core replaced by ``corrupt(core, member, *args)``."""
+        name = f"{which.lower()}_core"
+        core = getattr(verify_mod, name)
+        monkeypatch.setattr(verify_mod, name, lambda m, *args: corrupt(core, m, *args))
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        report = check_involution(which, lam, n, k, N, l=l)
+        assert not report.passed
+        return report.witness["property"]
+
+    def swapped_pairs(self, which, same_sign):
+        """Two moved pairs {a, a'} and {b, b'} re-paired as a <-> b, a' <-> b'.
+
+        With ``same_sign`` a and b share a sign; otherwise their signs differ
+        but their (shifted, for the fourth map) weights differ too."""
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        shift = l if which == "I4" else 0
+        d = 0 if which == "I1" else k * n
+
+        def sign_weight(m):
+            st = verify_mod.as_signed_tableau(m, lam, n, N, d)
+            return st.sign, st.monomial(shift)
+
+        pairs = []
+        for m, image in self.members(which):
+            if image != m and all(m not in pair for pair in pairs):
+                pairs.append((m, image))
+        a, a2 = pairs[0]
+        sign_a, weight_a = sign_weight(a)
+        for b, b2 in pairs[1:]:
+            sign_b, weight_b = sign_weight(b)
+            if same_sign or weight_b != weight_a:
+                if (sign_b == sign_a) != same_sign:
+                    b, b2 = b2, b
+                return {a: b, b: a, a2: b2, b2: a2}
+        raise AssertionError("no second pair to swap with")
+
+    @pytest.mark.parametrize("fault", ["entry above N", "extra cell"])
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    def test_image_outside_the_family(self, which, fault, monkeypatch):
+        # Reported as a closure failure, not raised.
+        N = FAULT_FAMILIES[which][3]
+
+        def corrupt(core, m, *args):
+            rows, tau, i = core(m, *args)
+            if fault == "entry above N":
+                return (rows[0][:-1] + (N + 1,),) + rows[1:], tau, i
+            return rows[:-1] + (rows[-1] + rows[-1][-1:],), tau, i
+
+        assert self.check(which, monkeypatch, corrupt) == "closure"
+
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    def test_image_not_involutive(self, which, monkeypatch):
+        # One moved member x is sent to a member y of another pair instead.
+        moved = [(m, image) for m, image in self.members(which) if image != m]
+        x, partner = moved[0]
+        y = next(m for m, _ in moved if m not in (x, partner))
+        corrupt = lambda core, m, *args: y if m == x else core(m, *args)
+        assert self.check(which, monkeypatch, corrupt) == "involution"
+
+    @pytest.mark.parametrize("which,expected", [
+        ("I1", "fixed_iff_column_strict"), ("I2", "fixed_point_rule"),
+        ("I3", "landing_not_fixed"), ("I4", "unexpected_fixed_point"),
+    ])
+    def test_core_that_fixes_every_member(self, which, expected, monkeypatch):
+        # The check walks on past a failure; for the third map some later false
+        # fixed points have an equal-length row, so their slide lands on no
+        # partition, and that too is reported, not raised.
+        assert self.check(which, monkeypatch, lambda core, m, *args: m) == expected
+
+    @pytest.mark.parametrize("which,expected", [
+        ("I1", "sign_or_weight"), ("I2", "sign_or_weight"), ("I3", "sign_or_weight"),
+        ("I4", "sign"),
+    ])
+    def test_sign_not_reversed(self, which, expected, monkeypatch):
+        pairing = self.swapped_pairs(which, same_sign=True)
+        corrupt = lambda core, m, *args: pairing.get(m) or core(m, *args)
+        assert self.check(which, monkeypatch, corrupt) == expected
+
+    @pytest.mark.parametrize("which,expected", [
+        ("I1", "sign_or_weight"), ("I2", "sign_or_weight"), ("I3", "sign_or_weight"),
+        ("I4", "shifted_weight"),
+    ])
+    def test_weight_not_preserved(self, which, expected, monkeypatch):
+        pairing = self.swapped_pairs(which, same_sign=False)
+        corrupt = lambda core, m, *args: pairing.get(m) or core(m, *args)
+        assert self.check(which, monkeypatch, corrupt) == expected
+
+    def test_dropped_reachable_member_breaks_the_unreachable_sum(self, monkeypatch):
+        lam, n, k, N, l = FAULT_FAMILIES["I4"]
+        stream = verify_mod.augmented_members
+
+        def dropping(*args):
+            dropped = False
+            for shape, m in stream(*args):
+                if not dropped and verify_mod.in_low_core(m, k * l):
+                    dropped = True
+                    continue
+                yield shape, m
+
+        monkeypatch.setattr(verify_mod, "augmented_members", dropping)
+        report = check_involution("I4", lam, n, k, N, l=l)
+        assert not report.passed
+        assert report.witness == {"property": "unreachable_sum_mismatch", "member": None}
+        assert report.details["failures"] == 1
 
 
 class TestGrid:
