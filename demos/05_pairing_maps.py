@@ -10,7 +10,6 @@ from loopschur import (
     Partition,
     ShiftParams,
     SignedTableau,
-    Tableau,
     augmented_signed_sum,
     extract_power_sum_factor,
     i1,
@@ -40,8 +39,8 @@ def show(label, st):
 # Map 1 exchanges row prefixes along diagonals at the rightmost column
 # violation, so the weight monomial cannot change while the sign flips.
 shape = make_extended(lam, N, n)
-st = SignedTableau(Tableau(shape, ((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5),
-                                   (4, 4, 5), (2, 2), (3,))), (2, 5, 4, 1, 3))
+st = SignedTableau(shape, ((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)),
+                   (2, 5, 4, 1, 3))
 show("member", st)
 show("i1 image", i1(st))
 assert i1(i1(st)) == st and i1(st).monomial() == st.monomial()
@@ -49,13 +48,13 @@ assert i1(i1(st)) == st and i1(st).monomial() == st.monomial()
 # Map 2 relocates the leading block of the lengthened row; its fixed points
 # factor as a power-sum variable block times a plain staircase member.
 aug = make_extended_row(lam, N, 3, 4, n)
-st2 = SignedTableau(Tableau(aug, ((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5),
-                                  (4, 4, 5), (2, 2, 3, 4, 5), (3,))), (2, 5, 4, 1, 3))
+st2 = SignedTableau(aug, ((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5),
+                          (3,)), (2, 5, 4, 1, 3))
 show("augmented member", st2)
 show("i2 image", i2(st2))
 
-fixed = SignedTableau(Tableau(aug, ((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5),
-                                    (4, 4, 5), (1, 1, 1, 2, 5), (3,))), (2, 5, 4, 1, 3))
+fixed = SignedTableau(aug, ((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (1, 1, 1, 2, 5),
+                            (3,)), (2, 5, 4, 1, 3))
 assert i2(fixed) == fixed
 base, row = extract_power_sum_factor(fixed)
 print(f"i2 fixed point splits off row {row}; remaining member has tau={base.tau}")
@@ -79,8 +78,8 @@ assert landed.monomial() == fixed_point.monomial()
 
 # Map 4 compensates entries so the *shifted* weight survives the move.
 shift = ShiftParams(n, 1)
-st4 = SignedTableau(Tableau(make_extended_row(Partition(), 3, 3, 1, n),
-                            ((1, 1, 1, 1, 1, 2), (2, 2), (3,))), (1, 2, 3))
+st4 = SignedTableau(make_extended_row(Partition(), 3, 3, 1, n),
+                    ((1, 1, 1, 1, 1, 2), (2, 2), (3,)), (1, 2, 3))
 img4 = i4(st4, shift)
 show("low member", st4)
 show("i4 image", img4)

@@ -63,7 +63,7 @@ from .shapes import (
     make_extended,
     make_extended_row,
 )
-from .tableaux import ShiftParams, Tableau, shifted_weight_monomial
+from .tableaux import ShiftParams, rows_monomial, staircase_cells
 
 DEFAULT_CAP = 10**7
 
@@ -83,25 +83,27 @@ def permutation_sign(tau: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SignedTableau:
-    """A tableau on a staircase extension plus row labels tau; sign = sgn(tau)."""
+    """A filling of a staircase extension, as row tuples, plus row labels tau;
+    sign = sgn(tau).
 
-    tableau: Tableau
+    Plain data: construction checks nothing.  :func:`validate_member` decides
+    whether it belongs to its family, and every public map runs it;
+    :meth:`monomial` assumes the rows fit the shape.
+    """
+
+    shape: Shape
+    rows: tuple[tuple[int, ...], ...]
     tau: tuple[int, ...]
-
-    @property
-    def shape(self) -> Shape:
-        return self.tableau.shape
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.tableau.rows
 
     @property
     def sign(self) -> int:
         return permutation_sign(self.tau)
 
     def monomial(self, l: int = 0) -> Monomial:
-        return shifted_weight_monomial(self.tableau, ShiftParams(self.shape.n, l))
+        """The (shifted) weight monomial, read off the family's cell table."""
+        shape = self.shape
+        cells = staircase_cells(shape.lam, shape.N, shape.extra, shape.n, l)
+        return rows_monomial(self.rows, cells, shape.n)
 
     def to_document(self) -> dict:
         shape = self.shape
@@ -152,12 +154,11 @@ def validate_in_family(member: Member, lam: Partition, N: int, d: int) -> None:
 
 
 def as_signed_tableau(member: Member, lam: Partition, n: int, N: int, d: int = 0) -> SignedTableau:
-    """Wrap a member of the family of :func:`validate_in_family` and validate it."""
+    """Validate a member of the family of :func:`validate_in_family` and wrap it."""
     rows, tau, i = member
     shape = make_extended_row(lam, N, d, i, n) if d else make_extended(lam, N, n)
-    out = SignedTableau(Tableau(shape, rows), tau)
-    validate_member(out)
-    return out
+    validate_in_family(member, lam, N, d)
+    return SignedTableau(shape, rows, tau)
 
 
 def _member(st: SignedTableau) -> Member:
@@ -303,7 +304,7 @@ def count_augmented_tableaux(lam: Partition, k: int, n: int, N: int) -> int:
 def _on_shapes(shapes) -> Iterator[tuple[Shape, Member]]:
     for shape in shapes:
         N = shape.N
-        lengths = [shape.row_length(r) for r in range(1, N + 1)]
+        lengths = _row_lengths(shape.lam, N, shape.extra, shape.row)
         for tau in permutations(range(1, N + 1)):
             options = [
                 combinations_with_replacement(range(tau[r], N + 1), lengths[r])
@@ -345,7 +346,7 @@ def enumerate_staircase_tableaux(
     """Deterministic exhaustive stream of the base family on the staircase
     extension; wraps :func:`staircase_members`."""
     members = staircase_members(lam, n, N, cap)
-    return (SignedTableau(Tableau(shape, m[0]), m[1]) for shape, m in members)
+    return (SignedTableau(shape, rows, tau) for shape, (rows, tau, _) in members)
 
 
 def enumerate_augmented_tableaux(
@@ -354,7 +355,7 @@ def enumerate_augmented_tableaux(
     """Deterministic exhaustive stream of the augmented family, i ascending;
     wraps :func:`augmented_members`."""
     members = augmented_members(lam, n, k, N, cap)
-    return (SignedTableau(Tableau(shape, m[0]), m[1]) for shape, m in members)
+    return (SignedTableau(shape, rows, tau) for shape, (rows, tau, _) in members)
 
 
 def _as_rng(seed: int | random.Random) -> random.Random:
@@ -368,7 +369,7 @@ def _draw(shape: Shape, table: _LabelTable, index: int, rng: random.Random) -> S
     rows = []
     for row, t, length, hi in zip(table.fillings, tau, table.lengths, table.his):
         rows.append(unrank_weakly_increasing(t, hi, length, rng.randrange(row[t - 1])))
-    return SignedTableau(Tableau(shape, tuple(rows)), tau)
+    return SignedTableau(shape, tuple(rows), tau)
 
 
 def sample_staircase_tableau(

@@ -57,7 +57,8 @@ def enumerate_ssyt(lam: Partition, N: int, n: int = 1) -> Iterator[Tableau]:
     Rows weakly increase left to right, columns strictly increase top to
     bottom.  Emission is lexicographic in the row-by-row reading word.  The
     stream is empty when N < len(lam); the empty partition yields exactly the
-    empty tableau.
+    empty tableau.  The cells are filled by a loop, not by recursion, so any
+    number of cells works.
     """
     shape = make_young(lam, n)
     if not lam.parts:
@@ -66,23 +67,22 @@ def enumerate_ssyt(lam: Partition, N: int, n: int = 1) -> Iterator[Tableau]:
     if len(lam) > N:
         return
     rows: list[list[int]] = [[0] * p for p in lam.parts]
-
-    def fill(r: int, c: int) -> Iterator[Tableau]:
-        if r == len(lam.parts):
-            yield Tableau(shape, tuple(tuple(row) for row in rows))
-            return
-        next_r, next_c = (r, c + 1) if c + 1 < lam.parts[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0 and c < lam.parts[r - 1]:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for value in range(lo, N + 1):
-            rows[r][c] = value
-            yield from fill(next_r, next_c)
-        rows[r][c] = 0
-
-    yield from fill(0, 0)
+    cells = [(r, c) for r, p in enumerate(lam.parts) for c in range(p)]
+    # One iterator of candidate entries per filled cell, in reading order.
+    stack = [iter(range(1, N + 1))]
+    while stack:
+        value = next(stack[-1], None)
+        if value is None:
+            stack.pop()
+            continue
+        r, c = cells[len(stack) - 1]
+        rows[r][c] = value
+        if len(stack) == len(cells):
+            yield Tableau(shape, tuple(map(tuple, rows)))
+            continue
+        r, c = cells[len(stack)]
+        lo = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
+        stack.append(iter(range(lo, N + 1)))
 
 
 @lru_cache(maxsize=1024)
@@ -90,8 +90,7 @@ def cell_weights(start: int, length: int, n: int, l: int = 0) -> tuple[tuple[int
     """``(color, weight offset)`` of each cell of a row whose first cell has content ``start``.
 
     A cell of content c has color c mod n and contributes the weight numerator
-    ``n * entry + l * c``.  Every row of a staircase extension with N rows
-    starts at content -N, so one table serves all of its rows.
+    ``n * entry + l * c``.
     """
     return tuple(((start + q) % n, l * (start + q)) for q in range(length))
 
@@ -100,7 +99,8 @@ def rows_monomial(rows, cells, n: int) -> Monomial:
     """The (shifted) weight monomial of a filling given as row tuples.
 
     ``cells[r]`` holds the :func:`cell_weights` of row r, at least as long as
-    the row.  Every weight monomial in the package is computed here.
+    the row; :func:`staircase_cells` and :func:`_shape_cells` build them.
+    Every weight monomial in the package is computed here.
     """
     factors: dict[tuple[int, int], int] = {}
     for row, row_cells in zip(rows, cells):
@@ -108,6 +108,17 @@ def rows_monomial(rows, cells, n: int) -> Monomial:
             key = (color, n * value + offset)
             factors[key] = factors.get(key, 0) + 1
     return Monomial.from_exponents(factors)
+
+
+@lru_cache(maxsize=256)
+def staircase_cells(lam: Partition, N: int, d: int, n: int, l: int = 0) -> tuple:
+    """The row cell tables of the staircase family of ``lam`` with N rows and d
+    cells appended to one row.  Every row starts at content -N, so one
+    :func:`cell_weights` table, as long as the longest row, serves all N rows.
+    Raises ValueError unless 0 <= l < n.
+    """
+    ShiftParams(n, l)
+    return (cell_weights(-N, lam.part(1) + N + d, n, l),) * N
 
 
 @lru_cache(maxsize=256)
@@ -182,4 +193,5 @@ def staircase_monomial(N: int, n: int, l: int = 0) -> Monomial:
     first pairing map, and the minimum-degree term among row-weakly-increasing
     fillings of the staircase.
     """
-    return shifted_weight_monomial(standard_staircase(N, n), ShiftParams(n, l))
+    rows = standard_staircase(N, n).rows
+    return rows_monomial(rows, staircase_cells(Partition(), N, 0, n, l), n)

@@ -67,11 +67,11 @@ from .polyring import (
 from .shapes import Partition, enumerate_border_strips, is_border_strip
 from .tableaux import (
     ShiftParams,
-    cell_weights,
     loop_power_sum,
     loop_schur,
     rows_monomial,
     shifted_loop_schur,
+    staircase_cells,
     staircase_monomial,
 )
 
@@ -342,17 +342,16 @@ class _FamilyCheck:
     """What the member checks of one family share: its parameters, the failures
     found, and the signed shifted sum of the members the fourth map reaches.
 
-    Members and images are plain data (see :mod:`loopschur.involutions`).  Every
-    row starts at content -N, so one :func:`cell_weights` table per shift serves
-    all rows; ``l`` is the shift of the map's shifted-weight check.
+    Members and images are plain data (see :mod:`loopschur.involutions`), weighed
+    with the family's :func:`staircase_cells`; ``l`` is the shift of the map's
+    shifted-weight check.
     """
 
     def __init__(self, lam: Partition, n: int, N: int, d: int, l: int):
         self.lam, self.n, self.N, self.d, self.l = lam, n, N, d, l
         self.kl = d // n * l
-        longest = lam.part(1) + N + d
-        self.plain = (cell_weights(-N, longest, n),) * N
-        self.shifted = (cell_weights(-N, longest, n, l),) * N
+        self.plain = staircase_cells(lam, N, d, n)
+        self.shifted = staircase_cells(lam, N, d, n, l)
         self.failures: list[tuple[str, Member | None]] = []
         self.reachable: dict[Monomial, int] = {}
 
@@ -493,12 +492,12 @@ def check_involution(
     draws the requested number of members (at least one) with the given seed.  Checked per
     member: the involution property, closure in the family, sign reversal and
     weight preservation off fixed points, and the fixed-point behavior
-    specific to the map.  The fourth map additionally requires l >= 1; its
-    sampled members are drawn directly from the members it acts on, and in
-    exhaustive mode the members it cannot reach must carry the whole signed
-    shifted sum, which the same pass checks as the members it reaches
-    cancelling.  Members are walked as plain data, and each image is validated
-    once.
+    specific to the map.  The second to fourth maps need k >= 1, refused before
+    any counting.  The fourth map additionally requires l >= 1; its sampled
+    members are drawn directly from the members it acts on, and in exhaustive
+    mode the members it cannot reach must carry the whole signed shifted sum,
+    which the same pass checks as the members it reaches cancelling.  Members
+    are walked as plain data, and each image is validated once.
     """
     which = which.upper()
     if which not in _MEMBER_CHECKS:
@@ -509,13 +508,15 @@ def check_involution(
         raise PreconditionError(f"mode must be 'exhaustive' or 'samples', got {mode!r}")
     if mode == "samples" and samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
+    lengthened = which != "I1"
+    if lengthened and k < 1:
+        raise PreconditionError(f"k must be positive, got {k}")
     start = time.perf_counter()
     fixed_count = 0
     total = 0
     shift = ShiftParams(n, l)
     check_member = _MEMBER_CHECKS[which]
     low = which == "I4"
-    lengthened = which != "I1"
     d = k * n if lengthened else 0
     c = _FamilyCheck(lam, n, N, d, (1 if n > 1 else 0) if which == "I1" else l)
 
@@ -526,8 +527,6 @@ def check_involution(
     else:
         members = _sampled_members(which, lam, n, k, N, shift, samples, random.Random(seed))
     for m in members:
-        if lengthened and not m[2]:  # k = 0 appends nothing: a plain staircase
-            raise MembershipError("expected a staircase extension with a lengthened row")
         if low and not in_low_core(m, c.kl):
             continue  # unreachable by the fourth map
         total += 1

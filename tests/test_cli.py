@@ -202,6 +202,31 @@ def test_sample_count_must_be_positive(capsys, samples):
     assert f"samples must be at least 1, got {samples}" in err
 
 
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--samples", "5"]], ids=str)
+@pytest.mark.parametrize("N", ["0", "3"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("which", ["I2", "I3", "I4"])
+def test_lengthening_maps_refuse_nonpositive_k(capsys, monkeypatch, tmp_path, which, k, N, mode):
+    def untouched(*args, **kwargs):
+        raise AssertionError("the family was counted or sampled")
+
+    for attr in ("augmented_members", "sample_augmented_tableau"):
+        monkeypatch.setattr(verify_mod, attr, untouched)
+    expected = f"error: k must be positive, got {k}\n"
+    code, out, err = run(capsys, "involution-check", "--which", which, "--lambda", "0",
+                         "--n", "2", "--k", k, "--N", N, "--l", "1", *mode)
+    assert (code, out, err) == (2, "", expected)
+    grid_mode = "mode=exhaustive" if mode == ["--exhaustive"] else "mode=samples samples=5"
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"involution which={which} lambda=0 n=2 k={k} N={N} l=1 {grid_mode}\n")
+    assert run(capsys, "grid", "--config", str(config)) == (2, "", expected)
+
+
+def test_schur_of_a_long_row(capsys):
+    code, out, err = run(capsys, "schur", "--lambda", "1200", "--n", "1", "--N", "1")
+    assert (code, out, err) == (0, "x(0,1)^1200\n", "")
+
+
 @pytest.mark.parametrize("command", [
     "schur --lambda 1 --n 2 --N {N}",
     "power-sum --k 1 --n 2 --N {N}",

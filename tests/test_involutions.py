@@ -12,7 +12,6 @@ from loopschur import (
     Polynomial,
     ShiftParams,
     SignedTableau,
-    Tableau,
     augmented_signed_sum,
     count_augmented_tableaux,
     count_staircase_tableaux,
@@ -50,7 +49,7 @@ LAM21 = Partition.of(2, 1)
 
 
 def member(shape, rows, tau):
-    return SignedTableau(Tableau(shape, tuple(tuple(r) for r in rows)), tuple(tau))
+    return SignedTableau(shape, tuple(tuple(r) for r in rows), tuple(tau))
 
 
 class TestMembership:
@@ -87,6 +86,26 @@ class TestMembership:
         shape = make_extended(Partition(), 2, 1)
         with pytest.raises(MembershipError):
             validate_member(member(shape, [(1, 1), (2,)], (1, 1)))
+
+    # Construction checks nothing, so row lengths that disagree with the
+    # shape must be caught by the membership check of every map.
+    @pytest.mark.parametrize("rows", [[(1, 1, 1), (2,)], [(1,), (2,)], [(1, 1)],
+                                      [(1, 1), (2,), (2,)]], ids=str)
+    def test_rejects_row_lengths_off_the_shape(self, rows):
+        st = member(make_extended(Partition(), 2, 1), rows, (1, 2))
+        with pytest.raises(MembershipError, match="row lengths"):
+            validate_member(st)
+        with pytest.raises(MembershipError, match="row lengths"):
+            i1(st)
+
+    @pytest.mark.parametrize("rows", [[(1, 1, 1), (2,)], [(1, 1), (2,)], [(1, 1), (2, 2, 2)]],
+                             ids=str)
+    def test_rejects_augmented_row_lengths_off_the_shape(self, rows):
+        st = member(make_extended_row(Partition(), 2, 1, 2, 1), rows, (1, 2))
+        with pytest.raises(MembershipError, match="row lengths"):
+            validate_member(st)
+        with pytest.raises(MembershipError, match="row lengths"):
+            i2(st)
 
 
 class TestCountsAndEnumeration:

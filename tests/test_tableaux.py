@@ -34,6 +34,34 @@ def hook_content_count(lam: Partition, N: int) -> int:
     return numerator // denominator
 
 
+SUBPARTITIONS_321 = [(), (1,), (2,), (3,), (1, 1), (2, 1), (3, 1), (2, 2), (3, 2),
+                     (1, 1, 1), (2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 2, 1)]
+
+
+def recursive_ssyt_rows(parts, N):
+    """Reference enumeration: one recursive call per cell in reading order,
+    entries ascending, so emission is lexicographic in the reading word."""
+    if not parts:
+        return [()]
+    if len(parts) > N:
+        return []
+    rows = [[0] * p for p in parts]
+    out = []
+
+    def fill(r, c):
+        if r == len(parts):
+            out.append(tuple(tuple(row) for row in rows))
+            return
+        next_r, next_c = (r, c + 1) if c + 1 < parts[r] else (r + 1, 0)
+        lo = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
+        for value in range(lo, N + 1):
+            rows[r][c] = value
+            fill(next_r, next_c)
+
+    fill(0, 0)
+    return out
+
+
 class TestEnumerateSsyt:
     def test_row_of_two_with_two_entries(self):
         rows = [t.rows for t in enumerate_ssyt(Partition.of(2), 2)]
@@ -66,6 +94,18 @@ class TestEnumerateSsyt:
             assert all(t.rows[0][c] < t.rows[1][c] for c in range(2))
             seen.append(sum(t.rows, ()))
         assert seen == sorted(seen)
+
+    @pytest.mark.parametrize("parts", SUBPARTITIONS_321, ids=str)
+    def test_emission_order_matches_recursive_reference(self, parts):
+        lam = Partition(parts)
+        for N in range(6):
+            got = [t.rows for t in enumerate_ssyt(lam, N)]
+            assert got == recursive_ssyt_rows(parts, N)
+
+    def test_a_thousand_cells_do_not_exhaust_the_stack(self):
+        tableaux = list(enumerate_ssyt(Partition.of(1200), 2))
+        assert len(tableaux) == 1201
+        assert tableaux[0].rows == ((1,) * 1200,) and tableaux[-1].rows == ((2,) * 1200,)
 
 
 FEATURED = Tableau(make_young(Partition.of(4, 3, 3, 1), 3),
@@ -215,5 +255,6 @@ class TestStaircaseMonomial:
             floor = staircase_monomial(N, n, l).degree(n)
             for _ in range(1000):
                 member = sample_staircase_tableau(Partition(), n, N, rng)
-                degree = shifted_weight_monomial(member.tableau, ShiftParams(n, l)).degree(n)
+                tableau = Tableau(member.shape, member.rows)
+                degree = shifted_weight_monomial(tableau, ShiftParams(n, l)).degree(n)
                 assert degree >= floor
