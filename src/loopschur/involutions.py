@@ -88,7 +88,7 @@ class SignedTableau:
 
     Plain data: construction checks nothing.  :func:`validate_member` decides
     whether it belongs to its family, and every public map runs it;
-    :meth:`monomial` assumes the rows fit the shape.
+    :meth:`monomial` raises ValueError when the rows do not fit the shape.
     """
 
     shape: Shape
@@ -211,6 +211,7 @@ class _LabelTable(NamedTuple):
 
     ``fillings[r][t]`` is the number of weakly increasing fillings of row
     r + 1 whose entries lie in [t + 1, his[r]], that is, with label t + 1.
+    ``subsets`` is the unsigned :func:`subset_expansion` of ``fillings``:
     ``subsets[S]`` is the number of fillings of the last |S| rows whose labels
     are exactly the set S (bit t stands for label t + 1), so ``subsets[-1]``
     is the size of the family: the permanent of ``fillings``.
@@ -244,29 +245,46 @@ class _LabelTable(NamedTuple):
         return tuple(tau)
 
 
+def subset_expansion(matrix, zero, one, signed=False) -> list:
+    """Laplace expansion of an N x N ``matrix`` (integer or polynomial entries,
+    with the ring's ``zero`` and ``one``) over column subsets.
+
+    Entry S of the returned list is the permanent of the last |S| rows on the
+    columns in S (bit t is column t); with ``signed``, the term at column t
+    carries the sign (-1) ** (columns of S below t), so entry S is that minor
+    and the last entry the determinant.  O(2^N * N) products, 2^N entries.
+    """
+    N = len(matrix)
+    subsets = [one] + [zero] * ((1 << N) - 1)
+    for subset in range(1, 1 << N):
+        row = matrix[N - subset.bit_count()]
+        total = zero
+        rest = subset
+        odd = False
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            term = row[bit.bit_length() - 1] * subsets[subset ^ bit]
+            total = total - term if odd else total + term
+            odd ^= signed
+        subsets[subset] = total
+    return subsets
+
+
 @lru_cache(maxsize=64)
 def _label_table(lengths: tuple[int, ...], his: tuple[int, ...]) -> _LabelTable:
     """The :class:`_LabelTable` of rows with these lengths and entry bounds.
 
-    Costs O(2^N * N) integer products and holds 2^N counts for N rows; the
-    row counts come from one precomputed N x N matrix.
+    The row counts form one N x N matrix, and the subset counts are its
+    unsigned :func:`subset_expansion`: O(2^N * N) integer products and 2^N
+    counts for N rows.
     """
     N = len(lengths)
     fillings = tuple(
         tuple(count_weakly_increasing(t, hi, length) for t in range(1, N + 1))
         for length, hi in zip(lengths, his)
     )
-    subsets = [1] + [0] * ((1 << N) - 1)
-    for labels in range(1, 1 << N):
-        row = fillings[N - labels.bit_count()]
-        total = 0
-        rest = labels
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            total += row[bit.bit_length() - 1] * subsets[labels ^ bit]
-        subsets[labels] = total
-    return _LabelTable(lengths, his, fillings, tuple(subsets))
+    return _LabelTable(lengths, his, fillings, tuple(subset_expansion(fillings, 0, 1)))
 
 
 def _staircase_table(lam: Partition, N: int) -> _LabelTable:

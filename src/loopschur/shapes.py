@@ -202,35 +202,25 @@ def is_border_strip(sigma: Partition, lam: Partition, m: int) -> bool:
 
 
 def enumerate_border_strips(lam: Partition, m: int) -> list[BorderStripAddition]:
-    """All ways of adding a length-``m`` border strip to ``lam``.
+    """All ways of adding a length-``m`` border strip to ``lam``, by moving beads.
 
-    A strip occupying rows s..e forces sigma_r = lam_{r-1} + 1 for s < r <= e
-    (one row must tuck exactly under the previous one to stay connected with
-    no 2x2 block), which leaves the remaining cells on row s.  Results are
-    sorted lexicographically by sigma.
+    Pad ``lam`` with m empty rows, so that every strip fits, and take its
+    beta-set: bead ``lam_r + rows - r`` for each row r.  Adding an m-strip is
+    moving one bead b to the empty position b + m, and the strip's height is
+    the number of beads jumped (James-Kerber 1981).  Results are sorted
+    lexicographically by sigma.
     """
     if m < 1:
         raise ValueError(f"strip length must be positive, got {m}")
+    rows = len(lam) + m
+    beads = {lam.part(r) + rows - r for r in range(1, rows + 1)}
     found = []
-    max_row = len(lam) + m
-    for s in range(1, max_row + 1):
-        used = 0
-        lower_rows = []
-        for e in range(s, max_row + 1):
-            if e > s:
-                used += lam.part(e - 1) + 1 - lam.part(e)
-                lower_rows.append(lam.part(e - 1) + 1)
-                if used >= m:
-                    break  # nothing left for row s, which must gain a cell
-            top = lam.part(s) + m - used
-            if s > 1 and top > lam.part(s - 1):
-                continue
-            parts = [lam.part(r) for r in range(1, max_row + 1)]
-            parts[s - 1] = top
-            for offset, value in enumerate(lower_rows):
-                parts[s + offset] = value
-            while parts and parts[-1] == 0:
-                parts.pop()
-            found.append(BorderStripAddition(Partition(tuple(parts)), e - s))
-    found.sort(key=lambda b: b.sigma.parts)
+    for b in beads:
+        if b + m in beads:
+            continue
+        moved = sorted(beads - {b} | {b + m}, reverse=True)
+        parts = (bead - rows + r for r, bead in enumerate(moved, start=1))
+        height = sum(b < c < b + m for c in beads)
+        found.append(BorderStripAddition(Partition(tuple(p for p in parts if p)), height))
+    found.sort(key=lambda strip: strip.sigma.parts)
     return found

@@ -100,10 +100,15 @@ def rows_monomial(rows, cells, n: int) -> Monomial:
 
     ``cells[r]`` holds the :func:`cell_weights` of row r, at least as long as
     the row; :func:`staircase_cells` and :func:`_shape_cells` build them.
-    Every weight monomial in the package is computed here.
+    Every weight monomial in the package is computed here.  Raises ValueError
+    when the rows do not fit the tables, rather than drop cells.
     """
+    if len(rows) != len(cells):
+        raise ValueError(f"{len(rows)} rows for {len(cells)} cell tables")
     factors: dict[tuple[int, int], int] = {}
     for row, row_cells in zip(rows, cells):
+        if len(row) > len(row_cells):
+            raise ValueError(f"row {row} is longer than its {len(row_cells)} cells")
         for (color, offset), value in zip(row_cells, row):
             key = (color, n * value + offset)
             factors[key] = factors.get(key, 0) + 1

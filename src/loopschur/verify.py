@@ -1,6 +1,9 @@
 """Identity verifiers, the classical determinant oracle, the check registry
 and the grid runner.
 
+The oracle's determinant is the signed ``subset_expansion`` that counts the
+families; ``lemma-verify`` still sums over enumerated members, which it checks.
+
 Every verifier returns a :class:`VerificationReport` whose canonical rendering
 is byte-stable: equal inputs produce identical documents.  Wall time is
 measured but excluded from canonical output.
@@ -55,6 +58,7 @@ from .involutions import (  # also the public maps, which callers may look up or
     staircase_members,
     staircase_signed_sum,
     strip_rows,
+    subset_expansion,
     validate_in_family,
 )
 from .polyring import (
@@ -133,39 +137,16 @@ def _homogeneous_basis(N: int, max_m: int) -> tuple[Polynomial, ...]:
     return tuple(hs)
 
 
-def _determinant(entries: list[list[Polynomial]]) -> Polynomial:
-    size = len(entries)
-    if size == 0:
-        return Polynomial.one(1)
-    memo: dict[tuple[int, ...], Polynomial] = {}
-
-    def minor(cols: tuple[int, ...]) -> Polynomial:
-        row = size - len(cols)
-        if not cols:
-            return Polynomial.one(1)
-        if cols in memo:
-            return memo[cols]
-        total = Polynomial.zero(1)
-        for t, c in enumerate(cols):
-            term = entries[row][c] * minor(cols[:t] + cols[t + 1:])
-            total = total + term if t % 2 == 0 else total - term
-        memo[cols] = total
-        return total
-
-    return minor(tuple(range(size)))
-
-
 @lru_cache(maxsize=256)
 def classical_schur(lam: Partition, N: int) -> Polynomial:
-    """Classical Schur polynomial in y_1..y_N via the Jacobi-Trudi determinant.
+    """Classical Schur polynomial in y_1..y_N: the Jacobi-Trudi determinant of
+    complete homogeneous sums, as the signed :func:`subset_expansion`.
 
-    Entirely determinant-based: shares no code with the tableau enumerators,
-    so it serves as an independent oracle for the color-forgetting
-    specialization of the loop Schur builders.
+    Shares no code with the tableau enumerators, so it serves as an
+    independent oracle for the color-forgetting specialization of the loop
+    Schur builders.
     """
     ell = len(lam)
-    if ell == 0:
-        return Polynomial.one(1)
     if ell > N:
         return Polynomial.zero(1)
     max_m = lam.part(1) + ell - 1
@@ -178,7 +159,7 @@ def classical_schur(lam: Partition, N: int) -> Polynomial:
         ]
         for i in range(1, ell + 1)
     ]
-    return _determinant(matrix)
+    return subset_expansion(matrix, zero, Polynomial.one(1), signed=True)[-1]
 
 
 # ---------------------------------------------------------------------------

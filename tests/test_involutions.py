@@ -98,6 +98,16 @@ class TestMembership:
         with pytest.raises(MembershipError, match="row lengths"):
             i1(st)
 
+    # The weight reads the family's cell table, which is as long as the
+    # longest row; a cell past it, or a row without a table, must not be
+    # dropped silently.
+    @pytest.mark.parametrize("rows", [[(1, 1, 1, 1, 1), (2,)], [(1, 1)], [(1, 1), (2,), (2,)]],
+                             ids=str)
+    def test_monomial_refuses_rows_off_the_cell_table(self, rows):
+        st = member(make_extended(Partition(), 2, 1), rows, (1, 2))
+        with pytest.raises(ValueError):
+            st.monomial()
+
     @pytest.mark.parametrize("rows", [[(1, 1, 1), (2,)], [(1, 1), (2,)], [(1, 1), (2, 2, 2)]],
                              ids=str)
     def test_rejects_augmented_row_lengths_off_the_shape(self, rows):

@@ -138,13 +138,17 @@ class TestBorderStrips:
         assert is_border_strip(Partition.of(3), Partition.of(1), 2)
         assert not is_border_strip(Partition.of(2, 2), Partition(), 4)
 
-    @pytest.mark.parametrize("lam", [(), (1,), (2, 1), (3, 3, 1), (4, 2, 1, 1), (2, 2, 2)])
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    # The first six shapes and five lengths come first so that their ids stay
+    # put; the rest cover every lam with |lam| <= 6 and every m <= 6.  The
+    # largest case, |sigma| = 14, filters 135 partitions.
+    @pytest.mark.parametrize("lam", [(), (1,), (2, 1), (3, 3, 1), (4, 2, 1, 1), (2, 2, 2)] + [
+        p for total in range(7) for p in brute_partitions(total)
+        if p not in {(), (1,), (2, 1), (2, 2, 2)}
+    ])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_matches_brute_force_filter(self, lam, m):
         lam = Partition(lam)
         total = lam.size + m
-        if total > 12:
-            pytest.skip("outside the exhaustive range")
         expected = sorted(
             Partition(p) for p in brute_partitions(total) if is_border_strip(Partition(p), lam, m)
         )
@@ -152,6 +156,8 @@ class TestBorderStrips:
         assert [b.sigma for b in got] == expected
         for b in got:
             assert is_border_strip(b.sigma, lam, m)
+            occupied = [r for r in range(1, len(b.sigma) + 1) if b.sigma.part(r) > lam.part(r)]
+            assert b.height == len(occupied) - 1
 
     @pytest.mark.parametrize("lam", [(), (1,), (3, 1), (2, 2, 1)])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])

@@ -107,6 +107,15 @@ class TestDegreeBound:
         assert Fraction(report.details["proof_bound"]) >= Fraction(report.details["stated_bound"])
         assert Fraction(report.details["achieved_min_degree"]) >= Fraction(report.details["proof_bound"])
 
+    # Below N = 10 the stated floor lies under the least degree any filling
+    # can reach, so only from there does the check depend on the signs.
+    @pytest.mark.parametrize("N,achieved,stated", [(10, "23/2", "3"), (12, "27/2", "4")])
+    def test_floor_holds_where_it_bites(self, N, achieved, stated):
+        report = verify_degree_bound(Partition(), 2, 1, N, 1)
+        assert report.passed
+        assert report.details["achieved_min_degree"] == achieved
+        assert report.details["stated_bound"] == stated
+
     @pytest.mark.parametrize("l", [1, 2])
     def test_min_degree_grows_with_truncation(self, l):
         achieved = []
