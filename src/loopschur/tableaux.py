@@ -12,6 +12,7 @@ weights stay positive; on staircase extensions they may reach zero or below.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -45,10 +46,10 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        expected = [self.shape.row_length(r) for r in range(1, self.shape.num_rows + 1)]
-        got = [len(row) for row in self.rows]
+        expected = _shape_row_lengths(self.shape)
+        got = tuple(map(len, self.rows))
         if expected != got:
-            raise ValueError(f"row lengths {got} do not match shape rows {expected}")
+            raise ValueError(f"row lengths {list(got)} do not match shape rows {list(expected)}")
 
 
 def enumerate_ssyt(lam: Partition, N: int, n: int = 1) -> Iterator[Tableau]:
@@ -100,8 +101,10 @@ def rows_monomial(rows, cells, n: int) -> Monomial:
 
     ``cells[r]`` holds the :func:`cell_weights` of row r, at least as long as
     the row; :func:`staircase_cells` and :func:`_shape_cells` build them.
-    Every weight monomial in the package is computed here.  Raises ValueError
-    when the rows do not fit the tables, rather than drop cells.
+    This is the reference for :class:`WeightCode`, which the member checks and
+    the builders use instead, and it weighs :meth:`SignedTableau.monomial`.
+    Raises ValueError when the rows do not fit the tables, rather than drop
+    cells.
     """
     if len(rows) != len(cells):
         raise ValueError(f"{len(rows)} rows for {len(cells)} cell tables")
@@ -135,6 +138,65 @@ def _shape_cells(shape: Shape, l: int) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(rows)
 
 
+@lru_cache(maxsize=256)
+def _shape_row_lengths(shape: Shape) -> tuple[int, ...]:
+    return tuple(shape.row_length(r) for r in range(1, shape.num_rows + 1))
+
+
+class WeightCode:
+    """The weight monomials of fillings of one cell table, as integer keys.
+
+    Variable j of ``variables`` (every ``(color, weight_num)`` that a cell of
+    the table takes with an entry in 1..N, in canonical order) owns bits
+    j*width .. (j+1)*width - 1 of a key, which hold its exponent, so the key
+    of a product is the sum of the keys.  ``width`` is the bit length of the
+    table's cell count, so a field holds any exponent of a monomial whose
+    cells fit the table: fields never carry, and equal keys mean equal
+    monomials.  Row keys are memoized on the instance, for one family or call.
+    """
+
+    def __init__(self, cells, n: int, N: int):
+        values = range(1, N + 1)
+        self.variables = sorted({(color, n * v + offset)
+                                 for row in cells for color, offset in row for v in values})
+        self.width = sum(map(len, cells)).bit_length()
+        self.unit = {var: 1 << (j * self.width) for j, var in enumerate(self.variables)}
+        tables = {row: (tuple({v: self.unit[(color, n * v + offset)] for v in values}
+                              for color, offset in row), {}) for row in set(cells)}
+        self._rows = tuple(tables[row] for row in cells)  # (bits per cell and entry, memo)
+
+    def key(self, rows) -> int:
+        """The key of :func:`rows_monomial`; raises ValueError as it does."""
+        if len(rows) != len(self._rows):
+            raise ValueError(f"{len(rows)} rows for {len(self._rows)} cell tables")
+        total = 0
+        for row, (bits, memo) in zip(rows, self._rows):
+            row_key = memo.get(row)
+            if row_key is None:
+                if len(row) > len(bits):
+                    raise ValueError(f"row {row} is longer than its {len(bits)} cells")
+                row_key = memo[row] = sum(cell[v] for cell, v in zip(bits, row))
+            total += row_key
+        return total
+
+    def forget_rows(self) -> None:
+        """Drop the memoized row keys."""
+        for _, memo in self._rows:
+            memo.clear()
+
+    def decode(self, key: int) -> Monomial:
+        """The monomial of a key, in the variables' canonical order."""
+        mask, out = (1 << self.width) - 1, []
+        for color, weight_num in self.variables:
+            if not key:
+                break
+            exp = key & mask
+            if exp:
+                out.append((color, weight_num, exp))
+            key >>= self.width
+        return Monomial(tuple(out))
+
+
 def weight_monomial(t: Tableau) -> Monomial:
     """Product over cells of ``x(color, entry)``."""
     return rows_monomial(t.rows, _shape_cells(t.shape, 0), t.shape.n)
@@ -151,25 +213,25 @@ def shifted_weight_monomial(t: Tableau, shift: ShiftParams) -> Monomial:
     return rows_monomial(t.rows, _shape_cells(t.shape, shift.l), shift.n)
 
 
-def _monomial_sum(n: int, monomials: Iterator[Monomial]) -> Polynomial:
-    terms: dict[Monomial, int] = {}
-    for m in monomials:
-        terms[m] = terms.get(m, 0) + 1
+def _ssyt_sum(lam: Partition, n: int, l: int, N: int) -> Polynomial:
+    """Count the weight keys of the tableaux, then decode each distinct key once."""
+    code = WeightCode(_shape_cells(make_young(lam, n), l), n, N)
+    counts = Counter(code.key(t.rows) for t in enumerate_ssyt(lam, N, n))
+    code.forget_rows()  # free the memo, then the keys, before Polynomial copies the terms
+    terms = {code.decode(key): count for key, count in counts.items()}
+    del counts
     return Polynomial(n, terms)
 
 
 def loop_schur(lam: Partition, n: int, N: int) -> Polynomial:
     """Truncated loop Schur function: the weight generating function of
     semistandard tableaux of ``lam`` with entries at most N, colored mod n."""
-    return _monomial_sum(n, (weight_monomial(t) for t in enumerate_ssyt(lam, N, n)))
+    return _ssyt_sum(lam, n, 0, N)
 
 
 def shifted_loop_schur(lam: Partition, shift: ShiftParams, N: int) -> Polynomial:
     """Truncated shifted loop Schur function over the same tableau family."""
-    return _monomial_sum(
-        shift.n,
-        (shifted_weight_monomial(t, shift) for t in enumerate_ssyt(lam, N, shift.n)),
-    )
+    return _ssyt_sum(lam, shift.n, shift.l, N)
 
 
 def loop_power_sum(k: int, n: int, N: int) -> Polynomial:

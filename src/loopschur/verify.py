@@ -71,9 +71,9 @@ from .polyring import (
 from .shapes import Partition, enumerate_border_strips, is_border_strip
 from .tableaux import (
     ShiftParams,
+    WeightCode,
     loop_power_sum,
     loop_schur,
-    rows_monomial,
     shifted_loop_schur,
     staircase_cells,
     staircase_monomial,
@@ -315,29 +315,27 @@ def check_specialization(lam: Partition, n: int, N: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _power_sum_factor(n: int, value: int, k: int) -> Monomial:
-    return Monomial.from_exponents({(c, n * value): k for c in range(n)})
-
-
 class _FamilyCheck:
     """What the member checks of one family share: its parameters, the failures
     found, and the signed shifted sum of the members the fourth map reaches.
 
-    Members and images are plain data (see :mod:`loopschur.involutions`), weighed
-    with the family's :func:`staircase_cells`; ``l`` is the shift of the map's
-    shifted-weight check.
+    Members and images are plain data (see :mod:`loopschur.involutions`).  A
+    weight is the integer key of a :class:`WeightCode` on the family's
+    :func:`staircase_cells`, and a product of weights is a sum of keys; ``l``
+    is the shift of the map's shifted-weight check.  Label signs are memoized.
     """
 
     def __init__(self, lam: Partition, n: int, N: int, d: int, l: int):
         self.lam, self.n, self.N, self.d, self.l = lam, n, N, d, l
         self.kl = d // n * l
-        self.plain = staircase_cells(lam, N, d, n)
-        self.shifted = staircase_cells(lam, N, d, n, l)
+        self.plain = WeightCode(staircase_cells(lam, N, d, n), n, N)
+        self.shifted = WeightCode(staircase_cells(lam, N, d, n, l), n, N) if l else self.plain
         self.failures: list[tuple[str, Member | None]] = []
-        self.reachable: dict[Monomial, int] = {}
+        self.reachable: dict[int, int] = {}
+        self.sign = lru_cache(maxsize=None)(permutation_sign)  # at most the family's labelings
 
-    def weight(self, member: Member, shifted: bool = False) -> Monomial:
-        return rows_monomial(member[0], self.shifted if shifted else self.plain, self.n)
+    def weight(self, member: Member, shifted: bool = False) -> int:
+        return (self.shifted if shifted else self.plain).key(member[0])
 
     def closed(self, image: Member) -> bool:
         try:
@@ -364,7 +362,7 @@ def _check_i1_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
         if not entries_standard_core(m[0]) or m[1] != tuple(range(1, c.N + 1)):
             return c.fail("fixed_point_shape", m)
     else:
-        if permutation_sign(image[1]) != -sign or c.weight(image) != c.weight(m):
+        if c.sign(image[1]) != -sign or c.weight(image) != c.weight(m):
             return c.fail("sign_or_weight", m)
         if c.l and c.weight(image, True) != c.weight(m, True):
             return c.fail("shifted_weight", m)
@@ -382,13 +380,13 @@ def _check_i2_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
         return c.fail("fixed_point_rule", m)
     if fixed:
         base, i = extract_core(m, c.d), m[2]
-        factor = _power_sum_factor(c.n, m[1][i - 1], c.d // c.n)
-        if permutation_sign(base[1]) != sign or factor * c.weight(base) != c.weight(m):
+        factor = c.d // c.n * sum(c.plain.unit[(color, c.n * m[1][i - 1])] for color in range(c.n))
+        if c.sign(base[1]) != sign or factor + c.weight(base) != c.weight(m):
             return c.fail("factor_weight_law", m)
         if insert_core(base, i, c.d) != m:
             return c.fail("factor_roundtrip", m)
     else:
-        if permutation_sign(image[1]) != -sign or c.weight(image) != c.weight(m):
+        if c.sign(image[1]) != -sign or c.weight(image) != c.weight(m):
             return c.fail("sign_or_weight", m)
     return fixed
 
@@ -410,12 +408,12 @@ def _check_i3_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
         if column_violation(landed[0]) is not None or i1_core(landed) != landed:
             return c.fail("landing_not_fixed", m)
         sign_factor = -1 if height % 2 else 1
-        if sign != sign_factor * permutation_sign(landed[1]) or c.weight(landed) != c.weight(m):
+        if sign != sign_factor * c.sign(landed[1]) or c.weight(landed) != c.weight(m):
             return c.fail("slide_sign_or_weight", m)
         if slide_from_strip_core(landed, *strip_rows(sigma, c.lam)) != m:
             return c.fail("slide_roundtrip", m)
     else:
-        if permutation_sign(image[1]) != -sign or c.weight(image) != c.weight(m):
+        if c.sign(image[1]) != -sign or c.weight(image) != c.weight(m):
             return c.fail("sign_or_weight", m)
         if c.l and c.weight(image, True) != c.weight(m, True):
             return c.fail("shifted_weight", m)
@@ -432,7 +430,7 @@ def _check_i4_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
         return c.fail("involution", m)
     if image == m:
         return c.fail("unexpected_fixed_point", m)
-    if permutation_sign(image[1]) != -sign:
+    if c.sign(image[1]) != -sign:
         return c.fail("sign", m)
     if c.weight(image, True) != weight:
         return c.fail("shifted_weight", m)
@@ -511,7 +509,7 @@ def check_involution(
         if low and not in_low_core(m, c.kl):
             continue  # unreachable by the fourth map
         total += 1
-        if check_member(c, m, permutation_sign(m[1])):
+        if check_member(c, m, c.sign(m[1])):
             fixed_count += 1
     # The unreachable members carry the whole signed shifted sum exactly when
     # the reachable ones cancel.

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from loopschur import Monomial, Partition, Polynomial
+from loopschur.tableaux import rows_monomial
 
 
 def brute_partitions(total: int, largest: int | None = None):
@@ -29,6 +30,18 @@ def random_polynomial(rng: random.Random, n: int, max_terms: int = 4) -> Polynom
         m = Monomial.from_exponents(factors)
         terms[m] = terms.get(m, 0) + coeff
     return Polynomial(n, terms)
+
+
+def assert_code_matches_rows_monomial(code, fillings, cells, n):
+    """Each decoded key is the reference monomial, and distinct keys are
+    exactly distinct monomials."""
+    keys, monomials = set(), set()
+    for rows in fillings:
+        key, expected = code.key(rows), rows_monomial(rows, cells, n)
+        assert code.decode(key) == expected
+        keys.add(key)
+        monomials.add(expected)
+    assert len(keys) == len(monomials)
 
 
 @pytest.fixture

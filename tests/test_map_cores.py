@@ -2,8 +2,9 @@
 families: lambda within (2,1), n <= 3, k <= 2, N <= 3 and every shift l < n.
 
 Each core must agree with its validating public wrapper, the row-tuple weight
-with a cell-by-cell reference, and the one-pass sum of the fourth map's check
-with ``augmented_signed_sum``.
+with a cell-by-cell reference, the family's weight code with the row-tuple
+weight, and the one-pass sum of the fourth map's check with
+``augmented_signed_sum``.
 """
 
 import pytest
@@ -45,9 +46,12 @@ from loopschur.involutions import (
     insert_core,
     slide_from_strip_core,
     slide_to_strip_core,
+    staircase_members,
     strip_rows,
 )
-from loopschur.tableaux import cell_weights, rows_monomial
+from loopschur.tableaux import WeightCode, cell_weights, rows_monomial, staircase_cells
+
+from conftest import assert_code_matches_rows_monomial
 
 PARTITIONS = [(), (1,), (2,), (1, 1), (2, 1)]
 BASE = [(Partition(p), n, N) for p in PARTITIONS for n in (1, 2, 3)
@@ -119,6 +123,17 @@ def test_augmented_family_cores_match_wrappers(lam, n, k, N):
         assert_weights(st, lam, n, N, d)
 
 
+@pytest.mark.parametrize("lam,n,k,N", [(lam, n, 0, N) for lam, n, N in BASE] + AUGMENTED,
+                         ids=str)
+def test_weight_code_decodes_to_the_row_tuple_weight(lam, n, k, N):
+    # k = 0 is the base family; every shift, l = 0 being the plain weight.
+    family = augmented_members(lam, n, k, N) if k else staircase_members(lam, n, N)
+    fillings = [rows for _, (rows, _, _) in family]
+    for l in range(n):
+        cells = staircase_cells(lam, N, k * n, n, l)
+        assert_code_matches_rows_monomial(WeightCode(cells, n, N), fillings, cells, n)
+
+
 @pytest.mark.parametrize("lam,n,k,N", [case for case in AUGMENTED if case[1] > 1], ids=str)
 def test_one_pass_sum_of_the_fourth_map(lam, n, k, N):
     # check_involution accumulates the reachable members' signed shifted sum
@@ -135,6 +150,8 @@ def test_one_pass_sum_of_the_fourth_map(lam, n, k, N):
                 weight = check.weight(m, True)
                 unreachable[weight] = unreachable.get(weight, 0) + sign
         assert not check.failures
-        reachable = Polynomial(n, check.reachable)
+        decode = check.shifted.decode
+        reachable = Polynomial(n, {decode(key): c for key, c in check.reachable.items()})
         assert reachable.is_zero
-        assert Polynomial(n, unreachable) + reachable == augmented_signed_sum(lam, n, k, N, l)
+        unreachable_sum = Polynomial(n, {decode(key): c for key, c in unreachable.items()})
+        assert unreachable_sum + reachable == augmented_signed_sum(lam, n, k, N, l)

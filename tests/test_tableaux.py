@@ -21,6 +21,9 @@ from loopschur import (
     standard_staircase,
     weight_monomial,
 )
+from loopschur.tableaux import WeightCode, _shape_cells
+
+from conftest import assert_code_matches_rows_monomial, brute_partitions
 
 
 def hook_content_count(lam: Partition, N: int) -> int:
@@ -143,6 +146,43 @@ class TestWeightMonomials:
         t = Tableau(make_young(Partition.of(1), 3), ((4,),))
         for l in range(3):
             assert shifted_weight_monomial(t, ShiftParams(3, l)) == weight_monomial(t)
+
+
+class TestWeightCode:
+    @pytest.mark.parametrize("parts", [p for size in range(6) for p in brute_partitions(size)],
+                             ids=str)
+    def test_decoded_keys_are_the_reference_monomials(self, parts):
+        lam = Partition(parts)
+        for n in (1, 2, 3):
+            for l in range(n):
+                cells = _shape_cells(make_young(lam, n), l)
+                for N in range(5):
+                    fillings = [t.rows for t in enumerate_ssyt(lam, N, n)]
+                    assert_code_matches_rows_monomial(WeightCode(cells, n, N), fillings, cells, n)
+
+    @pytest.mark.parametrize("m", [1, 3, 7, 8, 15, 16])
+    def test_one_variable_fills_its_field_without_carrying(self, m):
+        # lambda = (m) with n = N = 1 puts every cell on x(0, 1), so the one
+        # field holds the cell count m: all ones at m = 7 and 15, a new top
+        # bit at m = 8 and 16.
+        lam = Partition.of(m)
+        cells = _shape_cells(make_young(lam, 1), 0)
+        code = WeightCode(cells, 1, 1)
+        assert code.width == m.bit_length()
+        assert code.key(((1,) * m,)) == m
+        assert code.decode(m) == Monomial.from_exponents({(0, 1): m})
+        assert loop_schur(lam, 1, 1) == Polynomial.from_term(1, code.decode(m))
+        # With N = 2 the second variable's field sits just above the first.
+        fillings = [t.rows for t in enumerate_ssyt(lam, 2)]
+        assert_code_matches_rows_monomial(WeightCode(cells, 1, 2), fillings, cells, 1)
+
+    def test_rows_off_the_table_are_refused(self):
+        cells = _shape_cells(make_young(Partition.of(2, 1), 2), 0)
+        code = WeightCode(cells, 2, 3)
+        with pytest.raises(ValueError, match="1 rows for 2 cell tables"):
+            code.key(((1, 1),))
+        with pytest.raises(ValueError, match="longer than"):
+            code.key(((1, 1, 1), (2,)))
 
 
 class TestLoopSchur:

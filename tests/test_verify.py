@@ -58,7 +58,8 @@ class TestClassicalOracle:
 
         for cached in (verify_mod._homogeneous_basis, verify_mod.classical_schur,
                        involutions._label_table, involutions._row_lengths,
-                       tableaux.cell_weights, tableaux._shape_cells, tableaux.staircase_cells):
+                       tableaux.cell_weights, tableaux._shape_cells, tableaux._shape_row_lengths,
+                       tableaux.staircase_cells):
             assert cached.cache_info().maxsize is not None
 
 
@@ -162,6 +163,16 @@ class TestInvolutionCheck:
         assert report.details["checked"] == 12
         assert report.details["fixed"] == 10
         assert report.details["moved"] == 2
+
+    @pytest.mark.parametrize("which,checked,fixed", [
+        ("I1", 141, 3), ("I2", 1063, 423), ("I3", 1063, 39), ("I4", 20, 0),
+    ])
+    def test_exhaustive_counts_with_a_power_above_one(self, which, checked, fixed):
+        # k = 2: the second map's fixed points carry the square of the
+        # power-sum factor.
+        report = check_involution(which, Partition.of(1), 2, 2, 3, l=1)
+        assert report.passed
+        assert (report.details["checked"], report.details["fixed"]) == (checked, fixed)
 
     def test_sampled_deterministic(self):
         lam = Partition.of(2, 1)
@@ -302,6 +313,19 @@ class TestInvolutionCheckCatchesFaultyMaps:
         pairing = self.swapped_pairs(which, same_sign=False)
         corrupt = lambda core, m, *args: pairing.get(m) or core(m, *args)
         assert self.check(which, monkeypatch, corrupt) == expected
+
+    def test_false_fixed_point_breaks_the_factor_law(self, monkeypatch):
+        # A moved pair of the second map is declared fixed by both the core and
+        # the fixed-point rule, so the check extracts a leading block that is
+        # not k*n copies of the lengthened row's label.
+        lam, n, k, N, l = FAULT_FAMILIES["I2"]
+        d = k * n
+        pair = next((m, image) for m, image in self.members("I2") if image != m)
+        assert all(m[0][m[2] - 1][:d] != (m[1][m[2] - 1],) * d for m in pair)
+        rule = verify_mod.i2_fixed_core
+        monkeypatch.setattr(verify_mod, "i2_fixed_core", lambda m, d: m in pair or rule(m, d))
+        corrupt = lambda core, m, *args: m if m in pair else core(m, *args)
+        assert self.check("I2", monkeypatch, corrupt) == "factor_weight_law"
 
     def test_dropped_reachable_member_breaks_the_unreachable_sum(self, monkeypatch):
         lam, n, k, N, l = FAULT_FAMILIES["I4"]
