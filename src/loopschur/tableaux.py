@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .polyring import Monomial, Polynomial
-from .shapes import Partition, Shape, make_extended, make_young
+from .shapes import YOUNG, Partition, Shape, make_extended, make_young
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +46,8 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        expected = _shape_row_lengths(self.shape)
+        shape = self.shape  # a Young shape's row lengths are its parts, found without hashing
+        expected = shape.lam.parts if shape.kind == YOUNG else _shape_row_lengths(shape)
         got = tuple(map(len, self.rows))
         if expected != got:
             raise ValueError(f"row lengths {list(got)} do not match shape rows {list(expected)}")
@@ -144,57 +145,71 @@ def _shape_row_lengths(shape: Shape) -> tuple[int, ...]:
 
 
 class WeightCode:
-    """The weight monomials of fillings of one cell table, as integer keys.
+    """The weight monomials of fillings of ``cells`` and ``others``, as integer keys.
 
     Variable j of ``variables`` (every ``(color, weight_num)`` that a cell of
-    the table takes with an entry in 1..N, in canonical order) owns bits
+    a table takes with an entry in 1..N, in canonical order) owns bits
     j*width .. (j+1)*width - 1 of a key, which hold its exponent, so the key
     of a product is the sum of the keys.  ``width`` is the bit length of the
-    table's cell count, so a field holds any exponent of a monomial whose
-    cells fit the table: fields never carry, and equal keys mean equal
+    largest table's cell count, so a field holds any exponent of a monomial
+    with that many cells: fields never carry, and equal keys mean equal
     monomials.  Row keys are memoized on the instance, for one family or call.
     """
 
-    def __init__(self, cells, n: int, N: int):
+    def __init__(self, cells, n: int, N: int, others=()):
+        tables = (cells, *others)
         values = range(1, N + 1)
-        self.variables = sorted({(color, n * v + offset)
-                                 for row in cells for color, offset in row for v in values})
-        self.width = sum(map(len, cells)).bit_length()
+        self.n = n
+        self.variables = sorted({(color, n * v + offset) for table in tables
+                                 for row in table for color, offset in row for v in values})
+        self.width = max(sum(map(len, table)) for table in tables).bit_length()
         self.unit = {var: 1 << (j * self.width) for j, var in enumerate(self.variables)}
-        tables = {row: (tuple({v: self.unit[(color, n * v + offset)] for v in values}
-                              for color, offset in row), {}) for row in set(cells)}
-        self._rows = tuple(tables[row] for row in cells)  # (bits per cell and entry, memo)
+        rows = {row: (tuple({v: self.unit[(color, n * v + offset)] for v in values}
+                            for color, offset in row), {}) for row in set().union(*tables)}
+        self._tables = {t: tuple(rows[row] for row in t) for t in tables}  # (bits, memo) per row
+        self.key = self.keyer(cells)
 
-    def key(self, rows) -> int:
-        """The key of :func:`rows_monomial`; raises ValueError as it does."""
-        if len(rows) != len(self._rows):
-            raise ValueError(f"{len(rows)} rows for {len(self._rows)} cell tables")
-        total = 0
-        for row, (bits, memo) in zip(rows, self._rows):
-            row_key = memo.get(row)
-            if row_key is None:
-                if len(row) > len(bits):
-                    raise ValueError(f"row {row} is longer than its {len(bits)} cells")
-                row_key = memo[row] = sum(cell[v] for cell, v in zip(bits, row))
-            total += row_key
-        return total
+    def keyer(self, cells):
+        """The key function of fillings of ``cells``, one of the code's tables:
+        the key of :func:`rows_monomial`, raising ValueError as it does."""
+        tables = self._tables[cells]
+        def key(rows) -> int:
+            if len(rows) != len(tables):
+                raise ValueError(f"{len(rows)} rows for {len(tables)} cell tables")
+            total = 0
+            for row, (bits, memo) in zip(rows, tables):
+                row_key = memo.get(row)
+                if row_key is None:
+                    if len(row) > len(bits):
+                        raise ValueError(f"row {row} is longer than its {len(bits)} cells")
+                    row_key = memo[row] = sum(cell[v] for cell, v in zip(bits, row))
+                total += row_key
+            return total
+        return key
 
-    def forget_rows(self) -> None:
-        """Drop the memoized row keys."""
-        for _, memo in self._rows:
-            memo.clear()
+    def power_key(self, j: int, k: int) -> int:
+        """The key of (prod_i x(i, j))^k, the j-th term of the loop power sum."""
+        return k * sum(self.unit[(i, self.n * j)] for i in range(self.n))
 
     def decode(self, key: int) -> Monomial:
-        """The monomial of a key, in the variables' canonical order."""
-        mask, out = (1 << self.width) - 1, []
-        for color, weight_num in self.variables:
-            if not key:
-                break
+        """The monomial of a key, in the variables' canonical order.  A run of
+        empty fields is skipped in one shift, to the field of the lowest set bit."""
+        width, mask, variables, out, j = self.width, (1 << self.width) - 1, self.variables, [], 0
+        while key:
             exp = key & mask
             if exp:
-                out.append((color, weight_num, exp))
-            key >>= self.width
+                out.append((*variables[j], exp))
+                key >>= width
+                j += 1
+            else:
+                skip = ((key & -key).bit_length() - 1) // width
+                key >>= skip * width
+                j += skip
         return Monomial(tuple(out))
+
+    def polynomial(self, counts) -> Polynomial:
+        """The polynomial of a key-to-coefficient map, decoding each nonzero term once."""
+        return Polynomial(self.n, {self.decode(key): c for key, c in counts.items() if c})
 
 
 def weight_monomial(t: Tableau) -> Monomial:
@@ -213,14 +228,23 @@ def shifted_weight_monomial(t: Tableau, shift: ShiftParams) -> Monomial:
     return rows_monomial(t.rows, _shape_cells(t.shape, shift.l), shift.n)
 
 
+def ssyt_code(shapes, n: int, l: int, N: int) -> WeightCode:
+    """One :class:`WeightCode` for the (shifted) SSYT of ``shapes``; ``key`` weighs the first."""
+    cells = [_shape_cells(make_young(lam, n), l) for lam in shapes]
+    return WeightCode(cells[0], n, N, cells[1:])
+
+
+def ssyt_keys(lam: Partition, n: int, l: int, N: int, code: WeightCode) -> Counter:
+    """The (shifted) weight keys of the SSYT of ``lam`` with entries at most
+    N, counted; ``code`` is an :func:`ssyt_code` whose shapes include ``lam``."""
+    key = code.keyer(_shape_cells(make_young(lam, n), l))
+    return Counter(key(t.rows) for t in enumerate_ssyt(lam, N, n))
+
+
 def _ssyt_sum(lam: Partition, n: int, l: int, N: int) -> Polynomial:
     """Count the weight keys of the tableaux, then decode each distinct key once."""
-    code = WeightCode(_shape_cells(make_young(lam, n), l), n, N)
-    counts = Counter(code.key(t.rows) for t in enumerate_ssyt(lam, N, n))
-    code.forget_rows()  # free the memo, then the keys, before Polynomial copies the terms
-    terms = {code.decode(key): count for key, count in counts.items()}
-    del counts
-    return Polynomial(n, terms)
+    code = ssyt_code((lam,), n, l, N)
+    return code.polynomial(ssyt_keys(lam, n, l, N, code))
 
 
 def loop_schur(lam: Partition, n: int, N: int) -> Polynomial:

@@ -3,6 +3,10 @@ and the grid runner.
 
 The oracle's determinant is the signed ``subset_expansion`` that counts the
 families; ``lemma-verify`` still sums over enumerated members, which it checks.
+``mn-verify`` and ``thm2-verify`` do their arithmetic on the integer keys of
+one :class:`WeightCode` per identity: ``mn-verify`` compares two key maps and
+decodes only their difference, ``thm2-verify`` decodes only the surviving
+terms of its sum.
 
 Every verifier returns a :class:`VerificationReport` whose canonical rendering
 is byte-stable: equal inputs produce identical documents.  Wall time is
@@ -14,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,17 +69,18 @@ from .involutions import (  # also the public maps, which callers may look up or
 from .polyring import (
     Monomial,
     Polynomial,
-    poly_mul,
     specialize_forget_color,
     to_document,
 )
 from .shapes import Partition, enumerate_border_strips, is_border_strip
-from .tableaux import (
+from .tableaux import (  # also the builders, which callers may look up or replace here
     ShiftParams,
     WeightCode,
     loop_power_sum,
     loop_schur,
     shifted_loop_schur,
+    ssyt_code,
+    ssyt_keys,
     staircase_cells,
     staircase_monomial,
 )
@@ -167,16 +173,24 @@ def classical_schur(lam: Partition, N: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _signed_border_strip_sum(lam: Partition, n: int, k: int, N: int, l: int = 0) -> tuple[Polynomial, int]:
-    total = Polynomial.zero(n)
+def _signed_border_strip_sum(lam: Partition, n: int, k: int, N: int, l: int = 0) -> tuple[Counter, int, WeightCode]:
+    """The signed sum of the (shifted) loop Schur functions of the kn-border strips sigma/lam,
+    as its nonzero key counts; with the strip count and the code, which covers lam and all sigma."""
     strips = enumerate_border_strips(lam, k * n)
+    code = ssyt_code([lam] + [addition.sigma for addition in strips], n, l, N)
+    total = Counter()
     for addition in strips:
-        if l == 0:
-            part = loop_schur(addition.sigma, n, N)
-        else:
-            part = shifted_loop_schur(addition.sigma, ShiftParams(n, l), N)
-        total = total + part if addition.height % 2 == 0 else total - part
-    return total, len(strips)
+        keys = ssyt_keys(addition.sigma, n, l, N, code)
+        (total.update if addition.height % 2 == 0 else total.subtract)(keys)
+    return Counter({key: c for key, c in total.items() if c}), len(strips), code
+
+
+def _power_sum_product(lam: Partition, n: int, k: int, N: int, code: WeightCode) -> Counter:
+    """The keys of the loop power sum times the loop Schur function of lam."""
+    keys, product = ssyt_keys(lam, n, 0, N, code), Counter()
+    for power in (code.power_key(j, k) for j in range(1, N + 1)):
+        product.update({key + power: c for key, c in keys.items()})
+    return product
 
 
 def verify_murnaghan_nakayama(lam: Partition, n: int, k: int, N: int) -> VerificationReport:
@@ -195,9 +209,9 @@ def verify_murnaghan_nakayama(lam: Partition, n: int, k: int, N: int) -> Verific
             required_truncation=required,
         )
     start = time.perf_counter()
-    lhs = poly_mul(loop_power_sum(k, n, N), loop_schur(lam, n, N))
-    rhs, strip_count = _signed_border_strip_sum(lam, n, k, N)
-    diff = lhs - rhs
+    rhs, strip_count, code = _signed_border_strip_sum(lam, n, k, N)
+    lhs = _power_sum_product(lam, n, k, N, code)
+    diff = code.polynomial({key: lhs[key] - rhs[key] for key in lhs.keys() | rhs.keys()})
     return VerificationReport(
         check="mn-verify",
         params={"lambda": str(lam), "n": n, "k": k, "N": N},
@@ -222,7 +236,8 @@ def verify_degree_bound(lam: Partition, n: int, k: int, N: int, l: int) -> Verif
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
     start = time.perf_counter()
-    total, strip_count = _signed_border_strip_sum(lam, n, k, N, l)
+    keys, strip_count, code = _signed_border_strip_sum(lam, n, k, N, l)
+    total = code.polynomial(keys)
     achieved = total.min_degree()
     stated = Fraction(N * (n - l), n) - k * n
     stronger = Fraction(N * (n - l), n) - k * l
@@ -277,8 +292,8 @@ def verify_expansion(
         rhs = loop_power_sum(k, n, N) * staircase * loop_schur(lam, n, N)
     else:
         lhs = augmented_signed_sum(lam, n, k, N, cap=cap)
-        strip_sum, _ = _signed_border_strip_sum(lam, n, k, N)
-        rhs = staircase * strip_sum
+        strip_sum, _, code = _signed_border_strip_sum(lam, n, k, N)
+        rhs = staircase * code.polynomial(strip_sum)
     diff = lhs - rhs
     params = {"which": which, "lambda": str(lam), "n": n, "N": N}
     if which != 1:
@@ -380,7 +395,7 @@ def _check_i2_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
         return c.fail("fixed_point_rule", m)
     if fixed:
         base, i = extract_core(m, c.d), m[2]
-        factor = c.d // c.n * sum(c.plain.unit[(color, c.n * m[1][i - 1])] for color in range(c.n))
+        factor = c.plain.power_key(m[1][i - 1], c.d // c.n)
         if c.sign(base[1]) != sign or factor + c.weight(base) != c.weight(m):
             return c.fail("factor_weight_law", m)
         if insert_core(base, i, c.d) != m:

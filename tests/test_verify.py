@@ -10,6 +10,7 @@ from loopschur import (
     Partition,
     Polynomial,
     PreconditionError,
+    ShiftParams,
     check_involution,
     check_specialization,
     classical_schur,
@@ -17,8 +18,11 @@ from loopschur import (
     loop_power_sum,
     loop_schur,
     parse_grid_config,
+    poly_mul,
     run_grid,
+    shifted_loop_schur,
     specialize_forget_color,
+    to_document,
     verify_degree_bound,
     verify_expansion,
     verify_murnaghan_nakayama,
@@ -89,6 +93,85 @@ class TestMurnaghanNakayama:
         with pytest.raises(PreconditionError) as err:
             verify_murnaghan_nakayama(Partition.of(2, 1), 3, 1, 4)
         assert err.value.required_truncation == 5
+
+
+def strip_sum_polynomial(lam, n, k, N, l=0, strips=None):
+    """The signed strip sum of (shifted) loop Schur functions, added up as Polynomials."""
+    total = Polynomial.zero(n)
+    for strip in enumerate_border_strips(lam, k * n) if strips is None else strips:
+        part = (loop_schur(strip.sigma, n, N) if l == 0
+                else shifted_loop_schur(strip.sigma, ShiftParams(n, l), N))
+        total = total + part if strip.height % 2 == 0 else total - part
+    return total
+
+
+def flip_first_strip(monkeypatch):
+    """Give the first strip the wrong sign where verify looks the strips up; returns them."""
+    def flipped(lam, m):
+        strips = enumerate_border_strips(lam, m)
+        return [BorderStripAddition(strips[0].sigma, strips[0].height + 1)] + strips[1:]
+
+    monkeypatch.setattr(verify_mod, "enumerate_border_strips", flipped)
+    return flipped
+
+
+class TestKeyedIdentities:
+    """The key maps that mn-verify and thm2-verify compare, decoded, against
+    the same sums built from Polynomials."""
+
+    # N stops at 5: at n=3, k=2 and N=kn+len(lambda)+2 the strip sums run to
+    # tens of millions of tableaux.
+    @pytest.mark.parametrize("parts", [p for size in range(5) for p in brute_partitions(size)],
+                             ids=str)
+    def test_key_maps_decode_to_the_polynomial_sums(self, parts):
+        lam = Partition(parts)
+        for n in (1, 2, 3):
+            for k in (1, 2):
+                for N in range(min(k * n + len(lam) + 2, 5) + 1):
+                    for l in range(n):
+                        keys, _, code = verify_mod._signed_border_strip_sum(lam, n, k, N, l)
+                        assert 0 not in keys.values()
+                        assert code.polynomial(keys) == strip_sum_polynomial(lam, n, k, N, l)
+                        if l == 0:
+                            lhs = verify_mod._power_sum_product(lam, n, k, N, code)
+                            assert code.polynomial(lhs) == poly_mul(loop_power_sum(k, n, N),
+                                                                    loop_schur(lam, n, N))
+
+    # |sigma| = |lambda| + kn = 8 needs a 4-bit field, and the power sum's
+    # x(0, 1) times the all-ones filling of lambda reaches exponent 8; a width
+    # taken from |lambda| alone (3 and 2 bits) would carry.
+    @pytest.mark.parametrize("lam,k", [(Partition.of(7), 1), (Partition.of(3), 5)])
+    def test_product_fills_the_widest_field(self, lam, k):
+        N = k + 1
+        strips, _, code = verify_mod._signed_border_strip_sum(lam, 1, k, N)
+        lhs = code.polynomial(verify_mod._power_sum_product(lam, 1, k, N, code))
+        assert lhs == poly_mul(loop_power_sum(k, 1, N), loop_schur(lam, 1, N))
+        assert lhs.coefficient(Monomial.from_exponents({(0, 1): 8})) == 1
+        assert code.polynomial(strips) == strip_sum_polynomial(lam, 1, k, N)
+        report = verify_murnaghan_nakayama(lam, 1, k, N)
+        assert report.passed
+        assert report.details["lhs_terms"] == report.details["rhs_terms"] == len(lhs)
+
+    def test_flipped_strip_sign_fails_with_the_polynomial_difference(self, monkeypatch):
+        lam, n, k, N = Partition.of(2, 1), 2, 1, 5
+        flipped = flip_first_strip(monkeypatch)
+        report = verify_murnaghan_nakayama(lam, n, k, N)
+        assert not report.passed
+        rhs = strip_sum_polynomial(lam, n, k, N, strips=flipped(lam, k * n))
+        difference = poly_mul(loop_power_sum(k, n, N), loop_schur(lam, n, N)) - rhs
+        assert report.witness == {"difference": to_document(difference)}
+        assert report.details["rhs_terms"] == len(rhs)
+
+    def test_flipped_strip_sign_breaks_the_floor_where_it_bites(self, monkeypatch):
+        lam, n, k, N, l = Partition(), 2, 1, 12, 1
+        flipped = flip_first_strip(monkeypatch)
+        report = verify_degree_bound(lam, n, k, N, l)
+        assert not report.passed
+        total = strip_sum_polynomial(lam, n, k, N, l, strips=flipped(lam, k * n))
+        assert report.details["achieved_min_degree"] == str(total.min_degree())
+        assert report.details["terms"] == len(total)
+        assert len(report.witness["min_degree_terms"]) == sum(
+            m.degree(n) == total.min_degree() for m, _ in total.terms())
 
 
 class TestDegreeBound:
