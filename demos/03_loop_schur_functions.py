@@ -20,8 +20,8 @@ lam = Partition.of(2, 1)
 n, N = 2, 3
 
 print(f"semistandard fillings of {lam} with entries <= {N}:")
-for t in enumerate_ssyt(lam, N, n):
-    print(" ", t.rows, "->", weight_monomial(t).format(n))
+for rows in enumerate_ssyt(lam, N):
+    print(" ", rows, "->", weight_monomial(rows, lam, n).format(n))
 
 s = loop_schur(lam, n, N)
 print(f"loop Schur function ({len(s)} terms):")

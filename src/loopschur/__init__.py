@@ -67,14 +67,11 @@ from .shapes import (
 )
 from .tableaux import (
     ShiftParams,
-    Tableau,
     enumerate_ssyt,
     loop_power_sum,
     loop_schur,
     shifted_loop_schur,
-    shifted_weight_monomial,
     staircase_monomial,
-    standard_staircase,
     weight_monomial,
 )
 from .verify import (

@@ -62,6 +62,7 @@ from .shapes import (
     Shape,
     make_extended,
     make_extended_row,
+    require_rows,
 )
 from .tableaux import ShiftParams, rows_monomial, staircase_cells
 
@@ -172,6 +173,9 @@ def _member(st: SignedTableau) -> Member:
 
 @lru_cache(maxsize=256)
 def _row_lengths(lam: Partition, N: int, extra: int = 0, row: int = 0) -> tuple[int, ...]:
+    """The row lengths of a family; every counter and sampler reaches this
+    before building a label table, so N < len(lam) is refused here."""
+    require_rows(lam, N)
     return tuple(
         lam.part(r) + (N - r + 1) + (extra if r == row else 0)
         for r in range(1, N + 1)

@@ -143,9 +143,15 @@ def make_extended(lam: Partition, N: int, n: int) -> Shape:
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
+    require_rows(lam, N)
+    return Shape(EXTENDED, lam, n, N=N)
+
+
+def require_rows(lam: Partition, N: int) -> None:
+    """Raise ValueError unless N >= len(lam): a staircase family of ``lam``
+    needs a row for every part."""
     if N < len(lam):
         raise ValueError(f"need N >= {len(lam)} rows for partition {lam}, got {N}")
-    return Shape(EXTENDED, lam, n, N=N)
 
 
 def make_extended_row(lam: Partition, N: int, m: int, i: int, n: int) -> Shape:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .polyring import Monomial, Polynomial
-from .shapes import YOUNG, Partition, Shape, make_extended, make_young
+from .shapes import Partition, require_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,36 +35,18 @@ class ShiftParams:
             raise ValueError(f"shift must satisfy 0 <= l < {self.n}, got {self.l}")
 
 
-@dataclass(frozen=True, slots=True)
-class Tableau:
-    """An assignment of positive integers to the cells of a shape.
-
-    ``rows[r-1]`` lists the entries of row r from its leftmost column on.
-    """
-
-    shape: Shape
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        shape = self.shape  # a Young shape's row lengths are its parts, found without hashing
-        expected = shape.lam.parts if shape.kind == YOUNG else _shape_row_lengths(shape)
-        got = tuple(map(len, self.rows))
-        if expected != got:
-            raise ValueError(f"row lengths {list(got)} do not match shape rows {list(expected)}")
-
-
-def enumerate_ssyt(lam: Partition, N: int, n: int = 1) -> Iterator[Tableau]:
-    """Stream all semistandard tableaux of shape ``lam`` with entries in [1, N].
+def enumerate_ssyt(lam: Partition, N: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Stream all semistandard tableaux of shape ``lam`` with entries in [1, N]
+    as row tuples: ``rows[r-1]`` lists the entries of row r.
 
     Rows weakly increase left to right, columns strictly increase top to
     bottom.  Emission is lexicographic in the row-by-row reading word.  The
     stream is empty when N < len(lam); the empty partition yields exactly the
-    empty tableau.  The cells are filled by a loop, not by recursion, so any
-    number of cells works.
+    empty tableau ``()``.  The cells are filled by a loop, not by recursion,
+    so any number of cells works.
     """
-    shape = make_young(lam, n)
     if not lam.parts:
-        yield Tableau(shape, ())
+        yield ()
         return
     if len(lam) > N:
         return
@@ -80,7 +62,7 @@ def enumerate_ssyt(lam: Partition, N: int, n: int = 1) -> Iterator[Tableau]:
         r, c = cells[len(stack) - 1]
         rows[r][c] = value
         if len(stack) == len(cells):
-            yield Tableau(shape, tuple(map(tuple, rows)))
+            yield tuple(map(tuple, rows))
             continue
         r, c = cells[len(stack)]
         lo = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
@@ -101,7 +83,7 @@ def rows_monomial(rows, cells, n: int) -> Monomial:
     """The (shifted) weight monomial of a filling given as row tuples.
 
     ``cells[r]`` holds the :func:`cell_weights` of row r, at least as long as
-    the row; :func:`staircase_cells` and :func:`_shape_cells` build them.
+    the row; :func:`staircase_cells` and :func:`young_cells` build them.
     This is the reference for :class:`WeightCode`, which the member checks and
     the builders use instead, and it weighs :meth:`SignedTableau.monomial`.
     Raises ValueError when the rows do not fit the tables, rather than drop
@@ -124,24 +106,19 @@ def staircase_cells(lam: Partition, N: int, d: int, n: int, l: int = 0) -> tuple
     """The row cell tables of the staircase family of ``lam`` with N rows and d
     cells appended to one row.  Every row starts at content -N, so one
     :func:`cell_weights` table, as long as the longest row, serves all N rows.
-    Raises ValueError unless 0 <= l < n.
+    Raises ValueError unless 0 <= l < n and N >= len(lam).
     """
     ShiftParams(n, l)
+    require_rows(lam, N)
     return (cell_weights(-N, lam.part(1) + N + d, n, l),) * N
 
 
 @lru_cache(maxsize=256)
-def _shape_cells(shape: Shape, l: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    rows = []
-    for r in range(1, shape.num_rows + 1):
-        lo, hi = shape.bounds(r)
-        rows.append(cell_weights(lo - r, hi - lo + 1, shape.n, l))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=256)
-def _shape_row_lengths(shape: Shape) -> tuple[int, ...]:
-    return tuple(shape.row_length(r) for r in range(1, shape.num_rows + 1))
+def young_cells(lam: Partition, n: int, l: int = 0) -> tuple:
+    """The row cell tables of the Young diagram of ``lam``, whose row r starts
+    at content 1 - r.  Raises ValueError unless 0 <= l < n."""
+    ShiftParams(n, l)
+    return tuple(cell_weights(1 - r, p, n, l) for r, p in enumerate(lam.parts, start=1))
 
 
 class WeightCode:
@@ -212,50 +189,44 @@ class WeightCode:
         return Polynomial(self.n, {self.decode(key): c for key, c in counts.items() if c})
 
 
-def weight_monomial(t: Tableau) -> Monomial:
-    """Product over cells of ``x(color, entry)``."""
-    return rows_monomial(t.rows, _shape_cells(t.shape, 0), t.shape.n)
-
-
-def shifted_weight_monomial(t: Tableau, shift: ShiftParams) -> Monomial:
-    """Product over cells of ``x(color, entry + l * content / n)``.
-
-    Weight numerators are ``n * entry + l * (col - row)``; the color index is
-    still the content mod n.  With l = 0 this is :func:`weight_monomial`.
+def weight_monomial(rows, lam: Partition, n: int, l: int = 0) -> Monomial:
+    """Product over the cells of the filling ``rows`` of ``lam`` of
+    ``x(color, entry + l * content / n)``: weight numerators are
+    ``n * entry + l * (col - row)``, colors the content mod n, and l = 0 gives
+    the unshifted weight.  Raises ValueError unless 0 <= l < n and the row
+    lengths are the parts of ``lam``.
     """
-    if shift.n != t.shape.n:
-        raise ValueError(f"shift modulus {shift.n} does not match shape modulus {t.shape.n}")
-    return rows_monomial(t.rows, _shape_cells(t.shape, shift.l), shift.n)
+    cells = young_cells(lam, n, l)
+    got = tuple(map(len, rows))
+    if got != lam.parts:
+        raise ValueError(f"row lengths {list(got)} do not match shape rows {list(lam.parts)}")
+    return rows_monomial(rows, cells, n)
 
 
 def ssyt_code(shapes, n: int, l: int, N: int) -> WeightCode:
     """One :class:`WeightCode` for the (shifted) SSYT of ``shapes``; ``key`` weighs the first."""
-    cells = [_shape_cells(make_young(lam, n), l) for lam in shapes]
+    cells = [young_cells(lam, n, l) for lam in shapes]
     return WeightCode(cells[0], n, N, cells[1:])
 
 
 def ssyt_keys(lam: Partition, n: int, l: int, N: int, code: WeightCode) -> Counter:
     """The (shifted) weight keys of the SSYT of ``lam`` with entries at most
     N, counted; ``code`` is an :func:`ssyt_code` whose shapes include ``lam``."""
-    key = code.keyer(_shape_cells(make_young(lam, n), l))
-    return Counter(key(t.rows) for t in enumerate_ssyt(lam, N, n))
-
-
-def _ssyt_sum(lam: Partition, n: int, l: int, N: int) -> Polynomial:
-    """Count the weight keys of the tableaux, then decode each distinct key once."""
-    code = ssyt_code((lam,), n, l, N)
-    return code.polynomial(ssyt_keys(lam, n, l, N, code))
+    key = code.keyer(young_cells(lam, n, l))
+    return Counter(map(key, enumerate_ssyt(lam, N)))
 
 
 def loop_schur(lam: Partition, n: int, N: int) -> Polynomial:
     """Truncated loop Schur function: the weight generating function of
     semistandard tableaux of ``lam`` with entries at most N, colored mod n."""
-    return _ssyt_sum(lam, n, 0, N)
+    return shifted_loop_schur(lam, ShiftParams(n), N)
 
 
 def shifted_loop_schur(lam: Partition, shift: ShiftParams, N: int) -> Polynomial:
-    """Truncated shifted loop Schur function over the same tableau family."""
-    return _ssyt_sum(lam, shift.n, shift.l, N)
+    """Truncated shifted loop Schur function over the same tableau family.
+    Counts the weight keys of the tableaux, then decodes each distinct key once."""
+    code = ssyt_code((lam,), shift.n, shift.l, N)
+    return code.polynomial(ssyt_keys(lam, shift.n, shift.l, N, code))
 
 
 def loop_power_sum(k: int, n: int, N: int) -> Polynomial:
@@ -269,20 +240,12 @@ def loop_power_sum(k: int, n: int, N: int) -> Polynomial:
     return Polynomial(n, terms)
 
 
-def standard_staircase(N: int, n: int) -> Tableau:
-    """The tableau on the empty-partition staircase whose row j is filled with j."""
-    if N < 1:
-        raise ValueError(f"need at least one row, got {N}")
-    shape = make_extended(Partition(), N, n)
-    return Tableau(shape, tuple(tuple([j] * (N - j + 1)) for j in range(1, N + 1)))
-
-
 def staircase_monomial(N: int, n: int, l: int = 0) -> Monomial:
-    """(Shifted) weight monomial of the standard staircase filling.
+    """(Shifted) weight monomial of the standard staircase filling: row j holds j.
 
     This is the common monomial factor carried by every fixed point of the
     first pairing map, and the minimum-degree term among row-weakly-increasing
     fillings of the staircase.
     """
-    rows = standard_staircase(N, n).rows
+    rows = tuple((j,) * (N - j + 1) for j in range(1, N + 1))
     return rows_monomial(rows, staircase_cells(Partition(), N, 0, n, l), n)

@@ -11,14 +11,12 @@ from loopschur import (
     Monomial,
     Partition,
     Polynomial,
-    Tableau,
     check_involution,
     classical_schur,
     default_grid_config,
     enumerate_border_strips,
     loop_power_sum,
     loop_schur,
-    make_young,
     parse,
     parse_grid_config,
     serialize,
@@ -34,14 +32,13 @@ from conftest import brute_partitions
 
 
 def test_criterion_1_featured_monomial_reproduction():
-    tableau = Tableau(make_young(Partition.of(4, 3, 3, 1), 3),
-                      ((1, 1, 2, 4), (2, 3, 3), (4, 4, 6), (7,)))
+    rows = ((1, 1, 2, 4), (2, 3, 3), (4, 4, 6), (7,))
     expected = Monomial.from_exponents({
         (0, 3 * 1): 1, (0, 3 * 3): 1, (0, 3 * 4): 1, (0, 3 * 6): 1, (0, 3 * 7): 1,
         (1, 3 * 1): 1, (1, 3 * 3): 1, (1, 3 * 4): 1,
         (2, 3 * 2): 2, (2, 3 * 4): 1,
     })
-    assert weight_monomial(tableau) == expected
+    assert weight_monomial(rows, Partition.of(4, 3, 3, 1), 3) == expected
     print("ACCEPTANCE 1: PASS - featured colored-tableau monomial reproduced exactly")
 
 

@@ -101,6 +101,34 @@ def test_lemma_verify(capsys):
     assert out.startswith("PASS lemma-verify")
 
 
+@pytest.mark.parametrize("which", ["1", "2", "3"])
+def test_lemma_verify_with_no_rows(capsys, tmp_path, which):
+    # At N = 0 the staircase factor is the empty product and the empty
+    # partition has one (empty) tableau, so every identity holds.
+    code, out, err = run(capsys, "lemma-verify", "--which", which, "--lambda", "0",
+                         "--n", "2", "--k", "1", "--N", "0")
+    assert code == 0 and err == ""
+    assert out.startswith("PASS lemma-verify N=0")
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"lemma which={which} lambda=0 n=2 k=1 N=0\n")
+    code, out, _ = run(capsys, "grid", "--config", str(config))
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "grid: 1/1 passed"
+
+
+@pytest.mark.parametrize("command", [
+    "lemma-verify --which 1 --lambda 2,1 --n 1 --N 1 --cap 0",
+    "lemma-verify --which 2 --lambda 2,1 --n 1 --k 1 --N 1 --cap 0",
+    "involution-check --which I1 --lambda 2,1 --n 1 --N 1 --cap 0",
+    "involution-check --which I2 --lambda 2,1 --n 1 --k 1 --N 1 --samples 3",
+])
+def test_too_few_rows_are_refused_before_the_cap(capsys, command):
+    # The family of (2,1) on one row does not exist, so no count is compared with the cap.
+    code, out, err = run(capsys, *command.split())
+    assert code == 2 and out == ""
+    assert err == "error: need N >= 2 rows for partition 2,1, got 1\n"
+
+
 def test_involution_check_sampled(capsys):
     code, out, _ = run(capsys, "involution-check", "--which", "I4", "--lambda", "2,1",
                        "--n", "3", "--N", "5", "--l", "1", "--samples", "50", "--seed", "3")

@@ -25,6 +25,7 @@ from loopschur import (
 )
 from loopschur.involutions import (
     _augmented_tables,
+    _label_table,
     count_weakly_increasing,
     unrank_weakly_increasing,
 )
@@ -113,6 +114,18 @@ class TestCounts:
         lam = Partition(lam)
         expected = reference_count_augmented(lam, k, n, N, top=N - k * l)
         assert low_family_size(lam, k, n, N, l) == expected
+
+    @pytest.mark.parametrize("build", [
+        lambda lam, N: count_staircase_tableaux(lam, N),
+        lambda lam, N: count_augmented_tableaux(lam, 1, 1, N),
+        lambda lam, N: sample_staircase_tableau(lam, 1, N, 0),
+    ], ids=["base_count", "augmented_count", "base_sampler"])
+    def test_too_few_rows_are_refused_before_any_table(self, build):
+        # N = 1 leaves the second part of (2, 1) without a row: no such family.
+        _label_table.cache_clear()
+        with pytest.raises(ValueError, match="need N >= 2 rows for partition 2,1, got 1"):
+            build(Partition.of(2, 1), 1)
+        assert _label_table.cache_info().currsize == 0
 
 
 class TestDraws:

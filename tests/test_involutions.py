@@ -195,9 +195,9 @@ class TestFirstMap:
     def test_column_strict_members_fixed(self):
         # semistandard filling glued onto the standard staircase, identity labels
         lam, n, N = Partition.of(2, 1), 2, 4
-        for ssyt in enumerate_ssyt(lam, N, n):
+        for ssyt in enumerate_ssyt(lam, N):
             rows = [
-                tuple([r] * (N - r + 1)) + ssyt.rows[r - 1] if r <= len(lam) else tuple([r] * (N - r + 1))
+                tuple([r] * (N - r + 1)) + ssyt[r - 1] if r <= len(lam) else tuple([r] * (N - r + 1))
                 for r in range(1, N + 1)
             ]
             st = member(make_extended(lam, N, n), rows, range(1, N + 1))

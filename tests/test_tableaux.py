@@ -8,20 +8,17 @@ from loopschur import (
     Partition,
     Polynomial,
     ShiftParams,
-    Tableau,
     enumerate_ssyt,
     loop_power_sum,
     loop_schur,
-    make_young,
+    make_extended,
     sample_staircase_tableau,
     shifted_loop_schur,
-    shifted_weight_monomial,
     specialize_forget_color,
     staircase_monomial,
-    standard_staircase,
     weight_monomial,
 )
-from loopschur.tableaux import WeightCode, _shape_cells
+from loopschur.tableaux import WeightCode, young_cells
 
 from conftest import assert_code_matches_rows_monomial, brute_partitions
 
@@ -67,7 +64,7 @@ def recursive_ssyt_rows(parts, N):
 
 class TestEnumerateSsyt:
     def test_row_of_two_with_two_entries(self):
-        rows = [t.rows for t in enumerate_ssyt(Partition.of(2), 2)]
+        rows = list(enumerate_ssyt(Partition.of(2), 2))
         assert rows == [((1, 1),), ((1, 2),), ((2, 2),)]
 
     def test_column_strictness_impossible(self):
@@ -80,7 +77,7 @@ class TestEnumerateSsyt:
 
     def test_empty_partition_single_empty_tableau(self):
         tableaux = list(enumerate_ssyt(Partition(), 3))
-        assert len(tableaux) == 1 and tableaux[0].rows == ()
+        assert len(tableaux) == 1 and tableaux[0] == ()
 
     def test_counts_match_product_formula_on_grid(self):
         for parts in [(1,), (2,), (1, 1), (3, 1), (2, 2, 1)]:
@@ -90,29 +87,30 @@ class TestEnumerateSsyt:
 
     def test_all_valid_and_lexicographic(self):
         seen = []
-        for t in enumerate_ssyt(Partition.of(2, 2), 4):
+        for rows in enumerate_ssyt(Partition.of(2, 2), 4):
             for r in range(1, 3):
-                row = t.rows[r - 1]
+                row = rows[r - 1]
                 assert all(row[i] <= row[i + 1] for i in range(len(row) - 1))
-            assert all(t.rows[0][c] < t.rows[1][c] for c in range(2))
-            seen.append(sum(t.rows, ()))
+            assert all(rows[0][c] < rows[1][c] for c in range(2))
+            seen.append(sum(rows, ()))
         assert seen == sorted(seen)
 
     @pytest.mark.parametrize("parts", SUBPARTITIONS_321, ids=str)
     def test_emission_order_matches_recursive_reference(self, parts):
         lam = Partition(parts)
         for N in range(6):
-            got = [t.rows for t in enumerate_ssyt(lam, N)]
+            got = list(enumerate_ssyt(lam, N))
+            assert all(tuple(map(len, rows)) == lam.parts for rows in got)
             assert got == recursive_ssyt_rows(parts, N)
 
     def test_a_thousand_cells_do_not_exhaust_the_stack(self):
         tableaux = list(enumerate_ssyt(Partition.of(1200), 2))
         assert len(tableaux) == 1201
-        assert tableaux[0].rows == ((1,) * 1200,) and tableaux[-1].rows == ((2,) * 1200,)
+        assert tableaux[0] == ((1,) * 1200,) and tableaux[-1] == ((2,) * 1200,)
 
 
-FEATURED = Tableau(make_young(Partition.of(4, 3, 3, 1), 3),
-                   ((1, 1, 2, 4), (2, 3, 3), (4, 4, 6), (7,)))
+FEATURED_LAM = Partition.of(4, 3, 3, 1)
+FEATURED = ((1, 1, 2, 4), (2, 3, 3), (4, 4, 6), (7,))
 
 
 class TestWeightMonomials:
@@ -122,30 +120,38 @@ class TestWeightMonomials:
             (1, 3): 1, (1, 9): 1, (1, 12): 1,
             (2, 6): 2, (2, 12): 1,
         })
-        assert weight_monomial(FEATURED) == expected
+        assert weight_monomial(FEATURED, FEATURED_LAM, 3) == expected
 
     def test_empty_tableau(self):
-        t = next(enumerate_ssyt(Partition(), 1))
-        assert weight_monomial(t).is_one
+        rows = next(enumerate_ssyt(Partition(), 1))
+        assert weight_monomial(rows, Partition(), 1).is_one
 
     def test_single_cell(self):
-        t = Tableau(make_young(Partition.of(1), 2), ((5,),))
-        assert weight_monomial(t) == Monomial.from_exponents({(0, 10): 1})
+        assert weight_monomial(((5,),), Partition.of(1), 2) == Monomial.from_exponents({(0, 10): 1})
 
     def test_shift_zero_equals_unshifted(self):
-        for t in enumerate_ssyt(Partition.of(2, 1), 3, n=3):
-            assert shifted_weight_monomial(t, ShiftParams(3, 0)) == weight_monomial(t)
+        lam = Partition.of(2, 1)
+        for rows in enumerate_ssyt(lam, 3):
+            assert weight_monomial(rows, lam, 3, 0) == weight_monomial(rows, lam, 3)
 
     def test_shifted_single_cell(self):
         # cell (1, 2) holds 1; content 1, so the weight becomes 1 + 2/3
-        t = Tableau(make_young(Partition.of(2), 3), ((1, 1),))
-        m = shifted_weight_monomial(t, ShiftParams(3, 2))
+        m = weight_monomial(((1, 1),), Partition.of(2), 3, 2)
         assert ((1, 5, 1) in m.vars)
 
     def test_content_zero_cell_unshifted(self):
-        t = Tableau(make_young(Partition.of(1), 3), ((4,),))
         for l in range(3):
-            assert shifted_weight_monomial(t, ShiftParams(3, l)) == weight_monomial(t)
+            assert (weight_monomial(((4,),), Partition.of(1), 3, l)
+                    == weight_monomial(((4,),), Partition.of(1), 3))
+
+    def test_refuses_rows_off_the_shape_and_a_bad_shift(self):
+        with pytest.raises(ValueError, match=r"row lengths \[2, 2\] do not match shape rows \[2, 1\]"):
+            weight_monomial(((1, 1), (2, 2)), Partition.of(2, 1), 2)
+        with pytest.raises(ValueError, match=r"row lengths \[\] do not match"):
+            weight_monomial((), Partition.of(1), 2)
+        for l in (-1, 2):
+            with pytest.raises(ValueError, match=f"shift must satisfy 0 <= l < 2, got {l}"):
+                weight_monomial(((1,),), Partition.of(1), 2, l)
 
 
 class TestWeightCode:
@@ -155,9 +161,9 @@ class TestWeightCode:
         lam = Partition(parts)
         for n in (1, 2, 3):
             for l in range(n):
-                cells = _shape_cells(make_young(lam, n), l)
+                cells = young_cells(lam, n, l)
                 for N in range(5):
-                    fillings = [t.rows for t in enumerate_ssyt(lam, N, n)]
+                    fillings = list(enumerate_ssyt(lam, N))
                     assert_code_matches_rows_monomial(WeightCode(cells, n, N), fillings, cells, n)
 
     @pytest.mark.parametrize("m", [1, 3, 7, 8, 15, 16])
@@ -166,18 +172,18 @@ class TestWeightCode:
         # field holds the cell count m: all ones at m = 7 and 15, a new top
         # bit at m = 8 and 16.
         lam = Partition.of(m)
-        cells = _shape_cells(make_young(lam, 1), 0)
+        cells = young_cells(lam, 1)
         code = WeightCode(cells, 1, 1)
         assert code.width == m.bit_length()
         assert code.key(((1,) * m,)) == m
         assert code.decode(m) == Monomial.from_exponents({(0, 1): m})
         assert loop_schur(lam, 1, 1) == Polynomial.from_term(1, code.decode(m))
         # With N = 2 the second variable's field sits just above the first.
-        fillings = [t.rows for t in enumerate_ssyt(lam, 2)]
+        fillings = list(enumerate_ssyt(lam, 2))
         assert_code_matches_rows_monomial(WeightCode(cells, 1, 2), fillings, cells, 1)
 
     def test_rows_off_the_table_are_refused(self):
-        cells = _shape_cells(make_young(Partition.of(2, 1), 2), 0)
+        cells = young_cells(Partition.of(2, 1), 2)
         code = WeightCode(cells, 2, 3)
         with pytest.raises(ValueError, match="1 rows for 2 cell tables"):
             code.key(((1, 1),))
@@ -279,13 +285,22 @@ class TestStaircaseMonomial:
         assert staircase_monomial(2, 2) == expected
 
     def test_matches_standard_filling(self):
-        staircase = standard_staircase(5, 3)
-        assert staircase.rows == ((1,) * 5, (2,) * 4, (3,) * 3, (4,) * 2, (5,))
-        assert staircase_monomial(5, 3) == weight_monomial(staircase)
-        for l in (1, 2):
-            assert staircase_monomial(5, 3, l) == shifted_weight_monomial(
-                staircase, ShiftParams(3, l)
-            )
+        # Row r of the staircase on N = 5 rows holds r, read off the shape's
+        # own cells: x(content mod n, n * r + l * content) per cell (r, c).
+        shape = make_extended(Partition(), 5, 3)
+        assert [r for r, _ in shape.cells()] == [1] * 5 + [2] * 4 + [3] * 3 + [4] * 2 + [5]
+        for l in (0, 1, 2):
+            factors = {}
+            for r, c in shape.cells():
+                key = ((c - r) % 3, 3 * r + l * (c - r))
+                factors[key] = factors.get(key, 0) + 1
+            assert staircase_monomial(5, 3, l) == Monomial.from_exponents(factors)
+
+    def test_no_rows_is_the_empty_product_and_fewer_are_refused(self):
+        for l in (0, 1):
+            assert staircase_monomial(0, 2, l).is_one
+        with pytest.raises(ValueError, match="need N >= 0 rows for partition 0, got -1"):
+            staircase_monomial(-1, 2)
 
     def test_degree_floor_over_random_members(self):
         # base-family members bound every entry of row j below by its label,
@@ -295,6 +310,5 @@ class TestStaircaseMonomial:
             floor = staircase_monomial(N, n, l).degree(n)
             for _ in range(1000):
                 member = sample_staircase_tableau(Partition(), n, N, rng)
-                tableau = Tableau(member.shape, member.rows)
-                degree = shifted_weight_monomial(tableau, ShiftParams(n, l)).degree(n)
+                degree = member.monomial(l).degree(n)
                 assert degree >= floor

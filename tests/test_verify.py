@@ -62,7 +62,7 @@ class TestClassicalOracle:
 
         for cached in (verify_mod._homogeneous_basis, verify_mod.classical_schur,
                        involutions._label_table, involutions._row_lengths,
-                       tableaux.cell_weights, tableaux._shape_cells, tableaux._shape_row_lengths,
+                       tableaux.cell_weights, tableaux.young_cells,
                        tableaux.staircase_cells):
             assert cached.cache_info().maxsize is not None
 
