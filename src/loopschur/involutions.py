@@ -64,7 +64,7 @@ from .shapes import (
     make_extended_row,
     require_rows,
 )
-from .tableaux import ShiftParams, rows_monomial, staircase_cells
+from .tableaux import ShiftParams, WeightCode, rows_monomial, staircase_cells
 
 DEFAULT_CAP = 10**7
 
@@ -101,7 +101,8 @@ class SignedTableau:
         return permutation_sign(self.tau)
 
     def monomial(self, l: int = 0) -> Monomial:
-        """The (shifted) weight monomial, read off the family's cell table."""
+        """The (shifted) weight monomial, read off the family's cell table;
+        the signed sums weigh one member per distinct weight key with it."""
         shape = self.shape
         cells = staircase_cells(shape.lam, shape.N, shape.extra, shape.n, l)
         return rows_monomial(self.rows, cells, shape.n)
@@ -753,19 +754,32 @@ def in_low_family(st: SignedTableau, shift: ShiftParams) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _signed_sum(members: Iterator[SignedTableau], n: int, l: int) -> Polynomial:
-    terms: dict[Monomial, int] = {}
+def _signed_sum(members: Iterator[SignedTableau], cells, n: int, N: int, l: int) -> Polynomial:
+    """Count the members' signed keys on one :class:`WeightCode` over the family's
+    ``cells``, built once the cap has admitted the family, and weigh one member
+    per distinct key.  Members arrive grouped by labeling: one sign per group."""
+    counts: dict[int, int] = {}
+    firsts: dict[int, SignedTableau] = {}
+    key = tau = sign = None
     for st in members:
-        m = st.monomial(l)
-        terms[m] = terms.get(m, 0) + st.sign
-    return Polynomial(n, terms)
+        if key is None:
+            key = WeightCode(cells, n, N).key
+        if st.tau != tau:
+            tau, sign = st.tau, permutation_sign(st.tau)
+        k = key(st.rows)
+        if k not in counts:
+            counts[k], firsts[k] = 0, st
+        counts[k] += sign
+    return Polynomial(n, {firsts[k].monomial(l): c for k, c in counts.items() if c})
 
 
 def staircase_signed_sum(
     lam: Partition, n: int, N: int, l: int = 0, cap: int = DEFAULT_CAP
 ) -> Polynomial:
-    """Sum of sgn(tau) times the (shifted) weight over the base family."""
-    return _signed_sum(enumerate_staircase_tableaux(lam, n, N, cap), n, l)
+    """Sum of sgn(tau) times the (shifted) weight over the base family; a bad
+    shift is refused before the family is counted."""
+    cells = staircase_cells(lam, N, 0, n, l)
+    return _signed_sum(enumerate_staircase_tableaux(lam, n, N, cap), cells, n, N, l)
 
 
 def augmented_signed_sum(
@@ -774,6 +788,8 @@ def augmented_signed_sum(
     """Sum of sgn(tau) times the (shifted) weight over the augmented family.
 
     This is the generating function that equals both the power-sum product
-    and the signed border-strip sum.
+    and the signed border-strip sum.  One cell table serves every lengthened
+    row; a bad shift is refused before the family is counted.
     """
-    return _signed_sum(enumerate_augmented_tableaux(lam, n, k, N, cap), n, l)
+    cells = staircase_cells(lam, N, k * n, n, l)
+    return _signed_sum(enumerate_augmented_tableaux(lam, n, k, N, cap), cells, n, N, l)

@@ -2,7 +2,9 @@
 and the grid runner.
 
 The oracle's determinant is the signed ``subset_expansion`` that counts the
-families; ``lemma-verify`` still sums over enumerated members, which it checks.
+families; ``lemma-verify`` still sums over enumerated members, which it checks,
+counting their :class:`WeightCode` keys and weighing one member per distinct
+key, so only its small right-hand products work on monomials.
 ``mn-verify`` and ``thm2-verify`` do their arithmetic on the integer keys of
 one :class:`WeightCode` per identity: ``mn-verify`` compares two key maps and
 decodes only their difference, ``thm2-verify`` decodes only the surviving

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import combinations_with_replacement
@@ -41,9 +42,14 @@ from loopschur import (
     staircase_entries_standard,
     staircase_monomial,
     staircase_signed_sum,
+    to_document,
     validate_member,
+    verify_expansion,
 )
+import loopschur.involutions as involutions_mod
+from loopschur.cli import main
 from loopschur.involutions import unrank_weakly_increasing, count_weakly_increasing
+from loopschur.tableaux import rows_monomial, staircase_cells
 
 LAM21 = Partition.of(2, 1)
 
@@ -434,6 +440,91 @@ class TestShiftedSignedSums:
             piece = staircase * shifted_loop_schur(strip.sigma, ShiftParams(n, l), N)
             rhs = rhs + piece if strip.height % 2 == 0 else rhs - piece
         assert lhs == rhs
+
+
+def reference_signed_sum(members, n, l, sign=permutation_sign):
+    """Sum of sign(tau) times the (shifted) weight, one ``rows_monomial`` per
+    member: the reference for the keyed signed sums."""
+    terms: dict = {}
+    for st in members:
+        shape = st.shape
+        cells = staircase_cells(shape.lam, shape.N, shape.extra, shape.n, l)
+        m = rows_monomial(st.rows, cells, n)
+        terms[m] = terms.get(m, 0) + sign(st.tau)
+    return Polynomial(n, terms)
+
+
+SUM_PARTITIONS = [(), (1,), (2,), (1, 1), (2, 1)]
+
+
+class TestKeyedSignedSums:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lam", SUM_PARTITIONS)
+    def test_base_sum_matches_the_reference(self, lam, n):
+        lam = Partition(lam)
+        for N in range(len(lam), 5):  # lambda = 0 from N = 0
+            members = list(enumerate_staircase_tableaux(lam, n, N))
+            for l in range(n):
+                assert staircase_signed_sum(lam, n, N, l) == reference_signed_sum(members, n, l)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lam", SUM_PARTITIONS)
+    def test_augmented_sum_matches_the_reference(self, lam, n, k):
+        lam = Partition(lam)
+        for N in range(len(lam), 4):
+            members = list(enumerate_augmented_tableaux(lam, n, k, N))
+            for l in range(n):
+                expected = reference_signed_sum(members, n, l)
+                assert augmented_signed_sum(lam, n, k, N, l) == expected
+
+    def test_bad_shift_is_refused_before_counting(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("the family was counted")
+        monkeypatch.setattr(involutions_mod, "count_staircase_tableaux", no_count)
+        monkeypatch.setattr(involutions_mod, "count_augmented_tableaux", no_count)
+        with pytest.raises(ValueError, match="shift"):
+            staircase_signed_sum(Partition(), 2, 3, l=5, cap=1)
+        with pytest.raises(ValueError, match="shift"):
+            augmented_signed_sum(Partition(), 2, 1, 3, l=2, cap=1)
+
+    def test_cap_refuses_before_the_code_is_built(self, monkeypatch):
+        def no_code(*args):
+            raise AssertionError("a weight code was built")
+        monkeypatch.setattr(involutions_mod, "WeightCode", no_code)
+        with pytest.raises(CapExceededError):
+            staircase_signed_sum(Partition(), 2, 3, l=1, cap=1)
+        with pytest.raises(CapExceededError):
+            augmented_signed_sum(Partition(), 2, 1, 3, l=1, cap=1)
+
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_flipped_labeling_sign_fails_with_the_difference(self, which, monkeypatch, capsys):
+        lam, n, k, N = Partition.of(1), 2, 1, 3
+        flipped_tau = (2, 1, 3)
+
+        def flipped_sign(tau):
+            return -permutation_sign(tau) if tau == flipped_tau else permutation_sign(tau)
+        monkeypatch.setattr(involutions_mod, "permutation_sign", flipped_sign)
+        if which == 1:
+            members = enumerate_staircase_tableaux(lam, n, N)
+        else:
+            members = enumerate_augmented_tableaux(lam, n, k, N)
+        lhs = reference_signed_sum(members, n, 0, sign=flipped_sign)
+        rhs = Polynomial.from_term(n, staircase_monomial(N, n)) * loop_schur(lam, n, N)
+        if which != 1:  # identity 3's strip sum equals this product (mn-verify)
+            rhs = loop_power_sum(k, n, N) * rhs
+        witness = {"difference": to_document(lhs - rhs)}
+
+        report = verify_expansion(which, lam, n, k, N)
+        assert not report.passed
+        assert report.witness == witness
+        status = main(["lemma-verify", "--which", str(which), "--lambda", "1", "--n", "2",
+                       "--k", "1", "--N", "3", "--format", "structured"])
+        out = capsys.readouterr().out
+        assert status == 1
+        document = json.loads(out)
+        assert document["pass"] is False
+        assert document["witness"] == json.loads(json.dumps(witness))
 
 
 def test_permutation_sign():
