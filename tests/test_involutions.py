@@ -48,7 +48,7 @@ from loopschur import (
 )
 import loopschur.involutions as involutions_mod
 from loopschur.cli import main
-from loopschur.involutions import unrank_weakly_increasing, count_weakly_increasing
+from loopschur.involutions import as_signed_tableau, count_weakly_increasing, unrank_weakly_increasing
 from loopschur.tableaux import rows_monomial, staircase_cells
 
 LAM21 = Partition.of(2, 1)
@@ -153,6 +153,36 @@ class TestCountsAndEnumeration:
             assert total == len(expected)
             got = [unrank_weakly_increasing(lo, hi, length, i) for i in range(total)]
             assert got == expected
+
+
+def filled_member(lam, N, d):
+    """Row r filled with r, the first row lengthened by d when d > 0: a member
+    of the family wherever that family exists."""
+    rows = tuple((r,) * (lam.part(r) + N - r + 1 + (d if r == 1 else 0))
+                 for r in range(1, N + 1))
+    return rows, tuple(range(1, N + 1)), 1 if d else 0
+
+
+class TestRefusals:
+    # A modulus below 1, or fewer rows than parts, names no family.
+    @pytest.mark.parametrize("lam,n,N", [((1,), 0, 2), ((1,), -1, 2), ((2, 1), 2, 1)], ids=str)
+    @pytest.mark.parametrize("build", [
+        lambda lam, n, N: list(enumerate_staircase_tableaux(lam, n, N)),
+        lambda lam, n, N: list(enumerate_augmented_tableaux(lam, n, 1, N)),
+        lambda lam, n, N: sample_staircase_tableau(lam, n, N, 0),
+        lambda lam, n, N: sample_augmented_tableau(lam, n, 1, N, 0),
+        lambda lam, n, N: as_signed_tableau(filled_member(lam, N, 0), lam, n, N),
+        lambda lam, n, N: as_signed_tableau(filled_member(lam, N, 2), lam, n, N, 2),
+    ], ids=["enumerate_staircase", "enumerate_augmented", "sample_staircase",
+            "sample_augmented", "as_signed_tableau", "as_signed_tableau_augmented"])
+    def test_no_family_is_refused(self, build, lam, n, N):
+        with pytest.raises(ValueError):
+            build(Partition(lam), n, N)
+
+    def test_filled_members_belong_where_the_family_exists(self):
+        lam = Partition.of(2, 1)
+        as_signed_tableau(filled_member(lam, 2, 0), lam, 2, 2)
+        as_signed_tableau(filled_member(lam, 2, 2), lam, 2, 2, 2)
 
 
 class TestSampling:

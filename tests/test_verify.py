@@ -6,6 +6,7 @@ import pytest
 import loopschur.verify as verify_mod
 from loopschur import (
     ConfigError,
+    MembershipError,
     Monomial,
     Partition,
     Polynomial,
@@ -15,6 +16,8 @@ from loopschur import (
     check_specialization,
     classical_schur,
     default_grid_config,
+    enumerate_augmented_tableaux,
+    in_low_family,
     loop_power_sum,
     loop_schur,
     parse_grid_config,
@@ -200,6 +203,47 @@ class TestDegreeBound:
         assert report.details["achieved_min_degree"] == achieved
         assert report.details["stated_bound"] == stated
 
+    # 228 cases: every N from max(1, len(lambda)) to 8 for each parametrization.
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n,l", [(2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("lam", [(), (1,), (2,), (1, 1), (2, 1)], ids=str)
+    def test_proof_bound_formula_and_verdict(self, lam, n, l, k):
+        lam = Partition(lam)
+        for N in range(max(1, len(lam)), 9):
+            report = verify_degree_bound(lam, n, k, N, l)
+            proof_bound = Fraction(N * (n - l), n) - k * l
+            assert report.details["proof_bound"] == str(proof_bound)
+            assert report.passed
+            assert Fraction(report.details["achieved_min_degree"]) >= proof_bound
+
+    def test_a_term_just_under_the_floor_fails(self, monkeypatch):
+        # One term of degree stated - 1/n added to the strip sum: the verdict
+        # must be FAIL and the witness must name that term.
+        lam, n, k, N, l = Partition(), 2, 1, 10, 1
+        stated = Fraction(N * (n - l), n) - k * n
+        low = Monomial.from_exponents({(1, int(n * stated) - 1): 1})
+        assert low.degree(n) == stated - Fraction(1, n)
+        strip_sum = verify_mod._signed_border_strip_sum
+
+        class WithLowTerm:
+            def __init__(self, code):
+                self.code = code
+
+            def polynomial(self, keys):
+                return self.code.polynomial(keys) + Polynomial.from_term(n, low)
+
+        def with_low_term(*args):
+            keys, strips, code = strip_sum(*args)
+            return keys, strips, WithLowTerm(code)
+
+        monkeypatch.setattr(verify_mod, "_signed_border_strip_sum", with_low_term)
+        report = verify_degree_bound(lam, n, k, N, l)
+        assert not report.passed
+        assert report.details["stated_bound"] == str(stated)
+        assert report.details["achieved_min_degree"] == str(stated - Fraction(1, n))
+        assert report.witness == {"min_degree_terms": [
+            {"coeff": "1", "vars": [[1, int(n * stated) - 1, 1]]}]}
+
     @pytest.mark.parametrize("l", [1, 2])
     def test_min_degree_grows_with_truncation(self, l):
         achieved = []
@@ -270,6 +314,16 @@ class TestInvolutionCheck:
     def test_fourth_map_requires_shift(self):
         with pytest.raises(PreconditionError):
             check_involution("I4", Partition(), 2, 1, 3, l=0)
+
+    def test_sampled_fourth_map_refuses_a_draw_outside_the_low_family(self, monkeypatch):
+        # The low-family sampler must never hand the fourth map a member whose
+        # lengthened row passes N - k*l; if it does, the check raises.
+        lam, n, k, N, l = Partition(), 2, 1, 3, 1
+        high = next(st for st in enumerate_augmented_tableaux(lam, n, k, N)
+                    if not in_low_family(st, ShiftParams(n, l)))
+        monkeypatch.setattr(verify_mod, "sample_augmented_tableau", lambda *args: high)
+        with pytest.raises(MembershipError, match="outside"):
+            check_involution("I4", lam, n, k, N, l=l, mode="samples", samples=5)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sampled_mode_needs_a_sample(self, samples):
@@ -396,6 +450,24 @@ class TestInvolutionCheckCatchesFaultyMaps:
         pairing = self.swapped_pairs(which, same_sign=False)
         corrupt = lambda core, m, *args: pairing.get(m) or core(m, *args)
         assert self.check(which, monkeypatch, corrupt) == expected
+
+    # The whole witness of a failing check: a base-family member has neither
+    # "extra" nor "extended_row", an augmented member has both.
+    @pytest.mark.parametrize("which,witness", [
+        ("I1", {"property": "fixed_iff_column_strict", "member": {
+            "kind": "extended", "lambda": [1], "N": 3, "n": 2,
+            "rows": [[1, 1, 1, 1], [2, 3], [3]], "tau": [1, 2, 3]}}),
+        ("I2", {"property": "fixed_point_rule", "member": {
+            "kind": "extended_row", "lambda": [], "N": 3, "n": 2,
+            "rows": [[1, 2, 2, 2, 2], [2, 2], [3]], "tau": [1, 2, 3],
+            "extra": 2, "extended_row": 1}}),
+    ])
+    def test_witness_documents_are_pinned(self, which, witness, monkeypatch):
+        monkeypatch.setattr(verify_mod, f"{which.lower()}_core", lambda m, *args: m)
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        report = check_involution(which, lam, n, k, N, l=l)
+        assert report.witness == witness
+        assert list(report.witness["member"]) == list(witness["member"])
 
     def test_false_fixed_point_breaks_the_factor_law(self, monkeypatch):
         # A moved pair of the second map is declared fixed by both the core and
