@@ -8,7 +8,6 @@ anywhere, so every identity later on is checked exactly.
 from loopschur import (
     Monomial,
     Polynomial,
-    min_degree,
     parse,
     poly_div_monomial,
     serialize,
@@ -34,7 +33,7 @@ cube = x01 * x01 * x2_43
 quotient = poly_div_monomial(cube, Monomial.from_exponents({(0, 3): 1}))
 print("exact monomial quotient:", quotient)
 
-print("min degree of", q, "is", min_degree(q))
+print("min degree of", q, "is", q.min_degree())
 
 # Serialization is canonical: equal polynomials give byte-identical JSON.
 text = serialize(q)

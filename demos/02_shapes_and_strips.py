@@ -1,14 +1,6 @@
 """Partitions, content coloring, staircase extensions, and border strips."""
 
-from loopschur import (
-    Partition,
-    content_color,
-    enumerate_border_strips,
-    is_border_strip,
-    make_extended,
-    make_extended_row,
-    make_young,
-)
+from loopschur import Partition, content_color, enumerate_border_strips, is_border_strip
 
 lam = Partition.of(4, 3, 3, 1)
 n = 3
@@ -16,22 +8,24 @@ n = 3
 # The color of a cell is its content (col - row) mod n; colors are constant
 # along diagonals.
 print(f"coloring of {lam} mod {n}:")
-shape = make_young(lam, n)
 for r in range(1, len(lam) + 1):
-    line = " ".join(str(shape.color(r, c)) for c in range(1, lam.part(r) + 1))
+    line = " ".join(str(content_color(r, c, n)) for c in range(1, lam.part(r) + 1))
     print("  " + line)
 
-# The staircase extension prepends N - j + 1 cells to row j, ending at
-# column 0, so row lengths strictly decrease.
-ext = make_extended(Partition.of(2, 1), 5, n)
-print("staircase extension of 2,1 with N=5 has row lengths:",
-      [ext.row_length(r) for r in range(1, 6)])
-print("row 3 spans columns", ext.bounds(3))
+# The staircase extension with N rows prepends N - r + 1 cells to row r,
+# ending at column 0: row r spans columns r - N .. lam_r, so row lengths
+# strictly decrease.  A family is named by plain parameters (lam, N, d), d
+# being the cells appended to one row; there is no shape object.
+base, N = Partition.of(2, 1), 5
+print(f"staircase extension of {base} with N={N} has row lengths:",
+      [base.part(r) + N - r + 1 for r in range(1, N + 1)])
+print("row 3 spans columns", (3 - N, base.part(3)))
+print("and is colored", [content_color(3, c, n) for c in range(3 - N, base.part(3) + 1)])
 
 # Appending k*n cells to one row gives the shapes the pairing maps act on.
-aug = make_extended_row(Partition.of(2, 1), 5, 3, 4, n)
-print("after appending 3 cells to row 4:",
-      [aug.row_length(r) for r in range(1, 6)])
+d, i = 3, 4
+print(f"after appending {d} cells to row {i}:",
+      [base.part(r) + N - r + 1 + (d if r == i else 0) for r in range(1, N + 1)])
 
 # Border strips: connected skew shapes with no 2x2 block.  The height is
 # the number of occupied rows minus one, and it drives the signs in the

@@ -18,9 +18,6 @@ from loopschur import (
     i4,
     loop_power_sum,
     loop_schur,
-    make_extended,
-    make_extended_row,
-    sample_augmented_tableau,
     slide_to_border_strip,
     staircase_monomial,
     staircase_signed_sum,
@@ -38,23 +35,27 @@ def show(label, st):
 
 # Map 1 exchanges row prefixes along diagonals at the rightmost column
 # violation, so the weight monomial cannot change while the sign flips.
-shape = make_extended(lam, N, n)
-st = SignedTableau(shape, ((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)),
-                   (2, 5, 4, 1, 3))
+# A member carries its family as plain parameters: the partition, the modulus,
+# the number of rows and d, the cells appended to the lengthened row i (both 0
+# on the base family).
+st = SignedTableau(lam, n, N, d=0,
+                   rows=((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)),
+                   tau=(2, 5, 4, 1, 3), i=0)
 show("member", st)
 show("i1 image", i1(st))
 assert i1(i1(st)) == st and i1(st).monomial() == st.monomial()
 
 # Map 2 relocates the leading block of the lengthened row; its fixed points
 # factor as a power-sum variable block times a plain staircase member.
-aug = make_extended_row(lam, N, 3, 4, n)
-st2 = SignedTableau(aug, ((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5),
-                          (3,)), (2, 5, 4, 1, 3))
+st2 = SignedTableau(lam, n, N, d=3,
+                    rows=((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5), (3,)),
+                    tau=(2, 5, 4, 1, 3), i=4)
 show("augmented member", st2)
 show("i2 image", i2(st2))
 
-fixed = SignedTableau(aug, ((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (1, 1, 1, 2, 5),
-                            (3,)), (2, 5, 4, 1, 3))
+fixed = SignedTableau(lam, n, N, d=3,
+                      rows=((2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (1, 1, 1, 2, 5), (3,)),
+                      tau=(2, 5, 4, 1, 3), i=4)
 assert i2(fixed) == fixed
 base, row = extract_power_sum_factor(fixed)
 print(f"i2 fixed point splits off row {row}; remaining member has tau={base.tau}")
@@ -68,7 +69,7 @@ assert i3(st3) == st2
 from loopschur import enumerate_augmented_tableaux
 
 fixed_point = next(st for st in enumerate_augmented_tableaux(Partition.of(1), 2, 1, 3)
-                   if i3(st) == st and st.shape.row > 1)
+                   if i3(st) == st and st.i > 1)
 show("an i3 fixed point", fixed_point)
 sigma, height, landed = slide_to_border_strip(fixed_point)
 print(f"slides to the staircase family of sigma={sigma} after {height} step(s); "
@@ -78,8 +79,8 @@ assert landed.monomial() == fixed_point.monomial()
 
 # Map 4 compensates entries so the *shifted* weight survives the move.
 shift = ShiftParams(n, 1)
-st4 = SignedTableau(make_extended_row(Partition(), 3, 3, 1, n),
-                    ((1, 1, 1, 1, 1, 2), (2, 2), (3,)), (1, 2, 3))
+st4 = SignedTableau(Partition(), n, 3, d=3, rows=((1, 1, 1, 1, 1, 2), (2, 2), (3,)),
+                    tau=(1, 2, 3), i=1)
 img4 = i4(st4, shift)
 show("low member", st4)
 show("i4 image", img4)

@@ -45,11 +45,8 @@ from .polyring import (
     Monomial,
     Polynomial,
     from_document,
-    min_degree,
     parse,
-    poly_add,
     poly_div_monomial,
-    poly_mul,
     serialize,
     specialize_forget_color,
     to_document,
@@ -57,13 +54,9 @@ from .polyring import (
 from .shapes import (
     BorderStripAddition,
     Partition,
-    Shape,
     content_color,
     enumerate_border_strips,
     is_border_strip,
-    make_extended,
-    make_extended_row,
-    make_young,
 )
 from .tableaux import (
     ShiftParams,

@@ -31,39 +31,33 @@ families:
 Every map is an involution, reverses the label sign on non-fixed points, and
 preserves the (shifted, where stated) weight monomial.  Cells only ever move
 along their diagonals or jump a multiple of n columns, which is why the
-weights survive.  All rows of the extended shapes start at column r - N, so a
-cell's content depends only on its index within its row; the maps below
-exploit this by operating on row tuples positionally.
+weights survive.  Row r of a staircase extension with N rows spans columns
+r - N .. lam_r, so a cell's content depends only on its index within its row;
+the maps below exploit this by operating on row tuples positionally.
 
-Each map is written once, as a ``*_core`` function on a member given as plain
-data, ``(rows, tau, i)``: the row tuples, the labels and the lengthened row
-(0 on the base family).  A core trusts its input and builds no tableau or
-shape.  The public maps are thin wrappers that validate their input, call the
-core, then validate and wrap the output.  ``check_involution`` applies the
-cores directly and validates each image once with :func:`validate_in_family`;
-enumerated and sampled members are valid by construction.
+A family is named by plain parameters ``(lam, N, d)``, with d cells appended
+to the lengthened row (d = 0: the base family).  Each map is written once, as
+a ``*_core`` function on a member given as plain data, ``(rows, tau, i)``: the
+row tuples, the labels and the lengthened row (0 on the base family).  A core
+trusts its input and builds nothing.  The public maps are thin wrappers that
+validate their input, call the core, then validate the output and wrap it in
+a :class:`SignedTableau`, the member with its family's parameters.
+``check_involution`` applies the cores directly and validates each image once
+with :func:`validate_in_family`; enumerated and sampled members are valid by
+construction.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError, MembershipError
 from .polyring import Monomial, Polynomial
-from .shapes import (
-    EXTENDED,
-    EXTENDED_ROW,
-    Partition,
-    Shape,
-    make_extended,
-    make_extended_row,
-    require_rows,
-)
+from .shapes import Partition, require_rows
 from .tableaux import ShiftParams, WeightCode, rows_monomial, staircase_cells
 
 DEFAULT_CAP = 10**7
@@ -82,19 +76,23 @@ def permutation_sign(tau: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True, slots=True)
-class SignedTableau:
-    """A filling of a staircase extension, as row tuples, plus row labels tau;
+class SignedTableau(NamedTuple):
+    """A family member as plain data: the family ``lam, n, N, d`` (colored mod
+    n, d cells appended) and the member ``rows, tau, i`` (see :data:`Member`);
     sign = sgn(tau).
 
-    Plain data: construction checks nothing.  :func:`validate_member` decides
-    whether it belongs to its family, and every public map runs it;
-    :meth:`monomial` raises ValueError when the rows do not fit the shape.
+    Construction checks nothing.  :func:`validate_member` decides whether it
+    belongs to its family, and every public map runs it; :meth:`monomial`
+    raises ValueError when the rows do not fit the family.
     """
 
-    shape: Shape
+    lam: Partition
+    n: int
+    N: int
+    d: int
     rows: tuple[tuple[int, ...], ...]
     tau: tuple[int, ...]
+    i: int
 
     @property
     def sign(self) -> int:
@@ -103,32 +101,27 @@ class SignedTableau:
     def monomial(self, l: int = 0) -> Monomial:
         """The (shifted) weight monomial, read off the family's cell table;
         the signed sums weigh one member per distinct weight key with it."""
-        shape = self.shape
-        cells = staircase_cells(shape.lam, shape.N, shape.extra, shape.n, l)
-        return rows_monomial(self.rows, cells, shape.n)
+        cells = staircase_cells(self.lam, self.N, self.d, self.n, l)
+        return rows_monomial(self.rows, cells, self.n)
 
     def to_document(self) -> dict:
-        shape = self.shape
         doc = {
-            "kind": shape.kind,
-            "lambda": list(shape.lam.parts),
-            "N": shape.N,
-            "n": shape.n,
+            "kind": "extended_row" if self.d else "extended",
+            "lambda": list(self.lam.parts),
+            "N": self.N,
+            "n": self.n,
             "rows": [list(row) for row in self.rows],
             "tau": list(self.tau),
         }
-        if shape.kind == EXTENDED_ROW:
-            doc["extra"] = shape.extra
-            doc["extended_row"] = shape.row
+        if self.d:
+            doc["extra"] = self.d
+            doc["extended_row"] = self.i
         return doc
 
 
 def validate_member(st: SignedTableau) -> None:
     """Check the family constraints; raise :class:`MembershipError` on failure."""
-    shape = st.shape
-    if shape.kind not in (EXTENDED, EXTENDED_ROW):
-        raise MembershipError(f"shape kind {shape.kind!r} is not a staircase extension")
-    validate_in_family(_member(st), shape.lam, shape.N, shape.extra)
+    validate_in_family(_member(st), st.lam, st.N, st.d)
 
 
 def validate_in_family(member: Member, lam: Partition, N: int, d: int) -> None:
@@ -156,15 +149,16 @@ def validate_in_family(member: Member, lam: Partition, N: int, d: int) -> None:
 
 
 def as_signed_tableau(member: Member, lam: Partition, n: int, N: int, d: int = 0) -> SignedTableau:
-    """Validate a member of the family of :func:`validate_in_family` and wrap it."""
-    rows, tau, i = member
-    shape = make_extended_row(lam, N, d, i, n) if d else make_extended(lam, N, n)
+    """Validate a member of the family of :func:`validate_in_family`, colored
+    mod ``n``, and wrap it; ValueError for n < 1."""
+    ShiftParams(n)
     validate_in_family(member, lam, N, d)
-    return SignedTableau(shape, rows, tau)
+    rows, tau, i = member
+    return SignedTableau(lam, n, N, d, rows, tau, i)
 
 
 def _member(st: SignedTableau) -> Member:
-    return tuple(tuple(row) for row in st.rows), tuple(st.tau), st.shape.row
+    return tuple(tuple(row) for row in st.rows), tuple(st.tau), st.i
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +167,13 @@ def _member(st: SignedTableau) -> Member:
 
 
 @lru_cache(maxsize=256)
-def _row_lengths(lam: Partition, N: int, extra: int = 0, row: int = 0) -> tuple[int, ...]:
-    """The row lengths of a family; every counter and sampler reaches this
-    before building a label table, so N < len(lam) is refused here."""
+def _row_lengths(lam: Partition, N: int, d: int = 0, i: int = 0) -> tuple[int, ...]:
+    """The row lengths of the family of ``lam`` with N rows and d cells
+    appended to row i; every counter and sampler reaches this before building
+    a label table, so N < len(lam) is refused here."""
     require_rows(lam, N)
     return tuple(
-        lam.part(r) + (N - r + 1) + (extra if r == row else 0)
+        lam.part(r) + (N - r + 1) + (d if r == i else 0)
         for r in range(1, N + 1)
     )
 
@@ -297,10 +292,14 @@ def _staircase_table(lam: Partition, N: int) -> _LabelTable:
 
 
 def _augmented_tables(lam: Partition, k: int, n: int, N: int, l: int) -> list[_LabelTable]:
-    """One table per lengthened row i = 1..N; row i stays at or below N - k*l."""
+    """One table per lengthened row i = 1..N; row i stays at or below N - k*l.
+    Refuses n < 1 and k < 1, which name no augmented family, before any table."""
+    ShiftParams(n)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     return [
         _label_table(
-            _row_lengths(lam, N, extra=k * n, row=i),
+            _row_lengths(lam, N, k * n, i),
             tuple(N - k * l if r == i else N for r in range(1, N + 1)),
         )
         for i in range(1, N + 1)
@@ -324,24 +323,22 @@ def count_augmented_tableaux(lam: Partition, k: int, n: int, N: int) -> int:
     return sum(table.size for table in _augmented_tables(lam, k, n, N, 0))
 
 
-def _on_shapes(shapes) -> Iterator[tuple[Shape, Member]]:
-    for shape in shapes:
-        N = shape.N
-        lengths = _row_lengths(shape.lam, N, shape.extra, shape.row)
+def _members(lam: Partition, N: int, d: int, lengthened) -> Iterator[Member]:
+    """Every member of the family of ``lam`` with N rows and d cells appended,
+    for each lengthened row in turn (d = 0 and row 0: the base family)."""
+    for i in lengthened:
+        lengths = _row_lengths(lam, N, d, i)
         for tau in permutations(range(1, N + 1)):
             options = [
                 combinations_with_replacement(range(tau[r], N + 1), lengths[r])
                 for r in range(N)
             ]
             for rows in product(*options):
-                yield shape, (rows, tau, shape.row)
+                yield rows, tau, i
 
 
-def staircase_members(
-    lam: Partition, n: int, N: int, cap: int = DEFAULT_CAP
-) -> Iterator[tuple[Shape, Member]]:
-    """Deterministic exhaustive stream of the base family, each member as plain
-    data with its shape.
+def staircase_members(lam: Partition, N: int, cap: int = DEFAULT_CAP) -> Iterator[Member]:
+    """Deterministic exhaustive stream of the base family, as plain data.
 
     Refuses with :class:`CapExceededError` when the exact member count
     exceeds ``cap``; counting costs O(2^N * N), so a refusal is cheap.
@@ -349,27 +346,28 @@ def staircase_members(
     count = count_staircase_tableaux(lam, N)
     if count > cap:
         raise CapExceededError(count, cap)
-    yield from _on_shapes([make_extended(lam, N, n)])
+    yield from _members(lam, N, 0, (0,))
 
 
 def augmented_members(
     lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP
-) -> Iterator[tuple[Shape, Member]]:
+) -> Iterator[Member]:
     """Like :func:`staircase_members` for the augmented family, i ascending;
     refuses after N label tables."""
     count = count_augmented_tableaux(lam, k, n, N)
     if count > cap:
         raise CapExceededError(count, cap)
-    yield from _on_shapes(make_extended_row(lam, N, k * n, i, n) for i in range(1, N + 1))
+    yield from _members(lam, N, k * n, range(1, N + 1))
 
 
 def enumerate_staircase_tableaux(
     lam: Partition, n: int, N: int, cap: int = DEFAULT_CAP
 ) -> Iterator[SignedTableau]:
     """Deterministic exhaustive stream of the base family on the staircase
-    extension; wraps :func:`staircase_members`."""
-    members = staircase_members(lam, n, N, cap)
-    return (SignedTableau(shape, rows, tau) for shape, (rows, tau, _) in members)
+    extension; wraps :func:`staircase_members`.  ValueError for n < 1."""
+    ShiftParams(n)
+    members = staircase_members(lam, N, cap)
+    return (SignedTableau(lam, n, N, 0, rows, tau, 0) for rows, tau, _ in members)
 
 
 def enumerate_augmented_tableaux(
@@ -377,22 +375,27 @@ def enumerate_augmented_tableaux(
 ) -> Iterator[SignedTableau]:
     """Deterministic exhaustive stream of the augmented family, i ascending;
     wraps :func:`augmented_members`."""
+    d = k * n
     members = augmented_members(lam, n, k, N, cap)
-    return (SignedTableau(shape, rows, tau) for shape, (rows, tau, _) in members)
+    return (SignedTableau(lam, n, N, d, rows, tau, i) for rows, tau, i in members)
 
 
 def _as_rng(seed: int | random.Random) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-def _draw(shape: Shape, table: _LabelTable, index: int, rng: random.Random) -> SignedTableau:
-    """The member of ``table``'s family whose labeling holds the index-th
-    weighted slot, with each row unranked uniformly among its fillings."""
+def _draw(
+    lam: Partition, n: int, N: int, d: int, i: int,
+    table: _LabelTable, index: int, rng: random.Random,
+) -> SignedTableau:
+    """The member of ``table``'s family, with lengthened row ``i``, whose
+    labeling holds the index-th weighted slot, with each row unranked
+    uniformly among its fillings."""
     tau = table.unrank_labels(index)
     rows = []
     for row, t, length, hi in zip(table.fillings, tau, table.lengths, table.his):
         rows.append(unrank_weakly_increasing(t, hi, length, rng.randrange(row[t - 1])))
-    return SignedTableau(shape, tuple(rows), tau)
+    return SignedTableau(lam, n, N, d, tuple(rows), tau, i)
 
 
 def sample_staircase_tableau(
@@ -404,11 +407,12 @@ def sample_staircase_tableau(
     then each row is unranked uniformly, which makes the overall draw uniform
     over the family.  The labeling is unranked from the subset table of
     :func:`count_staircase_tableaux`: O(2^N * N) time and 2^N entries to
-    build it once, then O(N^2) per labeling drawn.
+    build it once, then O(N^2) per labeling drawn.  ValueError for n < 1.
     """
+    ShiftParams(n)
     rng = _as_rng(seed)
     table = _staircase_table(lam, N)
-    return _draw(make_extended(lam, N, n), table, rng.randrange(table.size), rng)
+    return _draw(lam, n, N, 0, 0, table, rng.randrange(table.size), rng)
 
 
 def sample_augmented_tableau(
@@ -431,7 +435,7 @@ def sample_augmented_tableau(
     while index >= tables[i].size:
         index -= tables[i].size
         i += 1
-    return _draw(make_extended_row(lam, N, k * n, i + 1, n), tables[i], index, rng)
+    return _draw(lam, n, N, k * n, i + 1, tables[i], index, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -507,17 +511,15 @@ def i1(st: SignedTableau) -> SignedTableau:
     are forced to their row index and the labels to the identity.
     """
     validate_member(st)
-    shape = st.shape
-    if shape.kind != EXTENDED:
+    if st.d:
         raise MembershipError("the first pairing map acts on plain staircase extensions")
-    return as_signed_tableau(i1_core(_member(st)), shape.lam, shape.n, shape.N)
+    return as_signed_tableau(i1_core(_member(st)), st.lam, st.n, st.N)
 
 
 def _augmented_params(st: SignedTableau) -> tuple[Partition, int, int, int, int]:
-    shape = st.shape
-    if shape.kind != EXTENDED_ROW:
+    if not st.d:
         raise MembershipError("expected a staircase extension with a lengthened row")
-    return shape.lam, shape.n, shape.N, shape.extra, shape.row
+    return st.lam, st.n, st.N, st.d, st.i
 
 
 def i2_fixed_core(member: Member, d: int) -> bool:
@@ -541,7 +543,7 @@ def i2_core(member: Member, d: int) -> Member:
 def i2(st: SignedTableau) -> SignedTableau:
     """Second pairing map, on the augmented family.
 
-    Fixed when the lengthened row i starts with extra copies of its label.
+    Fixed when the lengthened row i starts with d = k*n copies of its label.
     Otherwise the leading block ends with some value v > tau_i: the block
     moves to the left end of the row labeled v, that row slides right to make
     room, and the two labels swap.  Entries never change, and the vacated and
@@ -586,11 +588,10 @@ def insert_core(member: Member, i: int, d: int) -> Member:
 
 def insert_power_sum_factor(st: SignedTableau, i: int, k: int) -> SignedTableau:
     """Inverse of :func:`extract_power_sum_factor`."""
-    shape = st.shape
-    if shape.kind != EXTENDED:
+    if st.d:
         raise MembershipError("expected a plain staircase extension")
-    d = k * shape.n
-    return as_signed_tableau(insert_core(_member(st), i, d), shape.lam, shape.n, shape.N, d)
+    d = k * st.n
+    return as_signed_tableau(insert_core(_member(st), i, d), st.lam, st.n, st.N, d)
 
 
 def _equal_length_partner(rows, i: int) -> int | None:
@@ -691,13 +692,12 @@ def strip_rows(sigma: Partition, lam: Partition) -> tuple[int, int]:
 
 def slide_from_border_strip(member: SignedTableau, lam: Partition) -> SignedTableau:
     """Inverse of :func:`slide_to_border_strip` for the given base partition."""
-    shape = member.shape
-    if shape.kind != EXTENDED:
+    if member.d:
         raise MembershipError("expected a plain staircase extension")
-    sigma = shape.lam
+    sigma = member.lam
     top, bottom = strip_rows(sigma, lam)
     slid = slide_from_strip_core(_member(member), top, bottom)
-    return as_signed_tableau(slid, lam, shape.n, shape.N, sigma.size - lam.size)
+    return as_signed_tableau(slid, lam, member.n, member.N, sigma.size - lam.size)
 
 
 def in_low_core(member: Member, kl: int) -> bool:
@@ -731,7 +731,7 @@ def i4(st: SignedTableau, shift: ShiftParams) -> SignedTableau:
     validate_member(st)
     lam, n, N, d, i = _augmented_params(st)
     if shift.n != n:
-        raise ValueError(f"shift modulus {shift.n} does not match shape modulus {n}")
+        raise ValueError(f"shift modulus {shift.n} does not match the family modulus {n}")
     if d % n != 0:
         raise ValueError(f"appended cell count {d} is not a multiple of {n}")
     kl = d // n * shift.l

@@ -241,16 +241,6 @@ class Polynomial:
         return f"Polynomial(n={self.n}, {self})"
 
 
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Coefficientwise sum; zero terms are dropped."""
-    return a + b
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Distributive product with exponent addition on shared variables."""
-    return a * b
-
-
 def poly_div_monomial(a: Polynomial, m: Monomial) -> Polynomial:
     """Exact quotient of every term of ``a`` by the monomial ``m``.
 
@@ -265,11 +255,6 @@ def poly_div_monomial(a: Polynomial, m: Monomial) -> Polynomial:
             )
         out[term.divide(m)] = a._terms[term]
     return Polynomial(a.n, out)
-
-
-def min_degree(a: Polynomial) -> Fraction | float:
-    """Minimum over terms of the weight sum; ``math.inf`` for zero."""
-    return a.min_degree()
 
 
 def specialize_forget_color(a: Polynomial) -> Polynomial:

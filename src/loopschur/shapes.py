@@ -1,15 +1,16 @@
-"""Partitions, content coloring, staircase extensions, and border strips.
+"""Partitions, content coloring, the row check of staircase families, and
+border strips.
 
 Conventions: rows are 1-based and grow downward, a partition's leftmost
-column is column 1, and the staircase cells prepended by the extended shapes
-occupy columns <= 0.  A cell's content is ``col - row`` and its color is the
-content reduced mod ``n``, so colors are constant along diagonals.
+column is column 1, and the staircase extension of a partition with N rows
+prepends cells at columns r - N .. 0 of each row r.  A cell's content is
+``col - row`` and its color is the content reduced mod ``n``, so colors are
+constant along diagonals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -69,101 +70,11 @@ def content_color(row: int, col: int, n: int) -> int:
     return (col - row) % n
 
 
-YOUNG = "young"
-EXTENDED = "extended"
-EXTENDED_ROW = "extended_row"
-
-
-@dataclass(frozen=True, slots=True)
-class Shape:
-    """A finite cell set with content coloring.
-
-    Three kinds are supported: the Young diagram of a partition, the
-    staircase extension where row r spans columns r-N .. lam_r, and the
-    staircase extension with ``extra`` cells appended to the right end of one
-    row.  Build instances through the factory functions below.
-    """
-
-    kind: str
-    lam: Partition
-    n: int
-    N: int = 0
-    extra: int = 0
-    row: int = 0
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.lam) if self.kind == YOUNG else self.N
-
-    def bounds(self, r: int) -> tuple[int, int]:
-        """Inclusive (first, last) column of row r; empty rows return (1, 0)."""
-        if not 1 <= r <= self.num_rows:
-            raise ValueError(f"row {r} outside 1..{self.num_rows}")
-        if self.kind == YOUNG:
-            return 1, self.lam.part(r)
-        end = self.lam.part(r) + (self.extra if r == self.row else 0)
-        return r - self.N, end
-
-    def row_length(self, r: int) -> int:
-        lo, hi = self.bounds(r)
-        return hi - lo + 1
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """Yield (row, col) in reading order: rows top to bottom, left to right."""
-        for r in range(1, self.num_rows + 1):
-            lo, hi = self.bounds(r)
-            for c in range(lo, hi + 1):
-                yield r, c
-
-    def contains(self, r: int, c: int) -> bool:
-        if not 1 <= r <= self.num_rows:
-            return False
-        lo, hi = self.bounds(r)
-        return lo <= c <= hi
-
-    def color(self, r: int, c: int) -> int:
-        return content_color(r, c, self.n)
-
-    @property
-    def cell_count(self) -> int:
-        return sum(self.row_length(r) for r in range(1, self.num_rows + 1))
-
-
-def make_young(lam: Partition, n: int) -> Shape:
-    """Young diagram of ``lam`` colored mod ``n``."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    return Shape(YOUNG, lam, n)
-
-
-def make_extended(lam: Partition, N: int, n: int) -> Shape:
-    """Staircase extension: row r spans columns r-N .. lam_r for r = 1..N.
-
-    Requires N >= len(lam) so that every part of ``lam`` has a row.
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    require_rows(lam, N)
-    return Shape(EXTENDED, lam, n, N=N)
-
-
 def require_rows(lam: Partition, N: int) -> None:
     """Raise ValueError unless N >= len(lam): a staircase family of ``lam``
     needs a row for every part."""
     if N < len(lam):
         raise ValueError(f"need N >= {len(lam)} rows for partition {lam}, got {N}")
-
-
-def make_extended_row(lam: Partition, N: int, m: int, i: int, n: int) -> Shape:
-    """Staircase extension with ``m`` cells appended at the right of row ``i``."""
-    if m < 0:
-        raise ValueError(f"appended cell count must be nonnegative, got {m}")
-    if m == 0:
-        return make_extended(lam, N, n)
-    base = make_extended(lam, N, n)
-    if not 1 <= i <= N:
-        raise ValueError(f"row {i} outside 1..{N}")
-    return Shape(EXTENDED_ROW, lam, base.n, N=N, extra=m, row=i)
 
 
 @dataclass(frozen=True, slots=True)

@@ -467,7 +467,7 @@ def _sampled_members(which, lam, n, k, N, shift, samples, rng):
             st = sample_augmented_tableau(lam, n, k, N, rng, shift.l if which == "I4" else 0)
             if which == "I4" and not in_low_family(st, shift):
                 raise MembershipError("the low-family sampler drew a member outside it")
-        yield st.rows, st.tau, st.shape.row
+        yield st.rows, st.tau, st.i
 
 
 def check_involution(
@@ -517,9 +517,8 @@ def check_involution(
     c = _FamilyCheck(lam, n, N, d, (1 if n > 1 else 0) if which == "I1" else l)
 
     if mode == "exhaustive":
-        family = (staircase_members(lam, n, N, cap) if which == "I1"
-                  else augmented_members(lam, n, k, N, cap))
-        members = (member for _, member in family)
+        members = (staircase_members(lam, N, cap) if which == "I1"
+                   else augmented_members(lam, n, k, N, cap))
     else:
         members = _sampled_members(which, lam, n, k, N, shift, samples, random.Random(seed))
     for m in members:

@@ -86,7 +86,7 @@ def reference_draw(table, rng):
     """Bisect the cumulative table for the labeling, then unrank each row.
 
     Returns (lengthened row, rows, tau); the lengthened row is 0 on the base
-    family, as on its shape.
+    family, as in a sampled member.
     """
     choices, cumulative = table
     i, lengths, his, tau = choices[bisect.bisect_right(cumulative, rng.randrange(cumulative[-1]))]
@@ -136,7 +136,7 @@ class TestDraws:
         table = reference_staircase_table(lam, N)
         for seed in range(200):
             st = sample_staircase_tableau(lam, n, N, seed)
-            assert (st.shape.row, st.rows, st.tau) == reference_draw(table, random.Random(seed))
+            assert (st.i, st.rows, st.tau) == reference_draw(table, random.Random(seed))
 
     @pytest.mark.parametrize("n,k", RING)
     @pytest.mark.parametrize("lam,N", SIZES)
@@ -145,7 +145,7 @@ class TestDraws:
         table = reference_augmented_table(lam, k, n, N)
         for seed in range(200):
             st = sample_augmented_tableau(lam, n, k, N, seed)
-            assert (st.shape.row, st.rows, st.tau) == reference_draw(table, random.Random(seed))
+            assert (st.i, st.rows, st.tau) == reference_draw(table, random.Random(seed))
 
 
 class TestLowFamily:
@@ -172,7 +172,7 @@ class TestLowFamily:
         lam, n, k, N, l = Partition(), 3, 1, 3, 2
         shift = ShiftParams(n, l)
         population = {
-            (st.shape.row, st.rows, st.tau): 0
+            (st.i, st.rows, st.tau): 0
             for st in enumerate_augmented_tableaux(lam, n, k, N)
             if in_low_family(st, shift)
         }
@@ -181,7 +181,7 @@ class TestLowFamily:
         rng = random.Random(1414)
         for _ in range(draws):
             st = sample_augmented_tableau(lam, n, k, N, rng, l)
-            population[(st.shape.row, st.rows, st.tau)] += 1
+            population[(st.i, st.rows, st.tau)] += 1
         expected = draws / 18
         sigma = math.sqrt(draws * (1 / 18) * (17 / 18))
         for count in population.values():

@@ -32,8 +32,6 @@ from loopschur import (
     is_column_strict,
     loop_power_sum,
     loop_schur,
-    make_extended,
-    make_extended_row,
     permutation_sign,
     sample_augmented_tableau,
     sample_staircase_tableau,
@@ -54,8 +52,15 @@ from loopschur.tableaux import rows_monomial, staircase_cells
 LAM21 = Partition.of(2, 1)
 
 
-def member(shape, rows, tau):
-    return SignedTableau(shape, tuple(tuple(r) for r in rows), tuple(tau))
+def family(lam, n, N, d=0, i=0):
+    """A family colored mod n with N rows and d cells appended to row i (the
+    base family: d = i = 0), with that row."""
+    return lam, n, N, d, i
+
+
+def member(fam, rows, tau):
+    lam, n, N, d, i = fam
+    return SignedTableau(lam, n, N, d, tuple(tuple(r) for r in rows), tuple(tau), i)
 
 
 class TestMembership:
@@ -65,40 +70,40 @@ class TestMembership:
         assert members[0].rows == ((1,),) and members[0].tau == (1,)
 
     def test_example_pairs_are_members(self):
-        shape = make_extended(LAM21, 5, 3)
-        left = member(shape, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)],
+        fam = family(LAM21, 3, 5)
+        left = member(fam, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)],
                       (2, 5, 4, 1, 3))
-        right = member(shape, [(2, 2, 3, 4, 4, 4, 5), (4, 4, 5, 5, 5), (5, 5, 5), (2, 2), (3,)],
+        right = member(fam, [(2, 2, 3, 4, 4, 4, 5), (4, 4, 5, 5, 5), (5, 5, 5), (2, 2), (3,)],
                        (2, 4, 5, 1, 3))
         validate_member(left)
         validate_member(right)
 
     def test_rejects_low_leading_entry(self):
-        shape = make_extended(Partition(), 2, 1)
+        fam = family(Partition(), 1, 2)
         with pytest.raises(MembershipError):
-            validate_member(member(shape, [(1, 1), (1,)], (1, 2)))
+            validate_member(member(fam, [(1, 1), (1,)], (1, 2)))
 
     def test_rejects_decreasing_row(self):
-        shape = make_extended(Partition(), 2, 1)
+        fam = family(Partition(), 1, 2)
         with pytest.raises(MembershipError):
-            validate_member(member(shape, [(2, 1), (2,)], (1, 2)))
+            validate_member(member(fam, [(2, 1), (2,)], (1, 2)))
 
     def test_rejects_large_entries(self):
-        shape = make_extended(Partition(), 2, 1)
+        fam = family(Partition(), 1, 2)
         with pytest.raises(MembershipError):
-            validate_member(member(shape, [(1, 3), (2,)], (1, 2)))
+            validate_member(member(fam, [(1, 3), (2,)], (1, 2)))
 
     def test_rejects_non_permutation(self):
-        shape = make_extended(Partition(), 2, 1)
+        fam = family(Partition(), 1, 2)
         with pytest.raises(MembershipError):
-            validate_member(member(shape, [(1, 1), (2,)], (1, 1)))
+            validate_member(member(fam, [(1, 1), (2,)], (1, 1)))
 
     # Construction checks nothing, so row lengths that disagree with the
-    # shape must be caught by the membership check of every map.
+    # family must be caught by the membership check of every map.
     @pytest.mark.parametrize("rows", [[(1, 1, 1), (2,)], [(1,), (2,)], [(1, 1)],
                                       [(1, 1), (2,), (2,)]], ids=str)
     def test_rejects_row_lengths_off_the_shape(self, rows):
-        st = member(make_extended(Partition(), 2, 1), rows, (1, 2))
+        st = member(family(Partition(), 1, 2), rows, (1, 2))
         with pytest.raises(MembershipError, match="row lengths"):
             validate_member(st)
         with pytest.raises(MembershipError, match="row lengths"):
@@ -110,14 +115,14 @@ class TestMembership:
     @pytest.mark.parametrize("rows", [[(1, 1, 1, 1, 1), (2,)], [(1, 1)], [(1, 1), (2,), (2,)]],
                              ids=str)
     def test_monomial_refuses_rows_off_the_cell_table(self, rows):
-        st = member(make_extended(Partition(), 2, 1), rows, (1, 2))
+        st = member(family(Partition(), 1, 2), rows, (1, 2))
         with pytest.raises(ValueError):
             st.monomial()
 
     @pytest.mark.parametrize("rows", [[(1, 1, 1), (2,)], [(1, 1), (2,)], [(1, 1), (2, 2, 2)]],
                              ids=str)
     def test_rejects_augmented_row_lengths_off_the_shape(self, rows):
-        st = member(make_extended_row(Partition(), 2, 1, 2, 1), rows, (1, 2))
+        st = member(family(Partition(), 1, 2, 1, 2), rows, (1, 2))
         with pytest.raises(MembershipError, match="row lengths"):
             validate_member(st)
         with pytest.raises(MembershipError, match="row lengths"):
@@ -203,7 +208,7 @@ class TestSampling:
     def test_uniformity_within_three_sigma(self):
         # every member of the 12-element family should appear ~200 times
         population = {
-            (st.shape.row, st.rows, st.tau): 0
+            (st.i, st.rows, st.tau): 0
             for st in enumerate_augmented_tableaux(Partition(), 1, 1, 2)
         }
         assert len(population) == 12
@@ -211,7 +216,7 @@ class TestSampling:
         rng = random.Random(2718)
         for _ in range(draws):
             st = sample_augmented_tableau(Partition(), 1, 1, 2, rng)
-            population[(st.shape.row, st.rows, st.tau)] += 1
+            population[(st.i, st.rows, st.tau)] += 1
         expected = draws / 12
         sigma = math.sqrt(draws * (1 / 12) * (11 / 12))
         for count in population.values():
@@ -220,10 +225,10 @@ class TestSampling:
 
 class TestFirstMap:
     def test_worked_example_pair(self):
-        shape = make_extended(LAM21, 5, 3)
-        left = member(shape, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)],
+        fam = family(LAM21, 3, 5)
+        left = member(fam, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)],
                       (2, 5, 4, 1, 3))
-        right = member(shape, [(2, 2, 3, 4, 4, 4, 5), (4, 4, 5, 5, 5), (5, 5, 5), (2, 2), (3,)],
+        right = member(fam, [(2, 2, 3, 4, 4, 4, 5), (4, 4, 5, 5, 5), (5, 5, 5), (2, 2), (3,)],
                        (2, 4, 5, 1, 3))
         assert i1(left) == right
         assert i1(right) == left
@@ -236,12 +241,12 @@ class TestFirstMap:
                 tuple([r] * (N - r + 1)) + ssyt[r - 1] if r <= len(lam) else tuple([r] * (N - r + 1))
                 for r in range(1, N + 1)
             ]
-            st = member(make_extended(lam, N, n), rows, range(1, N + 1))
+            st = member(family(lam, n, N), rows, range(1, N + 1))
             assert i1(st) == st
 
     def test_single_row_always_fixed(self):
         for rows in combinations_with_replacement((1,), 1):
-            st = member(make_extended(Partition(), 1, 2), [rows], (1,))
+            st = member(family(Partition(), 2, 1), [rows], (1,))
             assert i1(st) == st
 
     def test_exhaustive_properties(self):
@@ -276,27 +281,27 @@ class TestFirstMap:
         assert lhs == rhs
 
     def test_rejects_augmented_shapes(self):
-        st = member(make_extended_row(Partition(), 2, 1, 1, 1), [(1, 1, 1), (2,)], (1, 2))
+        st = member(family(Partition(), 1, 2, 1, 1), [(1, 1, 1), (2,)], (1, 2))
         with pytest.raises(MembershipError):
             i1(st)
 
 
 class TestSecondMap:
     def test_worked_example_pair(self):
-        sh4 = make_extended_row(LAM21, 5, 3, 4, 3)
-        sh5 = make_extended_row(LAM21, 5, 3, 5, 3)
-        a = member(sh4, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5), (3,)],
+        fam4 = family(LAM21, 3, 5, 3, 4)
+        fam5 = family(LAM21, 3, 5, 3, 5)
+        a = member(fam4, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5), (3,)],
                    (2, 5, 4, 1, 3))
-        b = member(sh5, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (4, 5), (2, 2, 3, 3)],
+        b = member(fam5, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (4, 5), (2, 2, 3, 3)],
                    (2, 5, 4, 3, 1))
         assert i2(a) == b
         assert i2(b) == a
 
     def test_fixed_rule(self):
-        sh = make_extended_row(Partition(), 2, 1, 1, 1)
-        fixed = member(sh, [(1, 1, 2), (2,)], (1, 2))
+        fam = family(Partition(), 1, 2, 1, 1)
+        fixed = member(fam, [(1, 1, 2), (2,)], (1, 2))
         assert i2_is_fixed(fixed) and i2(fixed) == fixed
-        moved = member(sh, [(2, 2, 2), (2,)], (1, 2))
+        moved = member(fam, [(2, 2, 2), (2,)], (1, 2))
         assert not i2_is_fixed(moved) and i2(moved) != moved
 
     def test_involution_on_samples(self):
@@ -340,27 +345,27 @@ class TestSecondMap:
 
 class TestThirdMap:
     def test_equal_length_example_pair(self):
-        sh4 = make_extended_row(LAM21, 5, 3, 4, 3)
-        a = member(sh4, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5), (3,)],
+        fam4 = family(LAM21, 3, 5, 3, 4)
+        a = member(fam4, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5), (3,)],
                    (2, 5, 4, 1, 3))
-        c = member(sh4, [(2, 2, 3, 4, 4, 4, 5), (2, 2, 3, 4, 5), (4, 4, 5), (5, 5, 5, 5, 5), (3,)],
+        c = member(fam4, [(2, 2, 3, 4, 4, 4, 5), (2, 2, 3, 4, 5), (4, 4, 5), (5, 5, 5, 5, 5), (3,)],
                    (2, 1, 4, 5, 3))
         assert i3(a) == c
         assert i3(c) == a
 
     def test_slide_example_pair(self):
-        sh3 = make_extended_row(LAM21, 5, 3, 3, 3)
-        start = member(sh3, [(2, 2, 3, 4, 4, 4, 4), (2, 2, 3, 4, 4), (4, 4, 5, 5, 5, 5), (5, 5), (3,)],
+        fam3 = family(LAM21, 3, 5, 3, 3)
+        start = member(fam3, [(2, 2, 3, 4, 4, 4, 4), (2, 2, 3, 4, 4), (4, 4, 5, 5, 5, 5), (5, 5), (3,)],
                        (2, 1, 4, 5, 3))
-        end = member(sh3, [(2, 2, 3, 4, 4, 4, 4), (4, 4, 5, 5, 5), (2, 2, 3, 4, 4, 5), (5, 5), (3,)],
+        end = member(fam3, [(2, 2, 3, 4, 4, 4, 4), (4, 4, 5, 5, 5), (2, 2, 3, 4, 4, 5), (5, 5), (3,)],
                      (2, 4, 1, 5, 3))
         assert i3(start) == end
         assert i3(end) == start
 
     def test_zero_slide_fixed_point(self):
         # lengthening row 1 keeps lengths strictly decreasing: no slides
-        sh = make_extended_row(Partition(), 2, 1, 1, 1)
-        st = member(sh, [(1, 1, 2), (2,)], (1, 2))
+        fam = family(Partition(), 1, 2, 1, 1)
+        st = member(fam, [(1, 1, 2), (2,)], (1, 2))
         assert i3(st) == st
         sigma, height, landed = slide_to_border_strip(st)
         assert sigma == Partition.of(1) and height == 0
@@ -412,11 +417,11 @@ class TestThirdMap:
 
 class TestFourthMap:
     def test_weight_preserved_by_hand(self):
-        sh1 = make_extended_row(Partition(), 3, 2, 1, 2)
-        st = member(sh1, [(1, 1, 1, 1, 1), (2, 2), (3,)], (1, 2, 3))
+        fam1 = family(Partition(), 2, 3, 2, 1)
+        st = member(fam1, [(1, 1, 1, 1, 1), (2, 2), (3,)], (1, 2, 3))
         shift = ShiftParams(2, 1)
         image = i4(st, shift)
-        assert image.shape.row == 2
+        assert image.i == 2
         assert image.rows == ((2, 2, 2), (1, 1, 1, 1), (3,))
         assert image.tau == (2, 1, 3)
         assert image.monomial(1) == st.monomial(1)
@@ -437,8 +442,8 @@ class TestFourthMap:
             assert image.monomial(1) == st.monomial(1)
 
     def test_rejects_high_rows(self):
-        sh1 = make_extended_row(Partition(), 3, 2, 1, 2)
-        st = member(sh1, [(1, 1, 1, 1, 3), (2, 2), (3,)], (1, 2, 3))
+        fam1 = family(Partition(), 2, 3, 2, 1)
+        st = member(fam1, [(1, 1, 1, 1, 3), (2, 2), (3,)], (1, 2, 3))
         with pytest.raises(MembershipError):
             i4(st, ShiftParams(2, 1))
 
@@ -477,8 +482,7 @@ def reference_signed_sum(members, n, l, sign=permutation_sign):
     member: the reference for the keyed signed sums."""
     terms: dict = {}
     for st in members:
-        shape = st.shape
-        cells = staircase_cells(shape.lam, shape.N, shape.extra, shape.n, l)
+        cells = staircase_cells(st.lam, st.N, st.d, st.n, l)
         m = rows_monomial(st.rows, cells, n)
         terms[m] = terms.get(m, 0) + sign(st.tau)
     return Polynomial(n, terms)

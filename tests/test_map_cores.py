@@ -60,12 +60,12 @@ AUGMENTED = [(lam, n, k, N) for lam, n, N in BASE for k in (1, 2)]
 
 
 def reference_weight(st, l):
-    """The cell-by-cell formula: walk each row's columns from ``Shape.bounds``;
-    a cell at (r, c) has content c - r."""
-    shape, n = st.shape, st.shape.n
+    """The cell-by-cell formula: row r of a staircase extension starts at
+    column r - N, and a cell at (r, c) has content c - r."""
+    n = st.n
     variables = []
-    for r in range(1, shape.num_rows + 1):
-        lo, _ = shape.bounds(r)
+    for r in range(1, st.N + 1):
+        lo = r - st.N
         for idx, value in enumerate(st.rows[r - 1]):
             content = lo + idx - r
             variables.append((content % n, n * value + l * content))
@@ -73,7 +73,7 @@ def reference_weight(st, l):
 
 
 def as_member(st):
-    return st.rows, st.tau, st.shape.row
+    return st.rows, st.tau, st.i
 
 
 def assert_weights(st, lam, n, N, d):
@@ -127,8 +127,8 @@ def test_augmented_family_cores_match_wrappers(lam, n, k, N):
                          ids=str)
 def test_weight_code_decodes_to_the_row_tuple_weight(lam, n, k, N):
     # k = 0 is the base family; every shift, l = 0 being the plain weight.
-    family = augmented_members(lam, n, k, N) if k else staircase_members(lam, n, N)
-    fillings = [rows for _, (rows, _, _) in family]
+    family = augmented_members(lam, n, k, N) if k else staircase_members(lam, N)
+    fillings = [rows for rows, _, _ in family]
     for l in range(n):
         cells = staircase_cells(lam, N, k * n, n, l)
         assert_code_matches_rows_monomial(WeightCode(cells, n, N), fillings, cells, n)
@@ -142,7 +142,7 @@ def test_one_pass_sum_of_the_fourth_map(lam, n, k, N):
     for l in range(1, n):
         check = verify._FamilyCheck(lam, n, N, k * n, l)
         unreachable: dict = {}
-        for _, m in augmented_members(lam, n, k, N):
+        for m in augmented_members(lam, n, k, N):
             sign = permutation_sign(m[1])
             if in_low_core(m, check.kl):
                 verify._check_i4_member(check, m, sign)

@@ -6,10 +6,9 @@ from loopschur import (
     content_color,
     enumerate_border_strips,
     is_border_strip,
-    make_extended,
-    make_extended_row,
-    make_young,
 )
+from loopschur.involutions import _row_lengths, validate_in_family
+from loopschur.tableaux import staircase_cells, young_cells
 
 from conftest import brute_partitions
 
@@ -60,49 +59,61 @@ class TestColoring:
 
 
 class TestExtendedShapes:
+    """Row r of the staircase extension with N rows spans columns r - N ..
+    lam_r, plus any appended cells: ``_row_lengths`` gives the row lengths and
+    ``staircase_cells`` the cells, whose content c - r shows up as the
+    weight offset l * content at l = 1."""
+
     def test_staircase_row_lengths(self):
-        shape = make_extended(Partition.of(2, 1), 5, 3)
-        assert [shape.row_length(r) for r in range(1, 6)] == [7, 5, 3, 2, 1]
+        assert _row_lengths(Partition.of(2, 1), 5) == (7, 5, 3, 2, 1)
 
     def test_empty_partition_single_cell(self):
-        shape = make_extended(Partition(), 1, 1)
-        assert list(shape.cells()) == [(1, 0)]
+        assert _row_lengths(Partition(), 1) == (1,)
+        assert staircase_cells(Partition(), 1, 0, 2, 1) == (((1, -1),),)  # column 0
 
     def test_column_rule_by_hand(self):
-        shape = make_extended(Partition.of(1), 2, 2)
-        assert list(shape.cells()) == [(1, -1), (1, 0), (1, 1), (2, 0)]
+        # cells (1, -1), (1, 0), (1, 1) and (2, 0): contents -2, -1, 0 and -2
+        assert _row_lengths(Partition.of(1), 2) == (3, 1)
+        row = ((0, -2), (1, -1), (0, 0))
+        assert staircase_cells(Partition.of(1), 2, 0, 2, 1) == (row, row)
 
     def test_restriction_to_positive_columns_is_young_diagram(self):
-        lam = Partition.of(3, 2, 2, 1)
-        shape = make_extended(lam, 6, 2)
-        young = make_young(lam, 2)
-        positive = [(r, c) for r, c in shape.cells() if c >= 1]
-        assert positive == list(young.cells())
+        # Column c >= 1 of row r is index q = N - r + c of the row, content c - r.
+        lam, N, n = Partition.of(3, 2, 2, 1), 6, 2
+        for l in range(n):
+            rows = staircase_cells(lam, N, 0, n, l)
+            positive = tuple(rows[r - 1][N - r + 1:N - r + 1 + p]
+                             for r, p in enumerate(lam.parts, start=1))
+            assert positive == young_cells(lam, n, l)
 
     def test_staircase_cell_count(self):
         for N in range(1, 8):
-            shape = make_extended(Partition(), N, 1)
-            assert shape.cell_count == N * (N + 1) // 2
+            assert sum(_row_lengths(Partition(), N)) == N * (N + 1) // 2
 
     def test_rejects_too_few_rows(self):
         with pytest.raises(ValueError):
-            make_extended(Partition.of(1, 1), 1, 1)
+            _row_lengths(Partition.of(1, 1), 1)
+        with pytest.raises(ValueError):
+            staircase_cells(Partition.of(1, 1), 1, 0, 1)
 
     def test_extended_row_example(self):
-        shape = make_extended_row(Partition.of(2, 1), 5, 3, 4, 3)
-        assert shape.row_length(4) == 5
-        assert shape.bounds(4) == (-1, 3)
+        lam, N, n = Partition.of(2, 1), 5, 3
+        assert _row_lengths(lam, N, 3, 4)[3] == 5
+        # row 4 starts at column -1, content -5, and its five cells end at column 3
+        assert staircase_cells(lam, N, 3, n, 1)[3][:5] == (
+            (1, -5), (2, -4), (0, -3), (1, -2), (2, -1))
 
     def test_extended_row_smallest(self):
-        shape = make_extended_row(Partition(), 1, 1, 1, 1)
-        assert list(shape.cells()) == [(1, 0), (1, 1)]
+        assert _row_lengths(Partition(), 1, 1, 1) == (2,)
+        assert staircase_cells(Partition(), 1, 1, 2, 1) == (((1, -1), (0, 0)),)  # columns 0, 1
 
     def test_zero_extension_degenerates(self):
-        assert make_extended_row(Partition.of(1), 3, 0, 2, 2) == make_extended(Partition.of(1), 3, 2)
+        assert _row_lengths(Partition.of(1), 3, 0, 2) == _row_lengths(Partition.of(1), 3)
 
     def test_row_index_validated(self):
-        with pytest.raises(ValueError):
-            make_extended_row(Partition(), 2, 1, 3, 1)
+        rows = ((1, 1, 1), (2,))
+        with pytest.raises(ValueError, match="lengthened row 3"):
+            validate_in_family((rows, (1, 2), 3), Partition(), 2, 1)
 
 
 class TestBorderStrips:

@@ -11,7 +11,6 @@ from loopschur import (
     enumerate_ssyt,
     loop_power_sum,
     loop_schur,
-    make_extended,
     sample_staircase_tableau,
     shifted_loop_schur,
     specialize_forget_color,
@@ -285,13 +284,13 @@ class TestStaircaseMonomial:
         assert staircase_monomial(2, 2) == expected
 
     def test_matches_standard_filling(self):
-        # Row r of the staircase on N = 5 rows holds r, read off the shape's
-        # own cells: x(content mod n, n * r + l * content) per cell (r, c).
-        shape = make_extended(Partition(), 5, 3)
-        assert [r for r, _ in shape.cells()] == [1] * 5 + [2] * 4 + [3] * 3 + [4] * 2 + [5]
+        # Row r of the staircase on N = 5 rows spans columns r - 5 .. 0 and
+        # holds r: x(content mod n, n * r + l * content) per cell (r, c).
+        cells = [(r, c) for r in range(1, 6) for c in range(r - 5, 1)]
+        assert [r for r, _ in cells] == [1] * 5 + [2] * 4 + [3] * 3 + [4] * 2 + [5]
         for l in (0, 1, 2):
             factors = {}
-            for r, c in shape.cells():
+            for r, c in cells:
                 key = ((c - r) % 3, 3 * r + l * (c - r))
                 factors[key] = factors.get(key, 0) + 1
             assert staircase_monomial(5, 3, l) == Monomial.from_exponents(factors)

@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,6 @@ from loopschur import (
     loop_power_sum,
     loop_schur,
     parse_grid_config,
-    poly_mul,
     run_grid,
     shifted_loop_schur,
     specialize_forget_color,
@@ -137,8 +138,8 @@ class TestKeyedIdentities:
                         assert code.polynomial(keys) == strip_sum_polynomial(lam, n, k, N, l)
                         if l == 0:
                             lhs = verify_mod._power_sum_product(lam, n, k, N, code)
-                            assert code.polynomial(lhs) == poly_mul(loop_power_sum(k, n, N),
-                                                                    loop_schur(lam, n, N))
+                            product = loop_power_sum(k, n, N) * loop_schur(lam, n, N)
+                            assert code.polynomial(lhs) == product
 
     # |sigma| = |lambda| + kn = 8 needs a 4-bit field, and the power sum's
     # x(0, 1) times the all-ones filling of lambda reaches exponent 8; a width
@@ -148,7 +149,7 @@ class TestKeyedIdentities:
         N = k + 1
         strips, _, code = verify_mod._signed_border_strip_sum(lam, 1, k, N)
         lhs = code.polynomial(verify_mod._power_sum_product(lam, 1, k, N, code))
-        assert lhs == poly_mul(loop_power_sum(k, 1, N), loop_schur(lam, 1, N))
+        assert lhs == loop_power_sum(k, 1, N) * loop_schur(lam, 1, N)
         assert lhs.coefficient(Monomial.from_exponents({(0, 1): 8})) == 1
         assert code.polynomial(strips) == strip_sum_polynomial(lam, 1, k, N)
         report = verify_murnaghan_nakayama(lam, 1, k, N)
@@ -161,7 +162,7 @@ class TestKeyedIdentities:
         report = verify_murnaghan_nakayama(lam, n, k, N)
         assert not report.passed
         rhs = strip_sum_polynomial(lam, n, k, N, strips=flipped(lam, k * n))
-        difference = poly_mul(loop_power_sum(k, n, N), loop_schur(lam, n, N)) - rhs
+        difference = loop_power_sum(k, n, N) * loop_schur(lam, n, N) - rhs
         assert report.witness == {"difference": to_document(difference)}
         assert report.details["rhs_terms"] == len(rhs)
 
@@ -343,6 +344,47 @@ FAULT_FAMILIES = {
 }
 
 
+def replace_on_verify(name, corrupt):
+    """A fault: the function ``name`` on verify, which only the member checks
+    call, becomes ``corrupt(original, *args)``."""
+    def apply(case, monkeypatch):
+        original = getattr(verify_mod, name)
+        monkeypatch.setattr(verify_mod, name, lambda *args: corrupt(original, *args))
+    return apply
+
+
+def shifted_weight_not_preserved(which):
+    """A fault: the map's core re-pairs two moved pairs so that the sign flips
+    and the plain weight is kept, but the shifted weight is not."""
+    def apply(case, monkeypatch):
+        pairing = case.shifted_pairs(which)
+        core = getattr(verify_mod, f"{which.lower()}_core")
+        monkeypatch.setattr(verify_mod, f"{which.lower()}_core",
+                            lambda m, *args: pairing.get(m) or core(m, *args))
+    return apply
+
+
+def one_more_slide(original, member):
+    parts, height, landed = original(member)
+    return parts, height + 1, landed
+
+
+# (map, property) -> a fault that must make the exhaustive check of that map
+# on FAULT_FAMILIES report that property.  Each one is also a mutant of the
+# member checks that no other test catches.
+FAULTS = {
+    ("I1", "fixed_point_shape"): replace_on_verify("entries_standard_core", lambda f, rows: False),
+    ("I1", "shifted_weight"): shifted_weight_not_preserved("I1"),
+    ("I2", "factor_roundtrip"): replace_on_verify(
+        "insert_core", lambda f, base, i, d: f(base, i, d)[:2] + (0,)),
+    ("I3", "strip_shape"): replace_on_verify("is_border_strip", lambda f, *args: False),
+    ("I3", "slide_sign_or_weight"): replace_on_verify("slide_to_strip_core", one_more_slide),
+    ("I3", "slide_roundtrip"): replace_on_verify(
+        "slide_from_strip_core", lambda f, m, top, bottom: f(m, top, bottom)[:2] + (0,)),
+    ("I3", "shifted_weight"): shifted_weight_not_preserved("I3"),
+}
+
+
 class TestInvolutionCheckCatchesFaultyMaps:
     """``check_involution`` applies the map cores it finds on ``verify``; a
     corrupted core must give a failing report naming the broken property."""
@@ -355,12 +397,12 @@ class TestInvolutionCheckCatchesFaultyMaps:
         """The members the check visits, each with its image under the true core."""
         lam, n, k, N, l = FAULT_FAMILIES[which]
         if which == "I1":
-            stream = verify_mod.staircase_members(lam, n, N)
+            stream = verify_mod.staircase_members(lam, N)
         else:
             stream = verify_mod.augmented_members(lam, n, k, N)
         core = getattr(verify_mod, f"{which.lower()}_core")
         args = self.core_args(which)
-        return [(m, core(m, *args)) for _, m in stream
+        return [(m, core(m, *args)) for m in stream
                 if which != "I4" or verify_mod.in_low_core(m, k * l)]
 
     def check(self, which, monkeypatch, corrupt):
@@ -368,6 +410,10 @@ class TestInvolutionCheckCatchesFaultyMaps:
         name = f"{which.lower()}_core"
         core = getattr(verify_mod, name)
         monkeypatch.setattr(verify_mod, name, lambda m, *args: corrupt(core, m, *args))
+        return self.failed_property(which)
+
+    def failed_property(self, which):
+        """The property named by the failing exhaustive check of ``which``."""
         lam, n, k, N, l = FAULT_FAMILIES[which]
         report = check_involution(which, lam, n, k, N, l=l)
         assert not report.passed
@@ -399,6 +445,24 @@ class TestInvolutionCheckCatchesFaultyMaps:
                     b, b2 = b2, b
                 return {a: b, b: a, a2: b2, b2: a2}
         raise AssertionError("no second pair to swap with")
+
+    def shifted_pairs(self, which):
+        """Two moved pairs {a, a'} and {b, b'} re-paired as a <-> b', a' <-> b,
+        where a and b share a sign and a plain weight but not a shifted weight:
+        every new pair reverses the sign and keeps the plain weight only."""
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        d = 0 if which == "I1" else k * n
+        pairs, seen = [], {}
+        for m, image in self.members(which):
+            if image != m and all(m not in pair for pair in pairs):
+                pairs.append((m, image))
+                st = verify_mod.as_signed_tableau(m, lam, n, N, d)
+                key = st.sign, st.monomial()
+                for b, b2, shifted in seen.get(key, ()):
+                    if shifted != st.monomial(1):
+                        return {m: b2, b2: m, image: b, b: image}
+                seen.setdefault(key, []).append((m, image, st.monomial(1)))
+        raise AssertionError("no two pairs differ in their shifted weight only")
 
     @pytest.mark.parametrize("fault", ["entry above N", "extra cell"])
     @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
@@ -469,6 +533,11 @@ class TestInvolutionCheckCatchesFaultyMaps:
         assert report.witness == witness
         assert list(report.witness["member"]) == list(witness["member"])
 
+    @pytest.mark.parametrize("which,expected", list(FAULTS), ids=str)
+    def test_fault_reports_its_property(self, which, expected, monkeypatch):
+        FAULTS[which, expected](self, monkeypatch)
+        assert self.failed_property(which) == expected
+
     def test_false_fixed_point_breaks_the_factor_law(self, monkeypatch):
         # A moved pair of the second map is declared fixed by both the core and
         # the fixed-point rule, so the check extracts a leading block that is
@@ -488,17 +557,56 @@ class TestInvolutionCheckCatchesFaultyMaps:
 
         def dropping(*args):
             dropped = False
-            for shape, m in stream(*args):
+            for m in stream(*args):
                 if not dropped and verify_mod.in_low_core(m, k * l):
                     dropped = True
                     continue
-                yield shape, m
+                yield m
 
         monkeypatch.setattr(verify_mod, "augmented_members", dropping)
         report = check_involution("I4", lam, n, k, N, l=l)
         assert not report.passed
         assert report.witness == {"property": "unreachable_sum_mismatch", "member": None}
         assert report.details["failures"] == 1
+
+
+# (map, property) -> the test above whose fault makes the check report it.
+PROPERTY_FIXTURES = {
+    **{(which, "closure"): "test_image_outside_the_family" for which in FAULT_FAMILIES},
+    **{(which, "involution"): "test_image_not_involutive" for which in FAULT_FAMILIES},
+    ("I1", "fixed_iff_column_strict"): "test_core_that_fixes_every_member",
+    ("I2", "fixed_point_rule"): "test_core_that_fixes_every_member",
+    ("I3", "landing_not_fixed"): "test_core_that_fixes_every_member",
+    ("I4", "unexpected_fixed_point"): "test_core_that_fixes_every_member",
+    ("I1", "sign_or_weight"): "test_sign_not_reversed",
+    ("I2", "sign_or_weight"): "test_sign_not_reversed",
+    ("I3", "sign_or_weight"): "test_sign_not_reversed",
+    ("I4", "sign"): "test_sign_not_reversed",
+    ("I4", "shifted_weight"): "test_weight_not_preserved",
+    ("I2", "factor_weight_law"): "test_false_fixed_point_breaks_the_factor_law",
+    ("I4", "unreachable_sum_mismatch"): "test_dropped_reachable_member_breaks_the_unreachable_sum",
+    **{key: "test_fault_reports_its_property" for key in FAULTS},
+}
+
+
+def reported_properties():
+    """Every (map, property) that ``check_involution`` can report, read off the
+    source of ``verify``: the ``c.fail`` names of each member check, and the
+    fourth map's failure appended after its pass."""
+    found = set()
+    for which in FAULT_FAMILIES:
+        source = inspect.getsource(getattr(verify_mod, f"_check_{which.lower()}_member"))
+        found |= {(which, name) for name in re.findall(r'c\.fail\("(\w+)"', source)}
+    source = inspect.getsource(verify_mod.check_involution)
+    found |= {("I4", name) for name in re.findall(r'failures\.append\(\("(\w+)"', source)}
+    return found
+
+
+def test_every_reported_property_has_a_fault_fixture():
+    assert len({name for _, name in reported_properties()}) == 16  # the parse found them all
+    assert reported_properties() == set(PROPERTY_FIXTURES)
+    for test in PROPERTY_FIXTURES.values():
+        assert callable(getattr(TestInvolutionCheckCatchesFaultyMaps, test))
 
 
 class TestGrid:
