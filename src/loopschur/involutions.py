@@ -42,9 +42,12 @@ row tuples, the labels and the lengthened row (0 on the base family).  A core
 trusts its input and builds nothing.  The public maps are thin wrappers that
 validate their input, call the core, then validate the output and wrap it in
 a :class:`SignedTableau`, the member with its family's parameters.
-``check_involution`` applies the cores directly and validates each image once
-with :func:`validate_in_family`; enumerated and sampled members are valid by
-construction.
+``check_involution`` applies the cores directly, and its exhaustive walk checks
+each pair of a map once, from the lesser member in tuple order; it validates
+each moved image it checks with :func:`validate_in_family`, and matches the
+count of forward members checked against the backward ones it skips, falling
+back to checking every member on its own when a check fails or the counts
+differ.  Enumerated and sampled members are valid by construction.
 """
 
 from __future__ import annotations

@@ -366,9 +366,8 @@ class _FamilyCheck:
         return False
 
 
-def _check_i1_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
-    image = i1_core(m)
-    if not c.closed(image):
+def _check_i1_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
+    if image != m and not c.closed(image):
         return c.fail("closure", m)
     if i1_core(image) != m:
         return c.fail("involution", m)
@@ -386,9 +385,8 @@ def _check_i1_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
     return fixed
 
 
-def _check_i2_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
-    image = i2_core(m, c.d)
-    if not c.closed(image):
+def _check_i2_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
+    if image != m and not c.closed(image):
         return c.fail("closure", m)
     if i2_core(image, c.d) != m:
         return c.fail("involution", m)
@@ -408,9 +406,8 @@ def _check_i2_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
     return fixed
 
 
-def _check_i3_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
-    image = i3_core(m)
-    if not c.closed(image):
+def _check_i3_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
+    if image != m and not c.closed(image):
         return c.fail("closure", m)
     if i3_core(image) != m:
         return c.fail("involution", m)
@@ -437,10 +434,7 @@ def _check_i3_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
     return fixed
 
 
-def _check_i4_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
-    weight = c.weight(m, True)
-    c.reachable[weight] = c.reachable.get(weight, 0) + sign
-    image = i4_core(m, c.d, c.kl)
+def _check_i4_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
     if not c.closed(image) or not in_low_core(image, c.kl):
         return c.fail("closure", m)
     if i4_core(image, c.d, c.kl) != m:
@@ -449,13 +443,72 @@ def _check_i4_member(c: _FamilyCheck, m: Member, sign: int) -> bool:
         return c.fail("unexpected_fixed_point", m)
     if c.sign(image[1]) != -sign:
         return c.fail("sign", m)
-    if c.weight(image, True) != weight:
+    if c.weight(image, True) != c.weight(m, True):
         return c.fail("shifted_weight", m)
     return False
 
 
-_MEMBER_CHECKS = {"I1": _check_i1_member, "I2": _check_i2_member,
-                  "I3": _check_i3_member, "I4": _check_i4_member}
+# Per map: its core, its member check, and the part of a moved image's own
+# check that the check of its partner does not already cover: the image is
+# not column-strict (first map) or not named fixed by the rule (second map).
+# The other checks are symmetric in the pair.
+_MAPS = {
+    "I1": (lambda c, m: i1_core(m), _check_i1_member,
+           lambda c, image: column_violation(image[0]) is not None),
+    "I2": (lambda c, m: i2_core(m, c.d), _check_i2_member,
+           lambda c, image: not i2_fixed_core(image, c.d)),
+    "I3": (lambda c, m: i3_core(m), _check_i3_member, lambda c, image: True),
+    "I4": (lambda c, m: i4_core(m, c.d, c.kl), _check_i4_member, lambda c, image: True),
+}
+
+
+def _walk_each(c: _FamilyCheck, which: str, members) -> tuple[int, int]:
+    """Check every member on its own; returns the members checked and the
+    fixed points.  For the fourth map it also adds up the signed shifted
+    weights of the members it reaches in ``c.reachable``."""
+    core, check_member, _ = _MAPS[which]
+    low = which == "I4"
+    checked = fixed = 0
+    for m in members:
+        if low and not in_low_core(m, c.kl):
+            continue  # unreachable by the fourth map
+        checked += 1
+        sign = c.sign(m[1])
+        if low:
+            weight = c.weight(m, True)
+            c.reachable[weight] = c.reachable.get(weight, 0) + sign
+        fixed += check_member(c, m, sign, core(c, m))
+    return checked, fixed
+
+
+def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
+    """Check each orbit of the map once; returns what :func:`_walk_each`
+    returns when every check passes, and None otherwise.
+
+    A member whose image precedes it in tuple order is *backward* and only
+    counted.  Every other member is checked with its image; a moved one,
+    *forward*, also has its image's own checks confirmed.  The images of the
+    forward members are distinct backward members, so when the two counts
+    agree every backward member is such an image and its check is implied.
+    The cancelled pairs leave ``c.reachable`` empty.
+    """
+    core, check_member, check_image = _MAPS[which]
+    low = which == "I4"
+    checked = fixed = forward = backward = 0
+    for m in members:
+        if low and not in_low_core(m, c.kl):
+            continue  # unreachable by the fourth map
+        checked += 1
+        image = core(c, m)
+        if image < m:
+            backward += 1
+        elif check_member(c, m, c.sign(m[1]), image):
+            fixed += 1
+        elif c.failures or not check_image(c, image):
+            return None
+        else:
+            forward += 1
+    return (checked, fixed) if forward == backward else None
 
 
 def _sampled_members(which, lam, n, k, N, shift, samples, rng):
@@ -485,18 +538,27 @@ def check_involution(
     """Exercise one pairing map over its family and report property failures.
 
     Exhaustive mode walks the whole family (subject to the cap); sampled mode
-    draws the requested number of members (at least one) with the given seed.  Checked per
-    member: the involution property, closure in the family, sign reversal and
-    weight preservation off fixed points, and the fixed-point behavior
-    specific to the map.  The second to fourth maps need k >= 1, refused before
-    any counting.  The fourth map additionally requires l >= 1; its sampled
-    members are drawn directly from the members it acts on, and in exhaustive
-    mode the members it cannot reach must carry the whole signed shifted sum,
-    which the same pass checks as the members it reaches cancelling.  Members
-    are walked as plain data, and each image is validated once.
+    draws the requested number of members (at least one) with the given seed.
+    Checked per member: the involution property, closure in the family, sign
+    reversal and weight preservation off fixed points, and the fixed-point
+    behavior specific to the map.  The second to fourth maps need k >= 1,
+    refused before any counting.  The fourth map additionally requires
+    l >= 1; its sampled members are drawn directly from the members it acts
+    on, and in exhaustive mode the members it cannot reach must carry the
+    whole signed shifted sum, that is, the members it reaches must cancel.
+
+    Members are walked as plain data.  The exhaustive walk checks each pair
+    of the map once, from its lesser member in tuple order, together with the
+    checks its image's own turn would run; the greater member is only
+    counted.  It passes when every check passes and the forward and backward
+    counts agree; otherwise the family is walked again checking every member
+    on its own, so a failing report names the same first witness and number
+    of failures either way.  Sampled mode always checks member by member.  A
+    fixed point's image is the member itself, valid by construction, so only
+    moved images are validated, which is the closure check.
     """
     which = which.upper()
-    if which not in _MEMBER_CHECKS:
+    if which not in _MAPS:
         raise PreconditionError(f"unknown pairing map {which!r}")
     if which == "I4" and not 1 <= l < n:
         raise PreconditionError(f"the fourth map needs 1 <= l < n, got l={l}, n={n}")
@@ -508,28 +570,25 @@ def check_involution(
     if lengthened and k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
     start = time.perf_counter()
-    fixed_count = 0
-    total = 0
     shift = ShiftParams(n, l)
-    check_member = _MEMBER_CHECKS[which]
-    low = which == "I4"
     d = k * n if lengthened else 0
-    c = _FamilyCheck(lam, n, N, d, (1 if n > 1 else 0) if which == "I1" else l)
+    family = lambda: _FamilyCheck(lam, n, N, d, (1 if n > 1 else 0) if which == "I1" else l)
+    c = family()
 
     if mode == "exhaustive":
-        members = (staircase_members(lam, N, cap) if which == "I1"
-                   else augmented_members(lam, n, k, N, cap))
+        members = lambda: (staircase_members(lam, N, cap) if which == "I1"
+                           else augmented_members(lam, n, k, N, cap))
+        counts = _walk_pairs(c, which, members())
+        if counts is None:  # walk again member by member, for the failures it reports
+            c = family()
+            counts = _walk_each(c, which, members())
     else:
-        members = _sampled_members(which, lam, n, k, N, shift, samples, random.Random(seed))
-    for m in members:
-        if low and not in_low_core(m, c.kl):
-            continue  # unreachable by the fourth map
-        total += 1
-        if check_member(c, m, c.sign(m[1])):
-            fixed_count += 1
+        counts = _walk_each(c, which, _sampled_members(which, lam, n, k, N, shift, samples,
+                                                       random.Random(seed)))
+    total, fixed_count = counts
     # The unreachable members carry the whole signed shifted sum exactly when
     # the reachable ones cancel.
-    if low and mode == "exhaustive" and any(c.reachable.values()):
+    if which == "I4" and mode == "exhaustive" and any(c.reachable.values()):
         c.failures.append(("unreachable_sum_mismatch", None))
 
     failures = c.failures
@@ -636,7 +695,7 @@ CHECKS = (
     CheckSpec(
         "involution-check", "involution", "exercise one pairing map over its family",
         (
-            Param("which", str.upper, choices=tuple(_MEMBER_CHECKS)), _LAMBDA, _N, _TRUNCATION,
+            Param("which", str.upper, choices=tuple(_MAPS)), _LAMBDA, _N, _TRUNCATION,
             Param("k", default=1), Param("l", default=0),
             Param("mode", str, "exhaustive", ("exhaustive", "samples")),
             Param("samples", default=1000), Param("seed", default=0), _CAP,

@@ -136,19 +136,21 @@ def test_weight_code_decodes_to_the_row_tuple_weight(lam, n, k, N):
 
 @pytest.mark.parametrize("lam,n,k,N", [case for case in AUGMENTED if case[1] > 1], ids=str)
 def test_one_pass_sum_of_the_fourth_map(lam, n, k, N):
-    # check_involution accumulates the reachable members' signed shifted sum
-    # in its one pass and requires it to vanish; with the unreachable members'
-    # sum it must make up the whole signed sum.
+    # The per-member walk of check_involution accumulates the reachable
+    # members' signed shifted sum and requires it to vanish; with the
+    # unreachable members' sum it must make up the whole signed sum.  The
+    # pair walk cancels each pair it checks, so it leaves that sum empty.
     for l in range(1, n):
         check = verify._FamilyCheck(lam, n, N, k * n, l)
+        verify._walk_each(check, "I4", augmented_members(lam, n, k, N))
         unreachable: dict = {}
         for m in augmented_members(lam, n, k, N):
-            sign = permutation_sign(m[1])
-            if in_low_core(m, check.kl):
-                verify._check_i4_member(check, m, sign)
-            else:
+            if not in_low_core(m, check.kl):
                 weight = check.weight(m, True)
-                unreachable[weight] = unreachable.get(weight, 0) + sign
+                unreachable[weight] = unreachable.get(weight, 0) + permutation_sign(m[1])
+        pair = verify._FamilyCheck(lam, n, N, k * n, l)
+        assert verify._walk_pairs(pair, "I4", augmented_members(lam, n, k, N)) is not None
+        assert not pair.reachable
         assert not check.failures
         decode = check.shifted.decode
         reachable = Polynomial(n, {decode(key): c for key, c in check.reachable.items()})

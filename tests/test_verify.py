@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -364,6 +365,13 @@ def shifted_weight_not_preserved(which):
     return apply
 
 
+def sign_and_weight(which, member):
+    """The label sign and the plain weight of a member of ``which``'s fault family."""
+    lam, n, k, N, l = FAULT_FAMILIES[which]
+    st = verify_mod.as_signed_tableau(member, lam, n, N, 0 if which == "I1" else k * n)
+    return st.sign, st.monomial()
+
+
 def one_more_slide(original, member):
     parts, height, landed = original(member)
     return parts, height + 1, landed
@@ -569,6 +577,75 @@ class TestInvolutionCheckCatchesFaultyMaps:
         assert report.witness == {"property": "unreachable_sum_mismatch", "member": None}
         assert report.details["failures"] == 1
 
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    def test_fault_only_the_pair_counts_catch(self, which, monkeypatch):
+        # x < y is a moved pair, and z belongs to another moved pair and
+        # precedes x.  With i(x) = z, both x and y look backward, so no
+        # forward check meets the fault, and only the counts disagree.
+        pairs = {min(m, image): max(m, image) for m, image in self.members(which) if image != m}
+        x = max(pairs)
+        z = min(pairs)
+        assert z < x
+        original = verify_mod._walk_pairs
+        walks = []
+
+        def spied(c, *args):
+            counts = original(c, *args)
+            walks.append((counts, list(c.failures)))
+            return counts
+
+        monkeypatch.setattr(verify_mod, "_walk_pairs", spied)
+        corrupt = lambda core, m, *args: z if m == x else core(m, *args)
+        assert self.check(which, monkeypatch, corrupt) == "involution"
+        assert walks == [(None, [])]
+        self.assert_per_member_report(which, monkeypatch)
+
+    @pytest.mark.parametrize("which,expected", [
+        ("I1", "fixed_iff_column_strict"), ("I2", "fixed_point_rule"),
+    ])
+    def test_fault_only_the_image_check_catches(self, which, expected, monkeypatch):
+        # A moved member x is re-paired with a later fixed point y of the same
+        # weight and the other sign, and x's own partner leaves the stream:
+        # signs, weights and counts still balance, and y breaks its map's
+        # fixed-point rule only where x's check looks at its image.  With two
+        # colors the first map's shifted weight check catches every such
+        # re-pairing of its fault family, so it runs here with one.
+        if which == "I1":
+            monkeypatch.setitem(FAULT_FAMILIES, "I1", (Partition.of(1), 1, 1, 3, 0))
+        members = self.members(which)
+        opposite = lambda y: (-sign_and_weight(which, y)[0], sign_and_weight(which, y)[1])
+        x, partner, y = next((x, partner, y) for y, image in members if image == y
+                             for x, partner in members
+                             if partner != x and x < y and sign_and_weight(which, x) == opposite(y))
+        name = "staircase_members" if which == "I1" else "augmented_members"
+        stream = getattr(verify_mod, name)
+        monkeypatch.setattr(verify_mod, name,
+                            lambda *args: (m for m in stream(*args) if m != partner))
+        pairing = {x: y, y: x}
+        corrupt = lambda core, m, *args: pairing.get(m) or core(m, *args)
+        assert self.check(which, monkeypatch, corrupt) == expected
+        self.assert_per_member_report(which, monkeypatch)
+
+    @pytest.mark.parametrize("same_sign", [True, False])
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    def test_swapped_pairs_report_as_the_per_member_walk(self, which, same_sign, monkeypatch):
+        pairing = self.swapped_pairs(which, same_sign)
+        self.check(which, monkeypatch, lambda core, m, *args: pairing.get(m) or core(m, *args))
+        self.assert_per_member_report(which, monkeypatch)
+
+    @pytest.mark.parametrize("which,expected", list(FAULTS), ids=str)
+    def test_fault_reports_as_the_per_member_walk(self, which, expected, monkeypatch):
+        FAULTS[which, expected](self, monkeypatch)
+        self.assert_per_member_report(which, monkeypatch)
+
+    def assert_per_member_report(self, which, monkeypatch):
+        """The failing exhaustive report of ``which`` on its fault family is
+        the report of the walk that checks every member on its own."""
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        report = check_involution(which, lam, n, k, N, l=l)
+        assert not report.passed
+        assert report.to_json() == per_member_report(monkeypatch, which, lam, n, k, N, l).to_json()
+
 
 # (map, property) -> the test above whose fault makes the check report it.
 PROPERTY_FIXTURES = {
@@ -607,6 +684,68 @@ def test_every_reported_property_has_a_fault_fixture():
     assert reported_properties() == set(PROPERTY_FIXTURES)
     for test in PROPERTY_FIXTURES.values():
         assert callable(getattr(TestInvolutionCheckCatchesFaultyMaps, test))
+
+
+def per_member_report(monkeypatch, which, lam, n, k, N, l):
+    """The exhaustive report of the walk that checks every member on its own."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod, "_walk_pairs", lambda *args: None)
+        return check_involution(which, lam, n, k, N, l=l)
+
+
+def small_families(which):
+    """(lambda, n, k, N, l) for lambda in {0, (1), (2,1)}, n <= 3, k <= 2,
+    N <= 3 and every l the map admits."""
+    for lam in (Partition(), Partition.of(1), Partition.of(2, 1)):
+        for n in (1, 2, 3):
+            for k in ((1,) if which == "I1" else (1, 2)):
+                for N in range(len(lam), 4):
+                    for l in (range(1, n) if which == "I4" else (0,)):
+                        yield lam, n, k, N, l
+
+
+class TestPairWalk:
+    """The exhaustive walk checks each pair of a map once; its reports must be
+    those of the walk that checks every member on its own."""
+
+    def no_fallback(self, monkeypatch):
+        """Make the per-member walk fail the test when the exhaustive check
+        falls back to it."""
+        def refused(*args):
+            raise AssertionError("the pair walk fell back to the per-member walk")
+        monkeypatch.setattr(verify_mod, "_walk_each", refused)
+
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    def test_reports_equal_the_per_member_walk(self, which, monkeypatch):
+        cases = list(small_families(which))
+        expected = [per_member_report(monkeypatch, which, *case).to_json() for case in cases]
+        self.no_fallback(monkeypatch)
+        for case, reference in zip(cases, expected):
+            assert check_involution(which, case[0], *case[1:4], l=case[4]).to_json() == reference
+
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    def test_reversed_stream_gives_the_same_report(self, which, monkeypatch):
+        # The counts do not depend on the order the members arrive in.
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        expected = per_member_report(monkeypatch, which, lam, n, k, N, l).to_json()
+        for name in ("staircase_members", "augmented_members"):
+            stream = getattr(verify_mod, name)
+            monkeypatch.setattr(verify_mod, name,
+                                lambda *args, stream=stream: reversed(list(stream(*args))))
+        self.no_fallback(monkeypatch)
+        assert check_involution(which, lam, n, k, N, l=l).to_json() == expected
+
+    def test_memory_stays_bounded(self):
+        # 53,870 members in 26,933 pairs and 4 fixed points: the walk keeps
+        # counters, not a set of the members it has seen.
+        tracemalloc.start()
+        try:
+            report = check_involution("I3", Partition(), 1, 1, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.details["checked"] == 53_870
+        assert peak < 2 * 2**20
 
 
 class TestGrid:
