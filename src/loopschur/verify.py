@@ -553,9 +553,9 @@ def check_involution(
     counted.  It passes when every check passes and the forward and backward
     counts agree; otherwise the family is walked again checking every member
     on its own, so a failing report names the same first witness and number
-    of failures either way.  Sampled mode always checks member by member.  A
-    fixed point's image is the member itself, valid by construction, so only
-    moved images are validated, which is the closure check.
+    of failures either way.  Sampled mode always checks member by member.  The
+    closure check validates an image; a fixed point's image is the member
+    itself, valid by construction, so it is not validated again.
     """
     which = which.upper()
     if which not in _MAPS:
