@@ -8,13 +8,21 @@ weight invariant under every move that shifts a cell by a multiple of n
 columns while compensating the entry, which is exactly what the pairing maps
 in :mod:`loopschur.involutions` do.  On an ordinary Young diagram all shifted
 weights stay positive; on staircase extensions they may reach zero or below.
+
+Weights are counted as packed integer keys (:class:`WeightCode`).
+:func:`ssyt_keys`, behind every SSYT builder and identity check, enumerates
+only the rows above the last; the last row is filled in bulk, its keys built
+once per distinct run of entries above it and added to each upper key by
+C-level iteration.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product, starmap
+from operator import add
 from typing import Iterator
 
 from .polyring import Monomial, Polynomial
@@ -142,15 +150,16 @@ class WeightCode:
                                  for row in table for color, offset in row for v in values})
         self.width = max(sum(map(len, table)) for table in tables).bit_length()
         self.unit = {var: 1 << (j * self.width) for j, var in enumerate(self.variables)}
-        rows = {row: (tuple({v: self.unit[(color, n * v + offset)] for v in values}
-                            for color, offset in row), {}) for row in set().union(*tables)}
-        self._tables = {t: tuple(rows[row] for row in t) for t in tables}  # (bits, memo) per row
+        # (bits, memo) per row of a table: bits[c][v] is the key of entry v in cell c.
+        self._rows = {row: (tuple({v: self.unit[(color, n * v + offset)] for v in values}
+                                  for color, offset in row), {}) for row in set().union(*tables)}
+        self._powers: dict[tuple[int, int], int] = {}
         self.key = self.keyer(cells)
 
     def keyer(self, cells):
-        """The key function of fillings of ``cells``, one of the code's tables:
-        the key of :func:`rows_monomial`, raising ValueError as it does."""
-        tables = self._tables[cells]
+        """The key function of fillings of ``cells``, whose rows are rows of the
+        code's tables: the key of :func:`rows_monomial`, raising ValueError as it does."""
+        tables = tuple(self._rows[row] for row in cells)
         def key(rows) -> int:
             if len(rows) != len(tables):
                 raise ValueError(f"{len(rows)} rows for {len(tables)} cell tables")
@@ -165,9 +174,18 @@ class WeightCode:
             return total
         return key
 
+    def cell_bits(self, row) -> tuple:
+        """The keys of the entries of each cell of ``row``, a row of the code's
+        tables: ``cell_bits(row)[c][v]`` is the key of entry v in cell c."""
+        return self._rows[row][0]
+
     def power_key(self, j: int, k: int) -> int:
-        """The key of (prod_i x(i, j))^k, the j-th term of the loop power sum."""
-        return k * sum(self.unit[(i, self.n * j)] for i in range(self.n))
+        """The key of (prod_i x(i, j))^k, the j-th term of the loop power sum;
+        each is computed once per code."""
+        key = self._powers.get((j, k))
+        if key is None:
+            key = self._powers[(j, k)] = k * sum(self.unit[(i, self.n * j)] for i in range(self.n))
+        return key
 
     def decode(self, key: int) -> Monomial:
         """The monomial of a key, in the variables' canonical order.  A run of
@@ -210,11 +228,45 @@ def ssyt_code(shapes, n: int, l: int, N: int) -> WeightCode:
     return WeightCode(cells[0], n, N, cells[1:])
 
 
+def _row_keys(bits, above, N: int):
+    """An iterable of the keys of every weakly increasing filling of a row with entries at most
+    N whose entry in column c exceeds ``above[c]``; ``bits`` is the row's
+    :meth:`WeightCode.cell_bits`.  Each column extends the partial fillings
+    ending at or below each value in one ``map`` per value."""
+    ends = [[0]] + [[] for _ in range(N)]  # ends[v]: partial keys whose last entry is v
+    for cell, floor in zip(bits, above):
+        reach, extended = [], [[] for _ in range(N + 1)]
+        for v in range(N + 1):
+            reach += ends[v]
+            if v > floor:
+                extended[v] = list(map(cell[v].__add__, reach))
+        ends = extended
+    return chain.from_iterable(ends)
+
+
 def ssyt_keys(lam: Partition, n: int, l: int, N: int, code: WeightCode) -> Counter:
     """The (shifted) weight keys of the SSYT of ``lam`` with entries at most
-    N, counted; ``code`` is an :func:`ssyt_code` whose shapes include ``lam``."""
-    key = code.keyer(young_cells(lam, n, l))
-    return Counter(map(key, enumerate_ssyt(lam, N)))
+    N, counted; ``code`` is an :func:`ssyt_code` whose shapes include ``lam``.
+
+    The rows above the last come from :func:`enumerate_ssyt` and are keyed by
+    the code.  The last row is filled in bulk: its fillings depend only on the
+    first ``m`` entries of the row above (m the last part), so the upper keys
+    are grouped by those entries, and each group's last-row keys are built once
+    and added to every upper key of the group in one ``Counter.update``.  Beyond
+    the counts, the call holds one key per upper tableau and one group's row
+    keys, at most C(N + m - 1, m) of them.
+    """
+    cells = young_cells(lam, n, l)
+    upper_key = code.keyer(cells[:-1])
+    bits = code.cell_bits(cells[-1]) if cells else ()
+    top = (0,) * len(bits)  # no entries above a first row
+    groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+    for rows in enumerate_ssyt(Partition(lam.parts[:-1]), N):
+        groups[rows[-1][:len(bits)] if rows else top].append(upper_key(rows))
+    counts = Counter()
+    for above in list(groups):  # popped, so each group's memory is reused by the counts
+        counts.update(starmap(add, product(groups.pop(above), _row_keys(bits, above, N))))
+    return counts
 
 
 def loop_schur(lam: Partition, n: int, N: int) -> Polynomial:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from loopschur import (
     staircase_monomial,
     weight_monomial,
 )
-from loopschur.tableaux import WeightCode, young_cells
+from loopschur.tableaux import WeightCode, ssyt_code, ssyt_keys, young_cells
 
 from conftest import assert_code_matches_rows_monomial, brute_partitions
 
@@ -181,6 +182,14 @@ class TestWeightCode:
         fillings = list(enumerate_ssyt(lam, 2))
         assert_code_matches_rows_monomial(WeightCode(cells, 1, 2), fillings, cells, 1)
 
+    def test_power_keys_are_the_power_sum_terms(self):
+        code = WeightCode(young_cells(Partition.of(2, 1), 3), 3, 4)
+        for j in range(1, 5):
+            for k in (1, 2):
+                expected = Monomial.from_exponents({(i, 3 * j): k for i in range(3)})
+                assert code.decode(code.power_key(j, k)) == expected
+                assert code.power_key(j, k) is code.power_key(j, k)
+
     def test_rows_off_the_table_are_refused(self):
         cells = young_cells(Partition.of(2, 1), 2)
         code = WeightCode(cells, 2, 3)
@@ -188,6 +197,47 @@ class TestWeightCode:
             code.key(((1, 1),))
         with pytest.raises(ValueError, match="longer than"):
             code.key(((1, 1, 1), (2,)))
+
+
+def reference_ssyt_keys(lam, n, l, N, code):
+    """Key every tableau of ``enumerate_ssyt`` in full and count the keys."""
+    return Counter(map(code.keyer(young_cells(lam, n, l)), enumerate_ssyt(lam, N)))
+
+
+class TestSsytKeys:
+    @pytest.mark.parametrize("parts", SUBPARTITIONS_321 + [(4,)], ids=str)
+    def test_bulk_last_row_matches_the_reference(self, parts):
+        # The grid holds the empty partition, one-row shapes and N < len(lam).
+        lam = Partition(parts)
+        for n in (1, 2, 3):
+            for l in range(n):
+                for N in range(7):
+                    code = ssyt_code((lam,), n, l, N)
+                    got = ssyt_keys(lam, n, l, N, code)
+                    assert got == reference_ssyt_keys(lam, n, l, N, code)
+                    assert sum(got.values()) == hook_content_count(lam, N)
+
+    def test_a_code_shared_by_several_shapes(self):
+        # As mn-verify builds it: one code over lambda and its strip shapes.
+        shapes = [Partition(parts) for parts in ((2, 1), (5, 1), (3, 3), (2, 2, 2), (2, 1, 1, 1, 1))]
+        for n, l in ((3, 0), (3, 1), (2, 1)):
+            for N in (4, 6):
+                code = ssyt_code(shapes, n, l, N)
+                for lam in shapes:
+                    got = ssyt_keys(lam, n, l, N, code)
+                    assert got == reference_ssyt_keys(lam, n, l, N, code)
+                    assert sum(got.values()) == hook_content_count(lam, N)
+
+    def test_upper_rows_that_leave_the_last_row_no_room(self):
+        # Most fillings of the five rows above leave no entry for the sixth.
+        lam = Partition.of(3, 1, 1, 1, 1, 1)
+        assert sum(1 for _ in enumerate_ssyt(Partition.of(3, 1, 1, 1, 1), 7)) == 540
+        assert hook_content_count(lam, 7) == 189
+        for n, l in ((1, 0), (2, 1), (3, 2)):
+            code = ssyt_code((lam,), n, l, 7)
+            got = ssyt_keys(lam, n, l, 7, code)
+            assert got == reference_ssyt_keys(lam, n, l, 7, code)
+            assert sum(got.values()) == 189
 
 
 class TestLoopSchur:
