@@ -139,7 +139,8 @@ class WeightCode:
     of a product is the sum of the keys.  ``width`` is the bit length of the
     largest table's cell count, so a field holds any exponent of a monomial
     with that many cells: fields never carry, and equal keys mean equal
-    monomials.  Row keys are memoized on the instance, for one family or call.
+    monomials.  Row keys are memoized per key function (:meth:`keyer`); ``key``
+    keeps its memo for the life of the code, one family or call.
     """
 
     def __init__(self, cells, n: int, N: int, others=()):
@@ -150,16 +151,18 @@ class WeightCode:
                                  for row in table for color, offset in row for v in values})
         self.width = max(sum(map(len, table)) for table in tables).bit_length()
         self.unit = {var: 1 << (j * self.width) for j, var in enumerate(self.variables)}
-        # (bits, memo) per row of a table: bits[c][v] is the key of entry v in cell c.
-        self._rows = {row: (tuple({v: self.unit[(color, n * v + offset)] for v in values}
-                                  for color, offset in row), {}) for row in set().union(*tables)}
+        # bits[c][v] per row of a table: the key of entry v in cell c.
+        self._bits = {row: tuple({v: self.unit[(color, n * v + offset)] for v in values}
+                                 for color, offset in row) for row in set().union(*tables)}
         self._powers: dict[tuple[int, int], int] = {}
         self.key = self.keyer(cells)
 
     def keyer(self, cells):
         """The key function of fillings of ``cells``, whose rows are rows of the
-        code's tables: the key of :func:`rows_monomial`, raising ValueError as it does."""
-        tables = tuple(self._rows[row] for row in cells)
+        code's tables: the key of :func:`rows_monomial`, raising ValueError as it does.
+        Row keys are memoized on the function, one memo per distinct row table."""
+        memos = {row: {} for row in cells}
+        tables = tuple((self._bits[row], memos[row]) for row in cells)
         def key(rows) -> int:
             if len(rows) != len(tables):
                 raise ValueError(f"{len(rows)} rows for {len(tables)} cell tables")
@@ -177,7 +180,7 @@ class WeightCode:
     def cell_bits(self, row) -> tuple:
         """The keys of the entries of each cell of ``row``, a row of the code's
         tables: ``cell_bits(row)[c][v]`` is the key of entry v in cell c."""
-        return self._rows[row][0]
+        return self._bits[row]
 
     def power_key(self, j: int, k: int) -> int:
         """The key of (prod_i x(i, j))^k, the j-th term of the loop power sum;
@@ -263,6 +266,7 @@ def ssyt_keys(lam: Partition, n: int, l: int, N: int, code: WeightCode) -> Count
     groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
     for rows in enumerate_ssyt(Partition(lam.parts[:-1]), N):
         groups[rows[-1][:len(bits)] if rows else top].append(upper_key(rows))
+    del upper_key  # frees the upper rows' memos before the counts grow
     counts = Counter()
     for above in list(groups):  # popped, so each group's memory is reused by the counts
         counts.update(starmap(add, product(groups.pop(above), _row_keys(bits, above, N))))
