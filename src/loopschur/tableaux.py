@@ -12,7 +12,7 @@ weights stay positive; on staircase extensions they may reach zero or below.
 Weights are counted as packed integer keys (:class:`WeightCode`).
 :func:`ssyt_keys`, behind every SSYT builder and identity check, enumerates
 only the rows above the last; the last row is filled in bulk, its keys built
-once per distinct run of entries above it and added to each upper key by
+once per distinct set of entries above it and added to each upper key by
 C-level iteration.
 """
 
@@ -232,10 +232,10 @@ def ssyt_code(shapes, n: int, l: int, N: int) -> WeightCode:
 
 
 def _row_keys(bits, above, N: int):
-    """An iterable of the keys of every weakly increasing filling of a row with entries at most
-    N whose entry in column c exceeds ``above[c]``; ``bits`` is the row's
-    :meth:`WeightCode.cell_bits`.  Each column extends the partial fillings
-    ending at or below each value in one ``map`` per value."""
+    """The keys, as an iterable, of every weakly increasing filling of a row
+    with entries at most N whose entry in column c exceeds ``above[c]``;
+    ``bits`` is the row's :meth:`WeightCode.cell_bits`.  Each column extends
+    the partial fillings ending at or below each value in one ``map`` per value."""
     ends = [[0]] + [[] for _ in range(N)]  # ends[v]: partial keys whose last entry is v
     for cell, floor in zip(bits, above):
         reach, extended = [], [[] for _ in range(N + 1)]

@@ -219,7 +219,8 @@ class TestSsytKeys:
 
     def test_a_code_shared_by_several_shapes(self):
         # As mn-verify builds it: one code over lambda and its strip shapes.
-        shapes = [Partition(parts) for parts in ((2, 1), (5, 1), (3, 3), (2, 2, 2), (2, 1, 1, 1, 1))]
+        shapes = [Partition.of(2, 1), Partition.of(5, 1), Partition.of(3, 3),
+                  Partition.of(2, 2, 2), Partition.of(2, 1, 1, 1, 1)]
         for n, l in ((3, 0), (3, 1), (2, 1)):
             for N in (4, 6):
                 code = ssyt_code(shapes, n, l, N)
