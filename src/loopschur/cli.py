@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import LoopSchurError
 from .polyring import Polynomial, serialize
@@ -73,7 +74,11 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="report wall times on stderr")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared by
+    every ``main`` call, since ``parse_args`` keeps no state between calls.
+    Callers get that same object, so they must not add to it or change it."""
     parser = argparse.ArgumentParser(
         prog="loopschur",
         description="Loop Schur functions, border-strip expansions, and their pairing maps.",

@@ -139,8 +139,14 @@ class WeightCode:
     of a product is the sum of the keys.  ``width`` is the bit length of the
     largest table's cell count, so a field holds any exponent of a monomial
     with that many cells: fields never carry, and equal keys mean equal
-    monomials.  Row keys are memoized per key function (:meth:`keyer`); ``key``
-    keeps its memo for the life of the code, one family or call.
+    monomials.  Above all variable fields, from bit ``top``, a key holds its
+    monomial's degree numerator (n times the degree): each variable's unit
+    key carries its ``weight_num`` there.  So ``key >> top`` is n times the
+    degree, and the least key has the least degree.  On a shifted staircase
+    code that field can be negative, and so can the key; Python's integers
+    keep the fields below ``top`` exact all the same.  Row keys are memoized
+    per key function (:meth:`keyer`); ``key`` keeps its memo for the life of
+    the code, one family or call.
     """
 
     def __init__(self, cells, n: int, N: int, others=()):
@@ -150,7 +156,9 @@ class WeightCode:
         self.variables = sorted({(color, n * v + offset) for table in tables
                                  for row in table for color, offset in row for v in values})
         self.width = max(sum(map(len, table)) for table in tables).bit_length()
-        self.unit = {var: 1 << (j * self.width) for j, var in enumerate(self.variables)}
+        self.top = len(self.variables) * self.width
+        self.unit = {var: (1 << (j * self.width)) + (var[1] << self.top)
+                     for j, var in enumerate(self.variables)}
         # bits[c][v] per row of a table: the key of entry v in cell c.
         self._bits = {row: tuple({v: self.unit[(color, n * v + offset)] for v in values}
                                  for color, offset in row) for row in set().union(*tables)}
@@ -191,9 +199,11 @@ class WeightCode:
         return key
 
     def decode(self, key: int) -> Monomial:
-        """The monomial of a key, in the variables' canonical order.  A run of
-        empty fields is skipped in one shift, to the field of the lowest set bit."""
+        """The monomial of a key, in the variables' canonical order.  The degree
+        field is masked off first; a run of empty fields is skipped in one
+        shift, to the field of the lowest set bit."""
         width, mask, variables, out, j = self.width, (1 << self.width) - 1, self.variables, [], 0
+        key &= (1 << self.top) - 1
         while key:
             exp = key & mask
             if exp:

@@ -33,12 +33,14 @@ def random_polynomial(rng: random.Random, n: int, max_terms: int = 4) -> Polynom
 
 
 def assert_code_matches_rows_monomial(code, fillings, cells, n):
-    """Each decoded key is the reference monomial, and distinct keys are
-    exactly distinct monomials."""
+    """Each decoded key is the reference monomial, each key's degree field
+    is n times that monomial's degree, and distinct keys are exactly distinct
+    monomials."""
     keys, monomials = set(), set()
     for rows in fillings:
         key, expected = code.key(rows), rows_monomial(rows, cells, n)
         assert code.decode(key) == expected
+        assert key >> code.top == n * expected.degree(n)
         keys.add(key)
         monomials.add(expected)
     assert len(keys) == len(monomials)

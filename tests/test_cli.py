@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 import loopschur.verify as verify_mod
 from loopschur import Partition, loop_schur, parse, serialize
-from loopschur.cli import main
+from loopschur.cli import build_parser, main
 from loopschur.shapes import BorderStripAddition, enumerate_border_strips
 
 
@@ -319,3 +320,25 @@ def test_traced_run_sees_every_verifier_call():
         "verify_murnaghan_nakayama": 3, "verify_degree_bound": 2, "verify_expansion": 3,
         "check_involution": 5, "check_specialization": 1,
     }
+
+
+REUSED_PARSER_RUNS = [
+    "involution-check --which I1 --lambda 1 --n 2 --N 3 --samples 5 --seed 4",
+    "involution-check --which I1 --lambda 1 --n 2 --N 3 --exhaustive",
+    "involution-check --which I1 --lambda 1 --n 2 --N 3 --exhaustive --samples 4",
+    "involution-check --which I1 --lambda 1 --n 2 --N 3",
+    "involution-check --help",
+    "--help",
+]
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process(capsys, monkeypatch):
+    # The parser is built once per process; calls that reuse it, after a
+    # usage error too, print what a fresh interpreter prints.
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for command in REUSED_PARSER_RUNS:
+        fresh = subprocess.run([sys.executable, "-m", "loopschur.cli", *command.split()],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert run_exit(capsys, *command.split()) == (fresh.returncode, fresh.stdout, fresh.stderr)
