@@ -7,7 +7,9 @@ The pair contributes sgn(tau) times its weight monomial to a signed sum.
 
 The base family lives on the plain staircase extension of the partition; the
 augmented family lives on the staircase extension with k*n cells appended to
-the right of one row i, ranging over i = 1..N.  Four involutions act on these
+the right of one row i, ranging over i = 1..N.  Each family is counted and
+sampled from one label table: the augmented family's sum over i is the ε part
+of a permanent over dual numbers (ε² = 0).  Four involutions act on these
 families:
 
 ``i1``
@@ -209,43 +211,39 @@ def unrank_weakly_increasing(lo: int, hi: int, length: int, index: int) -> tuple
     return tuple(seq)
 
 
+class _Dual:
+    """a + b*ε with ε² = 0, closed under ``+`` and ``*`` only."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
+
+    def __add__(self, other):
+        return _Dual(self.a + other.a, self.b + other.b)
+
+    def __mul__(self, other):
+        return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+
 class _LabelTable(NamedTuple):
-    """Counts of one row-labeled family on a fixed shape, by subset dynamic programming.
+    """Counts of one row-labeled family, by subset dynamic programming.
 
     ``fillings[r][t]`` is the number of weakly increasing fillings of row
-    r + 1 whose entries lie in [t + 1, his[r]], that is, with label t + 1.
-    ``subsets`` is the unsigned :func:`subset_expansion` of ``fillings``:
-    ``subsets[S]`` is the number of fillings of the last |S| rows whose labels
-    are exactly the set S (bit t stands for label t + 1), so ``subsets[-1]``
-    is the size of the family: the permanent of ``fillings``.
+    r + 1 with entries in [t + 1, N], that is, with label t + 1;
+    ``longer[r][t]`` counts the same row lengthened by d cells, with entries
+    at most ``top``.  ``subsets[S]`` is the number of fillings of the last |S|
+    rows whose labels are exactly the set S (bit t stands for label t + 1),
+    and ``lengthened[S]`` the number in which one of those rows is the
+    lengthened one: the ε part of the permanent of fillings + ε·longer.
     """
 
-    lengths: tuple[int, ...]
-    his: tuple[int, ...]
+    d: int
+    top: int
     fillings: tuple[tuple[int, ...], ...]
+    longer: tuple[tuple[int, ...], ...]
     subsets: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return self.subsets[-1]
-
-    def unrank_labels(self, index: int) -> tuple[int, ...]:
-        """The labeling of the index-th member, members ordered by labeling
-        lexicographically and each labeling weighted by its fillings."""
-        free = len(self.subsets) - 1
-        tau = []
-        for row in self.fillings:
-            for t, count in enumerate(row):
-                if not free >> t & 1:
-                    continue
-                block = count * self.subsets[free ^ (1 << t)]
-                if index < block:
-                    tau.append(t + 1)
-                    free ^= 1 << t
-                    index //= count
-                    break
-                index -= block
-        return tuple(tau)
+    lengthened: tuple[int, ...]
 
 
 def subset_expansion(matrix, zero, one, signed=False) -> list:
@@ -275,55 +273,48 @@ def subset_expansion(matrix, zero, one, signed=False) -> list:
 
 
 @lru_cache(maxsize=64)
-def _label_table(lengths: tuple[int, ...], his: tuple[int, ...]) -> _LabelTable:
-    """The :class:`_LabelTable` of rows with these lengths and entry bounds.
+def _label_table(lam: Partition, N: int, d: int = 0, top: int = 0) -> _LabelTable:
+    """The :class:`_LabelTable` of the family of ``lam`` with N rows and d
+    cells appended to a lengthened row whose entries stay at most ``top``
+    (d = 0: the base family).
 
-    The row counts form one N x N matrix, and the subset counts are its
-    unsigned :func:`subset_expansion`: O(2^N * N) integer products and 2^N
-    counts for N rows.
+    The subset counts are one unsigned :func:`subset_expansion` of the row
+    counts, over :class:`_Dual` entries on the augmented family and plain
+    integers on the base one: O(2^N * N) products and 2^N entries.
     """
-    N = len(lengths)
-    fillings = tuple(
-        tuple(count_weakly_increasing(t, hi, length) for t in range(1, N + 1))
-        for length, hi in zip(lengths, his)
+    lengths = _row_lengths(lam, N)
+    fillings, longer = (
+        tuple(tuple(count_weakly_increasing(t, hi, length + extra) for t in range(1, N + 1))
+              for length in lengths)
+        for hi, extra in ((N, 0), (top, d))
     )
-    return _LabelTable(lengths, his, fillings, tuple(subset_expansion(fillings, 0, 1)))
+    if not d:
+        return _LabelTable(d, top, fillings, longer, tuple(subset_expansion(fillings, 0, 1)), ())
+    matrix = [list(map(_Dual, *rows)) for rows in zip(fillings, longer)]
+    expansion = subset_expansion(matrix, _Dual(0, 0), _Dual(1, 0))
+    subsets, lengthened = tuple(x.a for x in expansion), tuple(x.b for x in expansion)
+    return _LabelTable(d, top, fillings, longer, subsets, lengthened)
 
 
-def _staircase_table(lam: Partition, N: int) -> _LabelTable:
-    return _label_table(_row_lengths(lam, N), (N,) * N)
-
-
-def _augmented_tables(lam: Partition, k: int, n: int, N: int, l: int) -> list[_LabelTable]:
-    """One table per lengthened row i = 1..N; row i stays at or below N - k*l.
-    Refuses n < 1 and k < 1, which name no augmented family, before any table."""
+def _augmented_table(lam: Partition, k: int, n: int, N: int, l: int) -> _LabelTable:
+    """The table of the augmented family whose lengthened row stays at or below
+    N - k*l; n < 1 and k < 1 name no such family and are refused first."""
     ShiftParams(n)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return [
-        _label_table(
-            _row_lengths(lam, N, k * n, i),
-            tuple(N - k * l if r == i else N for r in range(1, N + 1)),
-        )
-        for i in range(1, N + 1)
-    ]
+    return _label_table(lam, N, k * n, N - k * l)
 
 
 def count_staircase_tableaux(lam: Partition, N: int) -> int:
-    """Exact size of the base family.
-
-    Counted by subset dynamic programming over the labels, in O(2^N * N)
-    time with a 2^N-entry table, not by summing over all N! labelings.
-    """
-    return _staircase_table(lam, N).size
+    """Exact size of the base family, by subset dynamic programming over the
+    labels: O(2^N * N) time and a 2^N-entry table, not a sum over N! labelings."""
+    return _label_table(lam, N).subsets[-1]
 
 
 def count_augmented_tableaux(lam: Partition, k: int, n: int, N: int) -> int:
-    """Exact size of the augmented family, summed over the lengthened row i.
-
-    Costs N label tables, each O(2^N * N) time and 2^N entries.
-    """
-    return sum(table.size for table in _augmented_tables(lam, k, n, N, 0))
+    """Exact size of the augmented family, summed over the lengthened row i
+    as the ε part of one label table: O(2^N * N) time, two 2^N-entry tables."""
+    return _augmented_table(lam, k, n, N, 0).lengthened[-1]
 
 
 def _members(lam: Partition, N: int, d: int, lengthened) -> Iterator[Member]:
@@ -356,7 +347,7 @@ def augmented_members(
     lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP
 ) -> Iterator[Member]:
     """Like :func:`staircase_members` for the augmented family, i ascending;
-    refuses after N label tables."""
+    refuses after one label table."""
     count = count_augmented_tableaux(lam, k, n, N)
     if count > cap:
         raise CapExceededError(count, cap)
@@ -383,22 +374,41 @@ def enumerate_augmented_tableaux(
     return (SignedTableau(lam, n, N, d, rows, tau, i) for rows, tau, i in members)
 
 
-def _as_rng(seed: int | random.Random) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
-
-
 def _draw(
-    lam: Partition, n: int, N: int, d: int, i: int,
-    table: _LabelTable, index: int, rng: random.Random,
+    lam: Partition, n: int, N: int, table: _LabelTable, seed: int | random.Random
 ) -> SignedTableau:
-    """The member of ``table``'s family, with lengthened row ``i``, whose
-    labeling holds the index-th weighted slot, with each row unranked
-    uniformly among its fillings."""
-    tau = table.unrank_labels(index)
+    """A uniform member of ``table``'s family, deterministic given a seed.
+
+    One index below the family's size is unranked top-down: each row takes
+    its label t, then whether it is the lengthened row, weighing each choice
+    by its row's fillings times the members left for the rows below.  Each
+    row is then unranked uniformly among its fillings.
+    """
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    d, top, fillings, longer, subsets, lengthened = table
+    placed = not d  # whether the rows below need no lengthened row
+    total = (subsets if placed else lengthened)[-1]
+    if total <= 0:
+        raise ValueError("family is empty")
+    index, free, tau, i = rng.randrange(total), (1 << N) - 1, [], 0
+    for r in range(N):
+        for t, here in product(range(N), (False,) if placed else (False, True)):
+            if free >> t & 1:
+                count = (longer if here else fillings)[r][t]
+                block = count * (subsets if placed or here else lengthened)[free ^ (1 << t)]
+                if index < block:
+                    break
+                index -= block
+        tau.append(t + 1)
+        free ^= 1 << t
+        index //= count
+        if here:
+            i, placed = r + 1, True
     rows = []
-    for row, t, length, hi in zip(table.fillings, tau, table.lengths, table.his):
-        rows.append(unrank_weakly_increasing(t, hi, length, rng.randrange(row[t - 1])))
-    return SignedTableau(lam, n, N, d, tuple(rows), tau, i)
+    for r, (t, length) in enumerate(zip(tau, _row_lengths(lam, N))):
+        hi, length, counts = (top, length + d, longer) if r + 1 == i else (N, length, fillings)
+        rows.append(unrank_weakly_increasing(t, hi, length, rng.randrange(counts[r][t - 1])))
+    return SignedTableau(lam, n, N, d, tuple(rows), tuple(tau), i)
 
 
 def sample_staircase_tableau(
@@ -406,16 +416,13 @@ def sample_staircase_tableau(
 ) -> SignedTableau:
     """A uniformly random member of the base family, deterministic given a seed.
 
-    Labelings are drawn proportionally to the number of fillings they admit,
-    then each row is unranked uniformly, which makes the overall draw uniform
-    over the family.  The labeling is unranked from the subset table of
-    :func:`count_staircase_tableaux`: O(2^N * N) time and 2^N entries to
-    build it once, then O(N^2) per labeling drawn.  ValueError for n < 1.
+    Labelings are drawn proportionally to the fillings they admit, then each
+    row uniformly, which makes the draw uniform over the family.  The table of
+    :func:`count_staircase_tableaux` costs O(2^N * N) time and 2^N entries to
+    build once, then a member costs O(N^2).  ValueError for n < 1.
     """
     ShiftParams(n)
-    rng = _as_rng(seed)
-    table = _staircase_table(lam, N)
-    return _draw(lam, n, N, 0, 0, table, rng.randrange(table.size), rng)
+    return _draw(lam, n, N, _label_table(lam, N), seed)
 
 
 def sample_augmented_tableau(
@@ -424,21 +431,13 @@ def sample_augmented_tableau(
     """A uniformly random member of the augmented family, deterministic given a seed.
 
     With ``l`` >= 1 the draw is uniform over the low family of the fourth
-    map, whose lengthened row stays at or below N - k*l.  Building the N
-    subset tables costs O(2^N * N) time each, with 2^N entries; a labeling
-    then costs O(N^2) to draw.
+    map, whose lengthened row stays at or below N - k*l.  The labeling and
+    the lengthened row are unranked together from the one table of
+    :func:`count_augmented_tableaux`, row by row and label first, so members
+    are not grouped by lengthened row.  Building the table costs O(2^N * N)
+    time, with two 2^N-entry tables; a member then costs O(N^2) to draw.
     """
-    rng = _as_rng(seed)
-    tables = _augmented_tables(lam, k, n, N, l)
-    total = sum(table.size for table in tables)
-    if total <= 0:
-        raise ValueError("family is empty")
-    index = rng.randrange(total)
-    i = 0
-    while index >= tables[i].size:
-        index -= tables[i].size
-        i += 1
-    return _draw(lam, n, N, k * n, i + 1, tables[i], index, rng)
+    return _draw(lam, n, N, _augmented_table(lam, k, n, N, l), seed)
 
 
 # ---------------------------------------------------------------------------

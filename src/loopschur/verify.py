@@ -183,8 +183,8 @@ def _signed_border_strip_sum(lam: Partition, n: int, k: int, N: int, l: int = 0)
     code = ssyt_code([lam] + [addition.sigma for addition in strips], n, l, N)
     total = Counter()
     for addition in strips:
-        keys = ssyt_keys(addition.sigma, n, l, N, code)
-        (total.update if addition.height % 2 == 0 else total.subtract)(keys)
+        fold = total.update if addition.height % 2 == 0 else total.subtract
+        fold(ssyt_keys(addition.sigma, n, l, N, code))
     return Counter({key: c for key, c in total.items() if c}), len(strips), code
 
 

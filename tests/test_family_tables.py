@@ -13,6 +13,7 @@ from itertools import accumulate, permutations
 import pytest
 
 from loopschur import (
+    CapExceededError,
     Partition,
     ShiftParams,
     count_augmented_tableaux,
@@ -24,8 +25,9 @@ from loopschur import (
     validate_member,
 )
 from loopschur.involutions import (
-    _augmented_tables,
+    _augmented_table,
     _label_table,
+    augmented_members,
     count_weakly_increasing,
     unrank_weakly_increasing,
 )
@@ -36,9 +38,9 @@ SIZES = [(lam, N) for lam in PARTITIONS for N in range(max(1, len(lam)), 7)]
 
 
 def low_family_size(lam, k, n, N, l):
-    """Members whose lengthened row stays at or below N - k*l, from the tables
+    """Members whose lengthened row stays at or below N - k*l, from the table
     the low-family sampler draws with."""
-    return sum(table.size for table in _augmented_tables(lam, k, n, N, l))
+    return _augmented_table(lam, k, n, N, l).lengthened[-1]
 
 
 def reference_bounds(lam, N, extra=0, row=0, top=None):
@@ -73,11 +75,13 @@ def reference_staircase_table(lam, N):
     return choices, list(accumulate(reference_weight(tau, lengths, his) for *_, tau in choices))
 
 
-def reference_augmented_table(lam, k, n, N):
+def reference_augmented_table(lam, k, n, N, top=None):
     choices = []
     for i in range(1, N + 1):
-        lengths, his = reference_bounds(lam, N, k * n, i)
+        lengths, his = reference_bounds(lam, N, k * n, i, top)
         choices += [(i, lengths, his, tau) for tau in permutations(range(1, N + 1))]
+    # the sampler's order: row by row, each row's label, then whether it is lengthened
+    choices.sort(key=lambda choice: [(t, r == choice[0]) for r, t in enumerate(choice[3], start=1)])
     weights = [reference_weight(tau, lengths, his) for _, lengths, his, tau in choices]
     return choices, list(accumulate(weights))
 
@@ -127,6 +131,15 @@ class TestCounts:
             build(Partition.of(2, 1), 1)
         assert _label_table.cache_info().currsize == 0
 
+    def test_one_table_per_augmented_family(self):
+        _label_table.cache_clear()
+        count_augmented_tableaux(Partition.of(1), 1, 2, 6)
+        assert _label_table.cache_info().currsize == 1
+        _label_table.cache_clear()
+        with pytest.raises(CapExceededError):
+            next(augmented_members(Partition.of(1), 2, 1, 6, cap=1))
+        assert _label_table.cache_info().currsize == 1
+
 
 class TestDraws:
     @pytest.mark.parametrize("n", (1, 2, 3))
@@ -145,6 +158,17 @@ class TestDraws:
         table = reference_augmented_table(lam, k, n, N)
         for seed in range(200):
             st = sample_augmented_tableau(lam, n, k, N, seed)
+            assert (st.i, st.rows, st.tau) == reference_draw(table, random.Random(seed))
+
+    @pytest.mark.parametrize("lam,n,k,N,l", [
+        ((), 2, 1, 3, 1), ((), 3, 1, 3, 2), ((1,), 3, 1, 4, 2), ((1,), 2, 1, 5, 1),
+        ((2, 1), 3, 2, 5, 1), ((1, 1), 1, 2, 6, 2),
+    ])
+    def test_low_draws_match_bisected_table(self, lam, n, k, N, l):
+        lam = Partition(lam)
+        table = reference_augmented_table(lam, k, n, N, top=N - k * l)
+        for seed in range(200):
+            st = sample_augmented_tableau(lam, n, k, N, seed, l)
             assert (st.i, st.rows, st.tau) == reference_draw(table, random.Random(seed))
 
 
