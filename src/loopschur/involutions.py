@@ -46,10 +46,12 @@ validate their input, call the core, then validate the output and wrap it in
 a :class:`SignedTableau`, the member with its family's parameters.
 ``check_involution`` applies the cores directly, and its exhaustive walk checks
 each pair of a map once, from the lesser member in tuple order; it validates
-each moved image it checks with :func:`validate_in_family`, and matches the
+each moved image it checks as :func:`validate_in_family` does, and matches the
 count of forward members checked against the backward ones it skips, falling
 back to checking every member on its own when a check fails or the counts
-differ.  Enumerated and sampled members are valid by construction.
+differ.  The fourth map's walk streams only its low family
+(:func:`augmented_members` with ``l``), while the cap counts the whole
+augmented family.  Enumerated and sampled members are valid by construction.
 """
 
 from __future__ import annotations
@@ -317,14 +319,17 @@ def count_augmented_tableaux(lam: Partition, k: int, n: int, N: int) -> int:
     return _augmented_table(lam, k, n, N, 0).lengthened[-1]
 
 
-def _members(lam: Partition, N: int, d: int, lengthened) -> Iterator[Member]:
-    """Every member of the family of ``lam`` with N rows and d cells appended,
-    for each lengthened row in turn (d = 0 and row 0: the base family)."""
+def _members(lam: Partition, N: int, d: int, lengthened, top: int) -> Iterator[Member]:
+    """Every member of the family of ``lam`` with N rows and d cells appended
+    whose lengthened row stays at or below ``top``, for each lengthened row in
+    turn (d = 0 and row 0: the base family, where ``top`` bounds nothing).
+    The members come in the order of the unbounded stream."""
     for i in lengthened:
         lengths = _row_lengths(lam, N, d, i)
         for tau in permutations(range(1, N + 1)):
             options = [
-                combinations_with_replacement(range(tau[r], N + 1), lengths[r])
+                combinations_with_replacement(range(tau[r], (top if r == i - 1 else N) + 1),
+                                              lengths[r])
                 for r in range(N)
             ]
             for rows in product(*options):
@@ -340,18 +345,20 @@ def staircase_members(lam: Partition, N: int, cap: int = DEFAULT_CAP) -> Iterato
     count = count_staircase_tableaux(lam, N)
     if count > cap:
         raise CapExceededError(count, cap)
-    yield from _members(lam, N, 0, (0,))
+    yield from _members(lam, N, 0, (0,), N)
 
 
 def augmented_members(
-    lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP
+    lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP, l: int = 0
 ) -> Iterator[Member]:
     """Like :func:`staircase_members` for the augmented family, i ascending;
-    refuses after one label table."""
+    refuses after one label table.  With ``l`` >= 1 only the low family of the
+    fourth map comes out, the members whose lengthened row stays at or below
+    N - k*l, in the same order; the cap still counts the whole family."""
     count = count_augmented_tableaux(lam, k, n, N)
     if count > cap:
         raise CapExceededError(count, cap)
-    yield from _members(lam, N, k * n, range(1, N + 1))
+    yield from _members(lam, N, k * n, range(1, N + 1), N - k * l)
 
 
 def enumerate_staircase_tableaux(
@@ -458,6 +465,20 @@ def _moved(items: tuple, a: int, b: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _pair_violation(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
+    """The rightmost position q >= 1 of ``upper`` with upper[q] >= lower[q-1],
+    or 0 when the pair of rows is column-strict.  Only the two rows decide it,
+    so the scans of neighbouring members and of images share it.  Members
+    enumerated in product order share most pairs with the members just
+    before them, and sampled ones rarely do, so a small memo keeps the hits
+    and little memory."""
+    for q in range(min(len(upper), len(lower) + 1) - 1, 0, -1):
+        if upper[q] >= lower[q - 1]:
+            return q
+    return 0
+
+
 def column_violation(rows) -> tuple[int, int] | None:
     """Rightmost, then highest, vertical pair with upper entry >= lower entry.
 
@@ -466,19 +487,15 @@ def column_violation(rows) -> tuple[int, int] | None:
     column is its row index offset by its position, so the pair at column c
     sits at positions q and q-1 of rows r and r+1, and c grows with r + q.
     """
-    best = None
-    for r in range(len(rows) - 1):
-        upper, lower = rows[r], rows[r + 1]
-        for q in range(min(len(upper), len(lower) + 1) - 1, 0, -1):
-            if upper[q] >= lower[q - 1]:
-                if best is None or r + q > sum(best):
-                    best = (r, q)
-                break
+    best, reach = None, 0
+    for r, q in enumerate(map(_pair_violation, rows, rows[1:])):
+        if q and r + q > reach:
+            best, reach = (r, q), r + q
     return best
 
 
 def is_column_strict(st: SignedTableau) -> bool:
-    return column_violation(st.rows) is None
+    return column_violation(_member(st)[0]) is None
 
 
 def entries_standard_core(rows) -> bool:
@@ -596,14 +613,15 @@ def insert_power_sum_factor(st: SignedTableau, i: int, k: int) -> SignedTableau:
     return as_signed_tableau(insert_core(_member(st), i, d), st.lam, st.n, st.N, d)
 
 
-def _equal_length_partner(rows, i: int) -> int | None:
-    """The row sharing the lengthened row's cell count, if any.  The other
-    rows strictly decrease in length, so there is at most one."""
-    length = len(rows[i - 1])
-    for j, row in enumerate(rows, start=1):
-        if j != i and len(row) == length:
-            return j
-    return None
+def _climb(rows, i: int) -> tuple[int, bool]:
+    """Where the lengthened row i stops sliding northwest past shorter rows,
+    and whether the row it stops under has its own length.  The other rows
+    strictly decrease in length, and only those above i can be as long, so
+    that row is the only one that can tie."""
+    length, p = len(rows[i - 1]), i
+    while p > 1 and len(rows[p - 2]) < length:
+        p -= 1
+    return p, p > 1 and len(rows[p - 2]) == length
 
 
 def slide_to_strip_core(member: Member) -> tuple[tuple[int, ...], int, Member]:
@@ -635,11 +653,10 @@ def slide_from_strip_core(member: Member, top: int, bottom: int) -> Member:
 def i3_core(member: Member) -> Member:
     """:func:`i3` on plain data."""
     rows, tau, i = member
-    j = _equal_length_partner(rows, i)
-    if j is not None:
-        return _swapped(rows, i - 1, j - 1), _swapped(tau, i - 1, j - 1), i
-    _, slides, slid = slide_to_strip_core(member)
-    return slide_from_strip_core(i1_core(slid), i - slides, i)
+    p, tie = _climb(rows, i)
+    if tie:
+        return _swapped(rows, i - 1, p - 2), _swapped(tau, i - 1, p - 2), i
+    return slide_from_strip_core(i1_core((_moved(rows, i, p), _moved(tau, i, p), 0)), p, i)
 
 
 def i3(st: SignedTableau) -> SignedTableau:
@@ -669,7 +686,7 @@ def slide_to_border_strip(st: SignedTableau) -> tuple[Partition, int, SignedTabl
     validate_member(st)
     lam, n, N, d, i = _augmented_params(st)
     member = _member(st)
-    if _equal_length_partner(member[0], i) is not None:
+    if _climb(member[0], i)[1]:
         raise MembershipError("member has an equal-length row pair, so it is not fixed")
     parts, slides, slid = slide_to_strip_core(member)
     if column_violation(slid[0]) is not None:
@@ -714,8 +731,8 @@ def i4_core(member: Member, d: int, kl: int) -> Member:
     row = rows[i - 1]
     j = tau.index(row[d - 1] + kl) + 1
     moved = list(rows)
-    moved[i - 1] = tuple(value + kl for value in row[d:])
-    moved[j - 1] = row[:d] + tuple(value - kl for value in moved[j - 1])
+    moved[i - 1] = tuple(map(kl.__add__, row[d:]))
+    moved[j - 1] = row[:d] + tuple(map((-kl).__add__, moved[j - 1]))
     return tuple(moved), _swapped(tau, i - 1, j - 1), j
 
 

@@ -130,6 +130,23 @@ def young_cells(lam: Partition, n: int, l: int = 0) -> tuple:
     return tuple(cell_weights(1 - r, p, n, l) for r, p in enumerate(lam.parts, start=1))
 
 
+class _RowKeys(dict):
+    """The keys of fillings of one row table, each computed on first use from
+    ``bits``, the row's :meth:`WeightCode.cell_bits`."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits):
+        super().__init__()
+        self.bits = bits
+
+    def __missing__(self, row) -> int:
+        if len(row) > len(self.bits):
+            raise ValueError(f"row {row} is longer than its {len(self.bits)} cells")
+        key = self[row] = sum(cell[v] for cell, v in zip(self.bits, row))
+        return key
+
+
 class WeightCode:
     """The weight monomials of fillings of ``cells`` and ``others``, as integer keys.
 
@@ -168,21 +185,16 @@ class WeightCode:
     def keyer(self, cells):
         """The key function of fillings of ``cells``, whose rows are rows of the
         code's tables: the key of :func:`rows_monomial`, raising ValueError as it does.
-        Row keys are memoized on the function, one memo per distinct row table."""
-        memos = {row: {} for row in cells}
-        tables = tuple((self._bits[row], memos[row]) for row in cells)
+        Row keys are memoized on the function, one memo per distinct row table,
+        so a filling's key is one C-level sum over its rows' memos; all rows of
+        a staircase code share one table, and so one memo."""
+        memos = {row: _RowKeys(self._bits[row]) for row in cells}
+        tables = tuple(memos[row] for row in cells)
+        count = len(tables)
         def key(rows) -> int:
-            if len(rows) != len(tables):
-                raise ValueError(f"{len(rows)} rows for {len(tables)} cell tables")
-            total = 0
-            for row, (bits, memo) in zip(rows, tables):
-                row_key = memo.get(row)
-                if row_key is None:
-                    if len(row) > len(bits):
-                        raise ValueError(f"row {row} is longer than its {len(bits)} cells")
-                    row_key = memo[row] = sum(cell[v] for cell, v in zip(bits, row))
-                total += row_key
-            return total
+            if len(rows) != count:
+                raise ValueError(f"{len(rows)} rows for {count} cell tables")
+            return sum(map(dict.__getitem__, tables, rows))
         return key
 
     def cell_bits(self, row) -> tuple:

@@ -26,6 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge, itemgetter
 
 from .errors import ConfigError, MembershipError, PreconditionError
 from .involutions import (  # also the public maps, which callers may look up or replace here
@@ -333,14 +334,19 @@ def check_specialization(lam: Partition, n: int, N: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+_first = itemgetter(0)
+
+
 class _FamilyCheck:
     """What the member checks of one family share: its parameters, the failures
     found, and the signed shifted sum of the members the fourth map reaches.
 
     Members and images are plain data (see :mod:`loopschur.involutions`).  A
     weight is the integer key of a :class:`WeightCode` on the family's
-    :func:`staircase_cells`, and a product of weights is a sum of keys; ``l``
-    is the shift of the map's shifted-weight check.  Label signs are memoized.
+    :func:`staircase_cells`, taken of a member's rows by ``key`` (plain) or
+    ``shifted_key``, and a product of weights is a sum of keys; ``l`` is the
+    shift of the map's shifted-weight check.  Label signs are memoized, and so
+    is what :meth:`closed` has accepted.
     """
 
     def __init__(self, lam: Partition, n: int, N: int, d: int, l: int):
@@ -348,18 +354,33 @@ class _FamilyCheck:
         self.kl = d // n * l
         self.plain = WeightCode(staircase_cells(lam, N, d, n), n, N)
         self.shifted = WeightCode(staircase_cells(lam, N, d, n, l), n, N) if l else self.plain
+        self.key, self.shifted_key = self.plain.key, self.shifted.key
         self.failures: list[tuple[str, Member | None]] = []
         self.reachable: dict[int, int] = {}
         self.sign = lru_cache(maxsize=None)(permutation_sign)  # at most the family's labelings
-
-    def weight(self, member: Member, shifted: bool = False) -> int:
-        return (self.shifted if shifted else self.plain).key(member[0])
+        # What validate_in_family accepted: the row lengths of an image, by its
+        # lengthened row, and every row of an image.
+        self.lengths: dict[int, tuple[int, ...]] = {}
+        self.rows: set[tuple[int, ...]] = set()
+        self.labels = list(range(1, N + 1))
 
     def closed(self, image: Member) -> bool:
+        """Whether :func:`validate_in_family` accepts ``image``.  An image whose
+        rows are all rows of images accepted before, with the lengthened row and
+        row lengths of one of them, whose labels are a permutation, and each of
+        whose rows starts at or above its label, is accepted without the
+        per-entry walk; any other is validated in full.  The first test is the
+        one that fails on members that rarely share rows, such as sampled ones."""
+        rows, tau, i = image
+        if (self.rows.issuperset(rows) and tuple(map(len, rows)) == self.lengths.get(i)
+                and sorted(tau) == self.labels and all(map(ge, map(_first, rows), tau))):
+            return True
         try:
             validate_in_family(image, self.lam, self.N, self.d)
         except MembershipError:
             return False
+        self.lengths[i] = tuple(map(len, rows))
+        self.rows.update(rows)
         return True
 
     def fail(self, name: str, member: Member) -> bool:
@@ -379,9 +400,9 @@ def _check_i1_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
         if not entries_standard_core(m[0]) or m[1] != tuple(range(1, c.N + 1)):
             return c.fail("fixed_point_shape", m)
     else:
-        if c.sign(image[1]) != -sign or c.weight(image) != c.weight(m):
+        if c.sign(image[1]) != -sign or c.key(image[0]) != c.key(m[0]):
             return c.fail("sign_or_weight", m)
-        if c.l and c.weight(image, True) != c.weight(m, True):
+        if c.l and c.shifted_key(image[0]) != c.shifted_key(m[0]):
             return c.fail("shifted_weight", m)
     return fixed
 
@@ -397,12 +418,12 @@ def _check_i2_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
     if fixed:
         base, i = extract_core(m, c.d), m[2]
         factor = c.plain.power_key(m[1][i - 1], c.d // c.n)
-        if c.sign(base[1]) != sign or factor + c.weight(base) != c.weight(m):
+        if c.sign(base[1]) != sign or factor + c.key(base[0]) != c.key(m[0]):
             return c.fail("factor_weight_law", m)
         if insert_core(base, i, c.d) != m:
             return c.fail("factor_roundtrip", m)
     else:
-        if c.sign(image[1]) != -sign or c.weight(image) != c.weight(m):
+        if c.sign(image[1]) != -sign or c.key(image[0]) != c.key(m[0]):
             return c.fail("sign_or_weight", m)
     return fixed
 
@@ -423,14 +444,14 @@ def _check_i3_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
         if column_violation(landed[0]) is not None or i1_core(landed) != landed:
             return c.fail("landing_not_fixed", m)
         sign_factor = -1 if height % 2 else 1
-        if sign != sign_factor * c.sign(landed[1]) or c.weight(landed) != c.weight(m):
+        if sign != sign_factor * c.sign(landed[1]) or c.key(landed[0]) != c.key(m[0]):
             return c.fail("slide_sign_or_weight", m)
         if slide_from_strip_core(landed, *strip_rows(sigma, c.lam)) != m:
             return c.fail("slide_roundtrip", m)
     else:
-        if c.sign(image[1]) != -sign or c.weight(image) != c.weight(m):
+        if c.sign(image[1]) != -sign or c.key(image[0]) != c.key(m[0]):
             return c.fail("sign_or_weight", m)
-        if c.l and c.weight(image, True) != c.weight(m, True):
+        if c.l and c.shifted_key(image[0]) != c.shifted_key(m[0]):
             return c.fail("shifted_weight", m)
     return fixed
 
@@ -444,7 +465,7 @@ def _check_i4_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
         return c.fail("unexpected_fixed_point", m)
     if c.sign(image[1]) != -sign:
         return c.fail("sign", m)
-    if c.weight(image, True) != c.weight(m, True):
+    if c.shifted_key(image[0]) != c.shifted_key(m[0]):
         return c.fail("shifted_weight", m)
     return False
 
@@ -472,11 +493,11 @@ def _walk_each(c: _FamilyCheck, which: str, members) -> tuple[int, int]:
     checked = fixed = 0
     for m in members:
         if low and not in_low_core(m, c.kl):
-            continue  # unreachable by the fourth map
+            continue  # unreachable by the fourth map: a stream of the whole family
         checked += 1
         sign = c.sign(m[1])
         if low:
-            weight = c.weight(m, True)
+            weight = c.shifted_key(m[0])
             c.reachable[weight] = c.reachable.get(weight, 0) + sign
         fixed += check_member(c, m, sign, core(c, m))
     return checked, fixed
@@ -498,7 +519,7 @@ def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
     checked = fixed = forward = backward = 0
     for m in members:
         if low and not in_low_core(m, c.kl):
-            continue  # unreachable by the fourth map
+            continue  # unreachable by the fourth map: a stream of the whole family
         checked += 1
         image = core(c, m)
         if image < m:
@@ -545,8 +566,10 @@ def check_involution(
     behavior specific to the map.  The second to fourth maps need k >= 1,
     refused before any counting.  The fourth map additionally requires
     l >= 1; its sampled members are drawn directly from the members it acts
-    on, and in exhaustive mode the members it cannot reach must carry the
-    whole signed shifted sum, that is, the members it reaches must cancel.
+    on, and its exhaustive walk streams only those, its low family, while the
+    cap counts the whole augmented family.  In exhaustive mode the members it
+    cannot reach must carry the whole signed shifted sum, that is, the members
+    it reaches must cancel.
 
     Members are walked as plain data.  The exhaustive walk checks each pair
     of the map once, from its lesser member in tuple order, together with the
@@ -555,8 +578,9 @@ def check_involution(
     counts agree; otherwise the family is walked again checking every member
     on its own, so a failing report names the same first witness and number
     of failures either way.  Sampled mode always checks member by member.  The
-    closure check validates an image; a fixed point's image is the member
-    itself, valid by construction, so it is not validated again.
+    closure check validates an image (:meth:`_FamilyCheck.closed`); a fixed
+    point's image is the member itself, valid by construction, so it is not
+    validated again.
     """
     which = which.upper()
     if which not in _MAPS:
@@ -578,7 +602,7 @@ def check_involution(
 
     if mode == "exhaustive":
         members = lambda: (staircase_members(lam, N, cap) if which == "I1"
-                           else augmented_members(lam, n, k, N, cap))
+                           else augmented_members(lam, n, k, N, cap, l if which == "I4" else 0))
         counts = _walk_pairs(c, which, members())
         if counts is None:  # walk again member by member, for the failures it reports
             c = family()

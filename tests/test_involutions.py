@@ -14,6 +14,7 @@ from loopschur import (
     ShiftParams,
     SignedTableau,
     augmented_signed_sum,
+    check_involution,
     count_augmented_tableaux,
     count_staircase_tableaux,
     enumerate_augmented_tableaux,
@@ -46,7 +47,14 @@ from loopschur import (
 )
 import loopschur.involutions as involutions_mod
 from loopschur.cli import main
-from loopschur.involutions import as_signed_tableau, count_weakly_increasing, unrank_weakly_increasing
+from loopschur.involutions import (
+    DEFAULT_CAP,
+    as_signed_tableau,
+    augmented_members,
+    count_weakly_increasing,
+    in_low_core,
+    unrank_weakly_increasing,
+)
 from loopschur.tableaux import rows_monomial, staircase_cells
 
 LAM21 = Partition.of(2, 1)
@@ -150,6 +158,25 @@ class TestCountsAndEnumeration:
         with pytest.raises(CapExceededError) as err:
             list(enumerate_augmented_tableaux(Partition(), 1, 1, 2, cap=5))
         assert err.value.count == 12 and err.value.cap == 5
+
+    @pytest.mark.parametrize("parts", [(), (1,), (2,), (1, 1), (2, 1)], ids=str)
+    def test_low_stream_is_the_low_part_of_the_whole_stream(self, parts):
+        # With l >= 1 the stream bounds the lengthened row by N - k*l: it yields
+        # the members of the whole stream that the fourth map reaches, in the
+        # same order, as many as the low family's table counts, while the cap
+        # of an exhaustive fourth-map check still counts the whole family.
+        lam = Partition(parts)
+        for n in (2, 3):
+            for k in (1, 2):
+                for N in range(len(lam), 4):
+                    whole = list(augmented_members(lam, n, k, N))
+                    for l in range(1, n):
+                        low = list(augmented_members(lam, n, k, N, DEFAULT_CAP, l))
+                        assert low == [m for m in whole if in_low_core(m, k * l)]
+                        assert len(low) == involutions_mod._augmented_table(lam, k, n, N, l).lengthened[-1]
+                        with pytest.raises(CapExceededError) as err:
+                            check_involution("I4", lam, n, k, N, l=l, cap=len(whole) - 1)
+                        assert err.value.count == len(whole)
 
     def test_unranking_matches_lexicographic_order(self):
         for lo, hi, length in ((1, 3, 2), (2, 5, 3), (1, 4, 1)):

@@ -146,7 +146,7 @@ def test_one_pass_sum_of_the_fourth_map(lam, n, k, N):
         unreachable: dict = {}
         for m in augmented_members(lam, n, k, N):
             if not in_low_core(m, check.kl):
-                weight = check.weight(m, True)
+                weight = check.shifted_key(m[0])
                 unreachable[weight] = unreachable.get(weight, 0) + permutation_sign(m[1])
         pair = verify._FamilyCheck(lam, n, N, k * n, l)
         assert verify._walk_pairs(pair, "I4", augmented_members(lam, n, k, N)) is not None

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from loopschur import (
     staircase_monomial,
     weight_monomial,
 )
-from loopschur.tableaux import WeightCode, ssyt_code, ssyt_keys, young_cells
+from loopschur.involutions import augmented_members, staircase_members
+from loopschur.tableaux import WeightCode, ssyt_code, ssyt_keys, staircase_cells, young_cells
 
 from conftest import assert_code_matches_rows_monomial, brute_partitions
 
@@ -201,6 +203,39 @@ class TestWeightCode:
             code.key(((1, 1),))
         with pytest.raises(ValueError, match="longer than"):
             code.key(((1, 1, 1), (2,)))
+
+    @pytest.mark.parametrize("parts,k,negative", [
+        ((), 0, True), ((), 1, False), ((1,), 2, False), ((2, 1), 1, False),
+    ], ids=str)
+    def test_staircase_keys_equal_the_per_table_walk(self, parts, k, negative):
+        # A staircase code has one table for all its rows, so its key function
+        # sums one memo of row keys; a key must still be the sum of every
+        # cell's bits, cold or memoized, on plain and shifted codes, and with
+        # N = 0.  ``negative``: the degree field, and so some keys, go below
+        # zero (n = 4, l = 3, N = 3).
+        lam, signs = Partition(parts), set()
+        for n in (1, 2, 4):
+            for l in range(n):
+                for N in range(len(lam), 4):
+                    cells = staircase_cells(lam, N, k * n, n, l)
+                    family = augmented_members(lam, n, k, N) if k else staircase_members(lam, N)
+                    fillings = [rows for rows, _, _ in family] or [()]
+                    code = WeightCode(cells, n, N)
+                    walked = [sum(code.cell_bits(table)[c][v] for table, row in zip(cells, rows)
+                                  for c, v in enumerate(row)) for rows in fillings]
+                    assert list(map(code.key, fillings)) == walked
+                    assert list(map(code.key, reversed(fillings))) == walked[::-1]
+                    signs |= {key < 0 for key in walked}
+                    rows = fillings[-1]
+                    for wrong in [rows + ((1,),)] + ([rows[:-1]] if N else []):
+                        with pytest.raises(ValueError, match=f"^{len(wrong)} rows for {N} cell tables$"):
+                            code.key(wrong)
+                    if N:
+                        long_row = (1,) * (len(cells[0]) + 1)
+                        message = f"row {long_row} is longer than its {len(cells[0])} cells"
+                        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                            code.key((long_row,) + rows[1:])
+        assert signs == {False, True} if negative else signs == {False}
 
 
 def reference_ssyt_keys(lam, n, l, N, code):

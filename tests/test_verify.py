@@ -67,6 +67,7 @@ class TestClassicalOracle:
 
         for cached in (verify_mod._homogeneous_basis, verify_mod.classical_schur,
                        involutions._label_table, involutions._row_lengths,
+                       involutions._pair_violation,
                        tableaux.cell_weights, tableaux.young_cells,
                        tableaux.staircase_cells):
             assert cached.cache_info().maxsize is not None
@@ -816,6 +817,60 @@ class TestPairWalk:
             tracemalloc.stop()
         assert report.passed and report.details["checked"] == 53_870
         assert peak < 2 * 2**20
+
+    def test_memory_of_the_first_map_stays_bounded(self):
+        # 13,140 members from a cold start: the pair walk keeps counters, and
+        # the memo of column violations at most 256 of the 966 pairs of rows.
+        from loopschur import involutions
+
+        involutions._pair_violation.cache_clear()
+        tracemalloc.start()
+        try:
+            report = check_involution("I1", Partition.of(1), 2, 1, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.details["checked"] == 13_140
+        assert peak < 2 * 2**20
+
+
+def corrupted_images(m, N, d):
+    """One image per way of leaving the family, built from a member ``m``:
+    the message :func:`validate_in_family` raises, and the image.  Only the
+    last three put a row into the image that no member has."""
+    rows, tau, i = m
+    yield "lengthened row", (rows, tau, N + 1 if d else 1)
+    yield "row lengths", (rows[1:] + rows[:1], tau, i)
+    yield "not a permutation", (rows, (tau[1],) + tau[1:], i)
+    low = next((r for r, row in enumerate(rows) if row[0] < N and tau[r] != N), None)
+    if low is not None:  # give that row the label N, above its first entry
+        top = tau.index(N)
+        yield "below its label", (rows, tuple(N if r == low else tau[low] if r == top else t
+                                              for r, t in enumerate(tau)), i)
+    yield "entry 0 in row 1", (((0,) + rows[0][1:],) + rows[1:], tau, i)
+    yield f"entry {N + 1} in row {N}", (rows[:-1] + (rows[-1][:-1] + (N + 1,),), tau, i)
+    yield "row 1 is not weakly increasing", (((N,) * (len(rows[0]) - 1) + (N - 1,),) + rows[1:], tau, i)
+
+
+class TestClosureCheck:
+    """The closure check of the member walks accepts what ``validate_in_family``
+    accepts, also once its memo holds every row of the family."""
+
+    @pytest.mark.parametrize("parts,n,k,N", [((1,), 2, 0, 3), ((), 2, 1, 3), ((2, 1), 1, 2, 3)],
+                             ids=str)
+    def test_agrees_with_validate_in_family(self, parts, n, k, N):
+        lam, d = Partition(parts), k * n
+        members = list(verify_mod.augmented_members(lam, n, k, N) if k
+                       else verify_mod.staircase_members(lam, N))
+        check = verify_mod._FamilyCheck(lam, n, N, d, 0)
+        for _ in range(2):  # the second pass finds every row in the memo
+            assert all(map(check.closed, members))
+        assert check.rows == {row for rows, _, _ in members for row in rows}
+        for m in members[::5]:
+            for message, image in corrupted_images(m, N, d):
+                with pytest.raises(MembershipError, match=message):
+                    verify_mod.validate_in_family(image, lam, N, d)
+                assert not check.closed(image)
 
 
 class TestGrid:
