@@ -349,6 +349,33 @@ class TestSpecialization:
         assert report.passed
         assert report.details["terms"] == len(classical_schur(Partition.of(2, 1), 4))
 
+    def test_fail_document_is_pinned(self, monkeypatch, capsys):
+        # Dropping the first tableau of every enumeration loses the three
+        # tableaux whose first row is (1, 1); the document below was captured
+        # with the loop Schur function built by decoding every key.
+        from itertools import islice
+
+        from loopschur import tableaux
+        from loopschur.cli import main
+
+        enumerate_ssyt = tableaux.enumerate_ssyt
+        monkeypatch.setattr(tableaux, "enumerate_ssyt",
+                            lambda lam, N: islice(enumerate_ssyt(lam, N), 1, None))
+        status = main("specialize-check --lambda 2,1 --n 3 --N 4 --format structured".split())
+        captured = capsys.readouterr()
+        assert (status, captured.err) == (1, "")
+        assert captured.out == (
+            '{"check":"specialize-check","details":{"terms":16},'
+            '"params":{"N":4,"lambda":"2,1","n":3},"pass":false,'
+            '"witness":{"difference":{"n":1,"terms":['
+            '{"coeff":"-1","vars":[{"color":0,"exp":2,"weight_num":1},'
+            '{"color":0,"exp":1,"weight_num":2}]},'
+            '{"coeff":"-1","vars":[{"color":0,"exp":2,"weight_num":1},'
+            '{"color":0,"exp":1,"weight_num":3}]},'
+            '{"coeff":"-1","vars":[{"color":0,"exp":2,"weight_num":1},'
+            '{"color":0,"exp":1,"weight_num":4}]}]}}}\n'
+        )
+
     def test_specialized_product_rule(self):
         # color-forgetting carries the whole identity onto the classical one
         lam, n, k, N = Partition.of(1), 2, 1, 4
