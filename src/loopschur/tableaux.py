@@ -233,6 +233,32 @@ class WeightCode:
         return Polynomial(self.n, {self.decode(key): c for key, c in counts.items() if c})
 
 
+class KeyPolynomial(dict):
+    """A polynomial as a map from integer key to nonzero coefficient, on a
+    layout whose fields never carry, so that a product's key is the sum of its
+    factors' keys.  ``+``, ``-`` and ``*``, what :func:`subset_expansion` uses."""
+
+    def __add__(self, other: "KeyPolynomial", sign: int = 1) -> "KeyPolynomial":
+        out = KeyPolynomial(self)
+        for key, c in other.items():
+            c = out.pop(key, 0) + sign * c
+            if c:
+                out[key] = c
+        return out
+
+    def __sub__(self, other: "KeyPolynomial") -> "KeyPolynomial":
+        return self.__add__(other, -1)
+
+    def __mul__(self, other: "KeyPolynomial") -> "KeyPolynomial":
+        out: dict[int, int] = {}
+        get = out.get
+        for a, ca in self.items():
+            for b, cb in other.items():
+                key = a + b
+                out[key] = get(key, 0) + ca * cb
+        return KeyPolynomial({key: c for key, c in out.items() if c})
+
+
 def weight_monomial(rows, lam: Partition, n: int, l: int = 0) -> Monomial:
     """Product over the cells of the filling ``rows`` of ``lam`` of
     ``x(color, entry + l * content / n)``: weight numerators are

@@ -1,14 +1,14 @@
 """Identity verifiers, the classical determinant oracle, the check registry
 and the grid runner.
 
-The oracle's determinant is the signed ``subset_expansion`` that counts the
-families; ``lemma-verify`` still sums over enumerated members, which it checks,
-counting their :class:`WeightCode` keys and weighing one member per distinct
-key, so only its small right-hand products work on monomials.
-``mn-verify`` and ``thm2-verify`` do their arithmetic on the integer keys of
-one :class:`WeightCode` per identity: ``mn-verify`` compares two key maps and
-decodes only their difference, ``thm2-verify`` reads its minimum degree off
-the keys' degree field and decodes only a failing sum's least-degree terms.
+``mn-verify``, ``thm2-verify`` and ``specialize-check`` work on integer keys
+and decode only a FAIL's witness.  ``mn-verify`` compares two key maps of one
+:class:`WeightCode`; ``thm2-verify`` reads its minimum degree off the keys'
+degree field; ``specialize-check`` forgets the colors of the loop Schur keys
+and compares them with the oracle, a signed ``subset_expansion`` on
+:class:`KeyPolynomial` entries of its own layout.  ``lemma-verify`` still sums
+over enumerated members, which it checks, counting their keys and weighing one
+member per distinct key, so only its right-hand products work on monomials.
 
 Every verifier returns a :class:`VerificationReport` whose canonical rendering
 is byte-stable: equal inputs produce identical documents.  Wall time is
@@ -70,14 +70,10 @@ from .involutions import (  # also the public maps, which callers may look up or
     subset_expansion,
     validate_in_family,
 )
-from .polyring import (
-    Monomial,
-    Polynomial,
-    specialize_forget_color,
-    to_document,
-)
+from .polyring import Monomial, Polynomial, to_document
 from .shapes import Partition, enumerate_border_strips, is_border_strip
 from .tableaux import (  # also the builders, which callers may look up or replace here
+    KeyPolynomial,
     ShiftParams,
     WeightCode,
     loop_power_sum,
@@ -135,41 +131,44 @@ def _difference_witness(diff: Polynomial) -> dict | None:
 # Classical oracle
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _homogeneous_basis(N: int, max_m: int) -> tuple[Polynomial, ...]:
-    """Complete homogeneous sums h_0..h_max in y_1..y_N, by the one-variable
-    recurrence h_m(y_1..y_j) = h_m(y_1..y_{j-1}) + y_j h_{m-1}(y_1..y_j)."""
-    hs = [Polynomial.one(1)] + [Polynomial.zero(1)] * max_m
-    for j in range(1, N + 1):
-        y_j = Polynomial.from_term(1, Monomial.from_exponents({(0, j): 1}))
-        for m in range(1, max_m + 1):
-            hs[m] = hs[m] + y_j * hs[m - 1]
-    return tuple(hs)
+def _y_width(lam: Partition) -> int:
+    return max(lam.size, 1).bit_length()
 
 
 @lru_cache(maxsize=256)
+def _schur_keys(lam: Partition, N: int) -> KeyPolynomial:
+    """The keys of :func:`classical_schur`, shared by every caller, which only reads them."""
+    ell, width = len(lam), _y_width(lam)
+    if ell > N:
+        return KeyPolynomial()
+    max_m, zero = lam.part(1) + ell - 1, KeyPolynomial()
+    # h_0..h_max in y_1..y_N: h_m(y_1..y_j) = h_m(y_1..y_{j-1}) + y_j h_{m-1}(y_1..y_j)
+    hs = [KeyPolynomial({0: 1})] + [zero] * max_m
+    for j in range(N):
+        y_j = KeyPolynomial({1 << (j * width): 1})
+        for m in range(1, max_m + 1):
+            hs[m] = hs[m] + y_j * hs[m - 1]
+    matrix = [[hs[lam.part(i) - i + j] if 0 <= lam.part(i) - i + j <= max_m else zero
+               for j in range(1, ell + 1)] for i in range(1, ell + 1)]
+    return subset_expansion(matrix, zero, hs[0], signed=True)[-1]
+
+
+def _y_polynomial(keys, lam: Partition, N: int) -> Polynomial:
+    """The polynomial in y_j = x(0, j), of modulus 1, of the nonzero terms of a
+    key-to-coefficient map on the oracle's layout for ``lam``."""
+    width = _y_width(lam)
+    exponents = lambda key: {(0, j + 1): key >> j * width & (1 << width) - 1 for j in range(N)}
+    return Polynomial(1, {Monomial.from_exponents(exponents(key)): c for key, c in keys.items() if c})
+
+
 def classical_schur(lam: Partition, N: int) -> Polynomial:
     """Classical Schur polynomial in y_1..y_N: the Jacobi-Trudi determinant of
-    complete homogeneous sums, as the signed :func:`subset_expansion`.
-
-    Shares no code with the tableau enumerators, so it serves as an
-    independent oracle for the color-forgetting specialization of the loop
-    Schur builders.
-    """
-    ell = len(lam)
-    if ell > N:
-        return Polynomial.zero(1)
-    max_m = lam.part(1) + ell - 1
-    hs = _homogeneous_basis(N, max_m)
-    zero = Polynomial.zero(1)
-    matrix = [
-        [
-            hs[lam.part(i) - i + j] if 0 <= lam.part(i) - i + j <= max_m else zero
-            for j in range(1, ell + 1)
-        ]
-        for i in range(1, ell + 1)
-    ]
-    return subset_expansion(matrix, zero, Polynomial.one(1), signed=True)[-1]
+    complete homogeneous sums, a signed :func:`subset_expansion` on keys where
+    y_j owns bits (j-1)*w .. j*w - 1, w the bit length of max(|lam|, 1), which
+    no minor's degree exceeds.  It builds no :class:`WeightCode` and reads no
+    cell table: an independent oracle for the color-forgetting specialization
+    of the loop Schur builders."""
+    return _y_polynomial(_schur_keys(lam, N), lam, N)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +311,28 @@ def verify_expansion(
     )
 
 
+def _forgotten_keys(lam: Partition, n: int, N: int) -> Counter:
+    """The loop Schur function of ``lam`` with its colors forgotten, as keys on
+    the classical oracle's layout.  The unshifted :func:`ssyt_code` of ``lam``
+    has, per color of a cell, one block of N fields x(color, n*v), v = 1..N,
+    as wide as the oracle's; summing a key's blocks lands each on y_v."""
+    code = ssyt_code((lam,), n, 0, N)
+    mask = (1 << (N * code.width)) - 1
+    blocks = [j * code.width for j, (_, weight_num) in enumerate(code.variables) if weight_num == n]
+    forgotten = Counter()
+    for key, c in ssyt_keys(lam, n, 0, N, code).items():
+        forgotten[sum((key >> shift) & mask for shift in blocks)] += c
+    return forgotten
+
+
 def check_specialization(lam: Partition, n: int, N: int) -> VerificationReport:
     """Check that forgetting colors turns the loop Schur function into the
-    classical Schur polynomial computed by the determinant oracle."""
+    classical Schur polynomial of the determinant oracle, on keys; only their
+    difference is decoded, for a FAIL's witness."""
     start = time.perf_counter()
-    specialized = specialize_forget_color(loop_schur(lam, n, N))
-    oracle = classical_schur(lam, N)
-    diff = specialized - oracle
+    oracle, difference = _schur_keys(lam, N), _forgotten_keys(lam, n, N)
+    difference.subtract(oracle)
+    diff = _y_polynomial(difference, lam, N)
     return VerificationReport(
         check="specialize-check",
         params={"lambda": str(lam), "n": n, "N": N},

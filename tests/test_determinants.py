@@ -17,6 +17,7 @@ from loopschur import (
     Polynomial,
     ShiftParams,
     augmented_signed_sum,
+    classical_schur,
     loop_schur,
     shifted_loop_schur,
     staircase_signed_sum,
@@ -40,6 +41,15 @@ def row_series(n: int, l: int, start: int, length: int, lo: int, N: int) -> Poly
         m = Monomial.from_exponents(factors)
         terms[m] = terms.get(m, 0) + 1
     return Polynomial(n, terms)
+
+
+def complete_homogeneous(m: int, N: int) -> Polynomial:
+    """h_m(y_1..y_N), with y_j = x(0, j) of modulus 1: one term per multiset of
+    m indices in [1, N], and zero for m < 0."""
+    if m < 0:
+        return Polynomial.zero(1)
+    return Polynomial(1, {Monomial.from_variables((0, j) for j in indices): 1
+                          for indices in combinations_with_replacement(range(1, N + 1), m)})
 
 
 def determinant(matrix, n: int) -> Polynomial:
@@ -77,6 +87,18 @@ def test_loop_schur_is_the_colored_jacobi_trudi_determinant(lam):
                 else:
                     expected = shifted_loop_schur(lam, ShiftParams(n, l), N)
                 assert determinant(matrix, n) == expected, (lam, n, l, N)
+
+
+@pytest.mark.parametrize("lam", [p for size in range(7) for p in brute_partitions(size)], ids=str)
+def test_classical_schur_is_the_jacobi_trudi_determinant(lam):
+    """det[h_(lam_i - i + j)] in y_1..y_N for every N up to 6: one for the
+    empty partition, and zero once len(lam) > N."""
+    lam = Partition(lam)
+    ell = len(lam)
+    for N in range(7):
+        matrix = [[complete_homogeneous(lam.part(i) - i + j, N) for j in range(1, ell + 1)]
+                  for i in range(1, ell + 1)]
+        assert classical_schur(lam, N) == determinant(matrix, 1), (lam, N)
 
 
 def family_determinant(lam: Partition, n: int, l: int, N: int, d: int = 0, i: int = 0) -> Polynomial:

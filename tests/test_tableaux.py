@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
@@ -20,9 +21,16 @@ from loopschur import (
     weight_monomial,
 )
 from loopschur.involutions import augmented_members, staircase_members
-from loopschur.tableaux import WeightCode, ssyt_code, ssyt_keys, staircase_cells, young_cells
+from loopschur.tableaux import (
+    KeyPolynomial,
+    WeightCode,
+    ssyt_code,
+    ssyt_keys,
+    staircase_cells,
+    young_cells,
+)
 
-from conftest import assert_code_matches_rows_monomial, brute_partitions
+from conftest import assert_code_matches_rows_monomial, brute_partitions, random_polynomial
 
 
 def hook_content_count(lam: Partition, N: int) -> int:
@@ -236,6 +244,33 @@ class TestWeightCode:
                         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                             code.key((long_row,) + rows[1:])
         assert signs == {False, True} if negative else signs == {False}
+
+
+class TestKeyPolynomial:
+    def test_ring_operations_match_polynomial(self):
+        # A layout local to the test: each variable that random_polynomial
+        # draws at n = 2 owns a 3-bit field, and no exponent of a product of
+        # two of its terms exceeds 6.
+        n, width = 2, 3
+        variables = [(c, w) for c in range(n) for w in range(-2 * n, 4 * n + 1)]
+
+        def encode(p):
+            return KeyPolynomial({sum(e << variables.index((c, w)) * width for c, w, e in m.vars): coeff
+                                  for m, coeff in p.terms()})
+
+        def decode(keys):
+            return Polynomial(n, {Monomial.from_exponents({var: key >> j * width & 7
+                                                           for j, var in enumerate(variables)}): c
+                                  for key, c in keys.items()})
+
+        rng = random.Random(11)
+        for _ in range(300):
+            p, q = random_polynomial(rng, n), random_polynomial(rng, n)
+            for op in (add, sub, mul):
+                result = op(encode(p), encode(q))
+                assert type(result) is KeyPolynomial and 0 not in result.values()
+                assert decode(result) == op(p, q)
+            assert encode(p) - encode(p) == {}
 
 
 def reference_ssyt_keys(lam, n, l, N, code):

@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -60,13 +61,29 @@ class TestClassicalOracle:
 
     def test_pieri_like_consistency(self):
         # h_m equals the one-row Schur polynomial
-        assert classical_schur(Partition.of(3), 3) == verify_mod._homogeneous_basis(3, 3)[3]
+        h_3 = Polynomial(1, {Monomial.from_variables((0, j) for j in indices): 1
+                             for indices in combinations_with_replacement(range(1, 4), 3)})
+        assert classical_schur(Partition.of(3), 3) == h_3
+
+    def test_oracle_builds_no_weight_code_and_reads_no_cell_table(self, monkeypatch):
+        from loopschur import tableaux
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached a tableau builder's weight code or cell table")
+
+        verify_mod._schur_keys.cache_clear()
+        for module, name in ((tableaux, "WeightCode"), (verify_mod, "WeightCode"),
+                             (tableaux, "young_cells"), (tableaux, "cell_weights")):
+            monkeypatch.setattr(module, name, refuse)
+        # 64 tableaux of shape (3, 2, 1) with entries at most 4 (hook-content formula)
+        assert sum(classical_schur(Partition.of(3, 2, 1), 4).coefficients()) == 64
+        with pytest.raises(AssertionError, match="reached"):
+            check_specialization(Partition.of(3, 2, 1), 2, 4)  # the colored side does
 
     def test_module_caches_are_bounded(self):
         from loopschur import involutions, tableaux
 
-        for cached in (verify_mod._homogeneous_basis, verify_mod.classical_schur,
-                       involutions._label_table, involutions._row_lengths,
+        for cached in (verify_mod._schur_keys, involutions._label_table, involutions._row_lengths,
                        involutions._pair_violation,
                        tableaux.cell_weights, tableaux.young_cells,
                        tableaux.staircase_cells):
@@ -348,6 +365,17 @@ class TestSpecialization:
         report = check_specialization(Partition.of(2, 1), 3, 4)
         assert report.passed
         assert report.details["terms"] == len(classical_schur(Partition.of(2, 1), 4))
+
+    @pytest.mark.parametrize("parts", [p for size in range(6) for p in brute_partitions(size)],
+                             ids=str)
+    def test_forgotten_keys_are_the_specialized_loop_schur(self, parts):
+        lam = Partition(parts)
+        for n in (1, 2, 3):
+            for N in range(6):
+                forgotten = verify_mod._forgotten_keys(lam, n, N)
+                assert 0 not in forgotten.values()
+                expected = specialize_forget_color(loop_schur(lam, n, N))
+                assert verify_mod._y_polynomial(forgotten, lam, N) == expected, (n, N)
 
     def test_fail_document_is_pinned(self, monkeypatch, capsys):
         # Dropping the first tableau of every enumeration loses the three
