@@ -236,7 +236,7 @@ class WeightCode:
 class KeyPolynomial(dict):
     """A polynomial as a map from integer key to nonzero coefficient, on a
     layout whose fields never carry, so that a product's key is the sum of its
-    factors' keys.  ``+``, ``-`` and ``*``, what :func:`subset_expansion` uses."""
+    factors' keys.  It has ``+``, ``-`` and ``*``: all :func:`subset_expansion` needs."""
 
     def __add__(self, other: "KeyPolynomial", sign: int = 1) -> "KeyPolynomial":
         out = KeyPolynomial(self)

@@ -312,10 +312,10 @@ def verify_expansion(
 
 
 def _forgotten_keys(lam: Partition, n: int, N: int) -> Counter:
-    """The loop Schur function of ``lam`` with its colors forgotten, as keys on
-    the classical oracle's layout.  The unshifted :func:`ssyt_code` of ``lam``
-    has, per color of a cell, one block of N fields x(color, n*v), v = 1..N,
-    as wide as the oracle's; summing a key's blocks lands each on y_v."""
+    """The loop Schur keys of ``lam`` with their colors forgotten, on the
+    classical oracle's layout.  The fields of the unshifted :func:`ssyt_code`
+    are, per color of a cell, a block of N fields x(color, n*v), v = 1..N, as
+    wide as y_v's (|lam|.bit_length() bits); summing the blocks forgets colors."""
     code = ssyt_code((lam,), n, 0, N)
     mask = (1 << (N * code.width)) - 1
     blocks = [j * code.width for j, (_, weight_num) in enumerate(code.variables) if weight_num == n]
