@@ -8,7 +8,7 @@ must give the same counts and, for the same seed, the same members.
 import bisect
 import math
 import random
-from itertools import accumulate, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 
 import pytest
 
@@ -29,7 +29,6 @@ from loopschur.involutions import (
     _label_table,
     augmented_members,
     count_weakly_increasing,
-    unrank_weakly_increasing,
 )
 
 PARTITIONS = [(), (1,), (2,), (1, 1), (2, 1)]  # every lambda inside (2,1)
@@ -87,7 +86,8 @@ def reference_augmented_table(lam, k, n, N, top=None):
 
 
 def reference_draw(table, rng):
-    """Bisect the cumulative table for the labeling, then unrank each row.
+    """Bisect the cumulative table for the labeling, then index each row in
+    the list of its fillings, in lexicographic order.
 
     Returns (lengthened row, rows, tau); the lengthened row is 0 on the base
     family, as in a sampled member.
@@ -96,8 +96,8 @@ def reference_draw(table, rng):
     i, lengths, his, tau = choices[bisect.bisect_right(cumulative, rng.randrange(cumulative[-1]))]
     rows = []
     for label, length, hi in zip(tau, lengths, his):
-        idx = rng.randrange(count_weakly_increasing(label, hi, length))
-        rows.append(unrank_weakly_increasing(label, hi, length, idx))
+        fillings = list(combinations_with_replacement(range(label, hi + 1), length))
+        rows.append(fillings[rng.randrange(len(fillings))])
     return i, tuple(rows), tau
 
 
