@@ -60,6 +60,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from operator import le
 from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError, MembershipError
@@ -74,13 +75,18 @@ Member = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
 
 
 def permutation_sign(tau: tuple[int, ...]) -> int:
-    inversions = sum(
-        1
-        for a in range(len(tau))
-        for b in range(a + 1, len(tau))
-        if tau[a] > tau[b]
-    )
-    return -1 if inversions % 2 else 1
+    """sgn(tau) for a permutation tau of 1..N: (-1) ** (N - its number of
+    cycles), walking each cycle once, so O(N)."""
+    seen = bytearray(len(tau) + 1)
+    parity = len(tau)
+    for start in tau:
+        if not seen[start]:
+            parity -= 1
+            value = start
+            while not seen[value]:
+                seen[value] = 1
+                value = tau[value - 1]
+    return -1 if parity % 2 else 1
 
 
 class SignedTableau(NamedTuple):
@@ -144,11 +150,14 @@ def validate_in_family(member: Member, lam: Partition, N: int, d: int) -> None:
     if sorted(tau) != list(range(1, N + 1)):
         raise MembershipError(f"labels {tau} are not a permutation of 1..{N}")
     for r, row in enumerate(rows, start=1):
-        for idx, value in enumerate(row):
-            if not 1 <= value <= N:
-                raise MembershipError(f"entry {value} in row {r} outside 1..{N}")
-            if idx and row[idx - 1] > value:
-                raise MembershipError(f"row {r} is not weakly increasing: {row}")
+        # A weakly increasing row inside 1..N passes whole; any other is walked
+        # entry by entry to name its first fault.
+        if not (1 <= row[0] and row[-1] <= N and all(map(le, row, row[1:]))):
+            for idx, value in enumerate(row):
+                if not 1 <= value <= N:
+                    raise MembershipError(f"entry {value} in row {r} outside 1..{N}")
+                if idx and row[idx - 1] > value:
+                    raise MembershipError(f"row {r} is not weakly increasing: {row}")
         if row[0] < tau[r - 1]:
             raise MembershipError(
                 f"row {r} starts with {row[0]}, below its label {tau[r - 1]}"
@@ -196,20 +205,27 @@ def count_weakly_increasing(lo: int, hi: int, length: int) -> int:
 
 
 def unrank_weakly_increasing(lo: int, hi: int, length: int, index: int) -> tuple[int, ...]:
-    """The index-th weakly increasing sequence over [lo, hi] in lexicographic order."""
+    """The index-th weakly increasing sequence over [lo, hi] in lexicographic order.
+
+    With ``rest`` places after the current one, the sequences that put value v
+    there number C(a, rest) with a = hi - v + rest; as v rises the block
+    shrinks by the exact ratio C(a - 1, rest) = C(a, rest) * (a - rest) // a.
+    So a row costs one ``math.comb`` per place and at most hi - lo exact
+    integer steps in all, one per value skipped.
+    """
     total = count_weakly_increasing(lo, hi, length)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside 0..{total - 1}")
-    seq = []
-    current = lo
-    for pos in range(length):
-        for value in range(current, hi + 1):
-            block = count_weakly_increasing(value, hi, length - pos - 1)
-            if index < block:
-                seq.append(value)
-                current = value
-                break
+    seq, value = [], lo
+    for rest in range(length - 1, -1, -1):
+        a = hi - value + rest
+        block = math.comb(a, rest)
+        while index >= block:
             index -= block
+            block = block * (a - rest) // a
+            a -= 1
+            value += 1
+        seq.append(value)
     return tuple(seq)
 
 
@@ -398,14 +414,15 @@ def _draw(
     if total <= 0:
         raise ValueError("family is empty")
     index, free, tau, i = rng.randrange(total), (1 << N) - 1, [], 0
+    labels = list(range(N))  # the free labels, lowest first: the set bits of free
     for r in range(N):
-        for t, here in product(range(N), (False,) if placed else (False, True)):
-            if free >> t & 1:
-                count = (longer if here else fillings)[r][t]
-                block = count * (subsets if placed or here else lengthened)[free ^ (1 << t)]
-                if index < block:
-                    break
-                index -= block
+        for t, here in product(labels, (False,) if placed else (False, True)):
+            count = (longer if here else fillings)[r][t]
+            block = count * (subsets if placed or here else lengthened)[free ^ (1 << t)]
+            if index < block:
+                break
+            index -= block
+        labels.remove(t)
         tau.append(t + 1)
         free ^= 1 << t
         index //= count
@@ -426,7 +443,9 @@ def sample_staircase_tableau(
     Labelings are drawn proportionally to the fillings they admit, then each
     row uniformly, which makes the draw uniform over the family.  The table of
     :func:`count_staircase_tableaux` costs O(2^N * N) time and 2^N entries to
-    build once, then a member costs O(N^2).  ValueError for n < 1.
+    build once.  A member then costs O(N^2) integer products for its labels,
+    over the free labels of each row, and per row one ``math.comb`` per cell
+    (:func:`unrank_weakly_increasing`).  ValueError for n < 1.
     """
     ShiftParams(n)
     return _draw(lam, n, N, _label_table(lam, N), seed)
@@ -442,7 +461,9 @@ def sample_augmented_tableau(
     the lengthened row are unranked together from the one table of
     :func:`count_augmented_tableaux`, row by row and label first, so members
     are not grouped by lengthened row.  Building the table costs O(2^N * N)
-    time, with two 2^N-entry tables; a member then costs O(N^2) to draw.
+    time, with two 2^N-entry tables; a member then costs what one of
+    :func:`sample_staircase_tableau` does, with two choices per free label
+    until the lengthened row is placed.
     """
     return _draw(lam, n, N, _augmented_table(lam, k, n, N, l), seed)
 

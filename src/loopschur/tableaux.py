@@ -143,7 +143,7 @@ class _RowKeys(dict):
     def __missing__(self, row) -> int:
         if len(row) > len(self.bits):
             raise ValueError(f"row {row} is longer than its {len(self.bits)} cells")
-        key = self[row] = sum(cell[v] for cell, v in zip(self.bits, row))
+        key = self[row] = sum(map(dict.__getitem__, self.bits, row))
         return key
 
 

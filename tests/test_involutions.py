@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -54,6 +54,7 @@ from loopschur.involutions import (
     count_weakly_increasing,
     in_low_core,
     unrank_weakly_increasing,
+    validate_in_family,
 )
 from loopschur.tableaux import rows_monomial, staircase_cells
 
@@ -137,6 +138,22 @@ class TestMembership:
             i2(st)
 
 
+    # Each row list below has two faults; the message names the first one in
+    # row-major reading order, the row's label checked after its entries.
+    @pytest.mark.parametrize("rows,tau,message", [
+        ([(2, 1, 4), (2, 2), (3,)], (1, 2, 3), "row 1 is not weakly increasing: (2, 1, 4)"),
+        ([(0, 2, 1), (2, 2), (3,)], (1, 2, 3), "entry 0 in row 1 outside 1..3"),
+        ([(1, 0, 2), (2, 2), (3,)], (1, 2, 3), "entry 0 in row 1 outside 1..3"),
+        ([(1, 1, 1), (3, 2), (3,)], (1, 2, 3), "row 2 is not weakly increasing: (3, 2)"),
+        ([(1, 2, 3), (4, 3), (3,)], (2, 1, 3), "row 1 starts with 1, below its label 2"),
+        ([(3, 3, 3), (1, 1), (4,)], (1, 2, 3), "row 2 starts with 1, below its label 2"),
+    ], ids=str)
+    def test_names_the_first_fault_in_reading_order(self, rows, tau, message):
+        with pytest.raises(MembershipError) as err:
+            validate_in_family((tuple(rows), tau, 0), Partition(), 3, 0)
+        assert str(err.value) == message
+
+
 class TestCountsAndEnumeration:
     @pytest.mark.parametrize("lam,N", [((), 2), ((), 3), ((1,), 2), ((1,), 3)])
     def test_base_count_matches_stream(self, lam, N):
@@ -179,12 +196,21 @@ class TestCountsAndEnumeration:
                         assert err.value.count == len(whole)
 
     def test_unranking_matches_lexicographic_order(self):
-        for lo, hi, length in ((1, 3, 2), (2, 5, 3), (1, 4, 1)):
-            expected = list(combinations_with_replacement(range(lo, hi + 1), length))
-            total = count_weakly_increasing(lo, hi, length)
-            assert total == len(expected)
-            got = [unrank_weakly_increasing(lo, hi, length, i) for i in range(total)]
-            assert got == expected
+        # hi = lo - 1 is an empty value range: no sequence of length >= 1, and
+        # one empty sequence of length 0.
+        for lo in range(1, 7):
+            for hi in range(lo - 1, 8):
+                for length in range(6):
+                    expected = list(combinations_with_replacement(range(lo, hi + 1), length))
+                    total = count_weakly_increasing(lo, hi, length)
+                    assert total == len(expected)
+                    got = [unrank_weakly_increasing(lo, hi, length, i) for i in range(total)]
+                    assert got == expected
+                    for index in (-1, total, total + 1):
+                        with pytest.raises(ValueError, match=rf"^index {index} outside 0\.\.{total - 1}$"):
+                            unrank_weakly_increasing(lo, hi, length, index)
+        assert unrank_weakly_increasing(3, 7, 0, 0) == ()
+        assert count_weakly_increasing(4, 3, 2) == 0
 
 
 def filled_member(lam, N, d):
@@ -592,6 +618,13 @@ def test_permutation_sign():
     assert permutation_sign((1, 2, 3)) == 1
     assert permutation_sign((2, 1, 3)) == -1
     assert permutation_sign((2, 5, 4, 1, 3)) == permutation_sign((2, 4, 5, 1, 3)) * -1
+
+
+def test_permutation_sign_is_the_inversion_parity():
+    for N in range(8):
+        for tau in permutations(range(1, N + 1)):
+            inversions = sum(a > b for x, a in enumerate(tau) for b in tau[x + 1:])
+            assert permutation_sign(tau) == (-1) ** inversions
 
 
 def test_dividing_out_the_staircase_monomial_recovers_schur():
