@@ -17,7 +17,9 @@ from .errors import (
 )
 from .involutions import (
     DEFAULT_CAP,
+    Member,
     SignedTableau,
+    augmented_members,
     augmented_signed_sum,
     count_augmented_tableaux,
     count_staircase_tableaux,
@@ -38,8 +40,9 @@ from .involutions import (
     slide_from_border_strip,
     slide_to_border_strip,
     staircase_entries_standard,
+    staircase_members,
     staircase_signed_sum,
-    validate_member,
+    validate_in_family,
 )
 from .polyring import (
     Monomial,

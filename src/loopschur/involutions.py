@@ -38,20 +38,19 @@ r - N .. lam_r, so a cell's content depends only on its index within its row;
 the maps below exploit this by operating on row tuples positionally.
 
 A family is named by plain parameters ``(lam, N, d)``, with d cells appended
-to the lengthened row (d = 0: the base family).  Each map is written once, as
-a ``*_core`` function on a member given as plain data, ``(rows, tau, i)``: the
-row tuples, the labels and the lengthened row (0 on the base family).  A core
-trusts its input and builds nothing.  The public maps are thin wrappers that
-validate their input, call the core, then validate the output and wrap it in
-a :class:`SignedTableau`, the member with its family's parameters.
-``check_involution`` applies the cores directly, and its exhaustive walk checks
-each pair of a map once, from the lesser member in tuple order; it validates
-each moved image it checks as :func:`validate_in_family` does, and matches the
-count of forward members checked against the backward ones it skips, falling
-back to checking every member on its own when a check fails or the counts
-differ.  The fourth map's walk streams only its low family
-(:func:`augmented_members` with ``l``), while the cap counts the whole
-augmented family.  Enumerated and sampled members are valid by construction.
+to the lengthened row (d = 0: the base family).  A member is plain data, a
+:data:`Member` ``(rows, tau, i)``: the row tuples, the labels and the
+lengthened row (0 on the base family).  Each map is written once, on members:
+it trusts its input, validates nothing and builds nothing, and
+:func:`validate_in_family` is the one membership check.  ``check_involution``
+applies the maps, and its exhaustive walk checks each pair of a map once, from
+the lesser member in tuple order; it validates each moved image it checks as
+:func:`validate_in_family` does, and matches the count of forward members
+checked against the backward ones it skips, falling back to checking every
+member on its own when a check fails or the counts differ.  The fourth map's
+walk streams only its low family (:func:`augmented_members` with ``l``),
+while the cap counts the whole augmented family.  Enumerated and sampled
+members are valid by construction.
 """
 
 from __future__ import annotations
@@ -90,13 +89,14 @@ def permutation_sign(tau: tuple[int, ...]) -> int:
 
 
 class SignedTableau(NamedTuple):
-    """A family member as plain data: the family ``lam, n, N, d`` (colored mod
-    n, d cells appended) and the member ``rows, tau, i`` (see :data:`Member`);
-    sign = sgn(tau).
+    """A member with its family's parameters: the family ``lam, n, N, d``
+    (colored mod n, d cells appended) and the member ``rows, tau, i`` (see
+    :data:`Member`); sign = sgn(tau).
 
-    Construction checks nothing.  :func:`validate_member` decides whether it
-    belongs to its family, and every public map runs it; :meth:`monomial`
-    raises ValueError when the rows do not fit the family.
+    The ``enumerate_*_tableaux`` streams yield it, the signed sums weigh one
+    member per distinct key with :meth:`monomial`, and a failing check's
+    witness is its :meth:`to_document`.  Construction checks nothing;
+    :meth:`monomial` raises ValueError when the rows do not fit the family.
     """
 
     lam: Partition
@@ -132,11 +132,6 @@ class SignedTableau(NamedTuple):
         return doc
 
 
-def validate_member(st: SignedTableau) -> None:
-    """Check the family constraints; raise :class:`MembershipError` on failure."""
-    validate_in_family(_member(st), st.lam, st.N, st.d)
-
-
 def validate_in_family(member: Member, lam: Partition, N: int, d: int) -> None:
     """Raise :class:`MembershipError` unless ``member`` belongs to the family of
     ``lam`` with N rows and d cells appended to its lengthened row (d = 0: the
@@ -162,19 +157,6 @@ def validate_in_family(member: Member, lam: Partition, N: int, d: int) -> None:
             raise MembershipError(
                 f"row {r} starts with {row[0]}, below its label {tau[r - 1]}"
             )
-
-
-def as_signed_tableau(member: Member, lam: Partition, n: int, N: int, d: int = 0) -> SignedTableau:
-    """Validate a member of the family of :func:`validate_in_family`, colored
-    mod ``n``, and wrap it; ValueError for n < 1."""
-    ShiftParams(n)
-    validate_in_family(member, lam, N, d)
-    rows, tau, i = member
-    return SignedTableau(lam, n, N, d, rows, tau, i)
-
-
-def _member(st: SignedTableau) -> Member:
-    return tuple(tuple(row) for row in st.rows), tuple(st.tau), st.i
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +379,7 @@ def enumerate_augmented_tableaux(
     return (SignedTableau(lam, n, N, d, rows, tau, i) for rows, tau, i in members)
 
 
-def _draw(
-    lam: Partition, n: int, N: int, table: _LabelTable, seed: int | random.Random
-) -> SignedTableau:
+def _draw(lam: Partition, N: int, table: _LabelTable, seed: int | random.Random) -> Member:
     """A uniform member of ``table``'s family, deterministic given a seed.
 
     One index below the family's size is unranked top-down: each row takes
@@ -432,12 +412,10 @@ def _draw(
     for r, (t, length) in enumerate(zip(tau, _row_lengths(lam, N))):
         hi, length, counts = (top, length + d, longer) if r + 1 == i else (N, length, fillings)
         rows.append(unrank_weakly_increasing(t, hi, length, rng.randrange(counts[r][t - 1])))
-    return SignedTableau(lam, n, N, d, tuple(rows), tuple(tau), i)
+    return tuple(rows), tuple(tau), i
 
 
-def sample_staircase_tableau(
-    lam: Partition, n: int, N: int, seed: int | random.Random
-) -> SignedTableau:
+def sample_staircase_tableau(lam: Partition, n: int, N: int, seed: int | random.Random) -> Member:
     """A uniformly random member of the base family, deterministic given a seed.
 
     Labelings are drawn proportionally to the fillings they admit, then each
@@ -448,12 +426,12 @@ def sample_staircase_tableau(
     (:func:`unrank_weakly_increasing`).  ValueError for n < 1.
     """
     ShiftParams(n)
-    return _draw(lam, n, N, _label_table(lam, N), seed)
+    return _draw(lam, N, _label_table(lam, N), seed)
 
 
 def sample_augmented_tableau(
     lam: Partition, n: int, k: int, N: int, seed: int | random.Random, l: int = 0
-) -> SignedTableau:
+) -> Member:
     """A uniformly random member of the augmented family, deterministic given a seed.
 
     With ``l`` >= 1 the draw is uniform over the low family of the fourth
@@ -465,7 +443,7 @@ def sample_augmented_tableau(
     :func:`sample_staircase_tableau` does, with two choices per free label
     until the lengthened row is placed.
     """
-    return _draw(lam, n, N, _augmented_table(lam, k, n, N, l), seed)
+    return _draw(lam, N, _augmented_table(lam, k, n, N, l), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -515,23 +493,25 @@ def column_violation(rows) -> tuple[int, int] | None:
     return best
 
 
-def is_column_strict(st: SignedTableau) -> bool:
-    return column_violation(_member(st)[0]) is None
+def is_column_strict(rows) -> bool:
+    """True when no vertical pair of cells has its upper entry at or above the lower."""
+    return column_violation(rows) is None
 
 
-def entries_standard_core(rows) -> bool:
+def staircase_entries_standard(rows) -> bool:
     """True when every cell in columns <= 0 carries its own row index."""
     N = len(rows)
     return all(value == r for r, row in enumerate(rows, start=1) for value in row[:N - r + 1])
 
 
-def staircase_entries_standard(st: SignedTableau) -> bool:
-    """True when every cell in columns <= 0 carries its own row index."""
-    return entries_standard_core(st.rows)
+def i1(member: Member) -> Member:
+    """First pairing map, on the base family.
 
-
-def i1_core(member: Member) -> Member:
-    """:func:`i1` on plain data."""
+    Locates the rightmost-then-highest column violation, exchanges the
+    prefixes of the two rows along their diagonals, and transposes the two
+    labels.  Column-strict members are fixed; for them the staircase entries
+    are forced to their row index and the labels to the identity.
+    """
     rows, tau, i = member
     hit = column_violation(rows)
     if hit is None:
@@ -542,34 +522,24 @@ def i1_core(member: Member) -> Member:
     return rows, _swapped(tau, r, r + 1), i
 
 
-def i1(st: SignedTableau) -> SignedTableau:
-    """First pairing map, on the base family.
-
-    Locates the rightmost-then-highest column violation, exchanges the
-    prefixes of the two rows along their diagonals, and transposes the two
-    labels.  Column-strict members are fixed; for them the staircase entries
-    are forced to their row index and the labels to the identity.
-    """
-    validate_member(st)
-    if st.d:
-        raise MembershipError("the first pairing map acts on plain staircase extensions")
-    return as_signed_tableau(i1_core(_member(st)), st.lam, st.n, st.N)
-
-
-def _augmented_params(st: SignedTableau) -> tuple[Partition, int, int, int, int]:
-    if not st.d:
-        raise MembershipError("expected a staircase extension with a lengthened row")
-    return st.lam, st.n, st.N, st.d, st.i
-
-
-def i2_fixed_core(member: Member, d: int) -> bool:
+def i2_is_fixed(member: Member, d: int) -> bool:
+    """Whether :func:`i2` fixes the member: its lengthened row starts with d
+    copies of its own label."""
     rows, tau, i = member
     return rows[i - 1][d - 1] == tau[i - 1]
 
 
-def i2_core(member: Member, d: int) -> Member:
-    """:func:`i2` on plain data; d is the number of appended cells."""
-    if i2_fixed_core(member, d):
+def i2(member: Member, d: int) -> Member:
+    """Second pairing map, on the augmented family with d = k*n appended cells.
+
+    Fixed when the lengthened row i starts with d copies of its label.
+    Otherwise the leading block ends with some value v > tau_i: the block
+    moves to the left end of the row labeled v, that row slides right to make
+    room, and the two labels swap.  Entries never change, and the vacated and
+    filled cells cover the same contents, so the weight is preserved while
+    the sign flips.
+    """
+    if i2_is_fixed(member, d):
         return member
     rows, tau, i = member
     row = rows[i - 1]
@@ -580,58 +550,24 @@ def i2_core(member: Member, d: int) -> Member:
     return tuple(moved), _swapped(tau, i - 1, j - 1), j
 
 
-def i2(st: SignedTableau) -> SignedTableau:
-    """Second pairing map, on the augmented family.
+def extract_power_sum_factor(member: Member, d: int) -> Member:
+    """Split a fixed point of :func:`i2` into a base-family member; its
+    lengthened row i is ``member[2]``.
 
-    Fixed when the lengthened row i starts with d = k*n copies of its label.
-    Otherwise the leading block ends with some value v > tau_i: the block
-    moves to the left end of the row labeled v, that row slides right to make
-    room, and the two labels swap.  Entries never change, and the vacated and
-    filled cells cover the same contents, so the weight is preserved while
-    the sign flips.
+    Drops the leading block of row i; the block contributes the k-th power
+    of the product of all colors at weight tau_i, so the weight of the input
+    equals that factor times the weight of the output.  The labels, and
+    hence the sign, are untouched.
     """
-    validate_member(st)
-    lam, n, N, d, i = _augmented_params(st)
-    return as_signed_tableau(i2_core(_member(st), d), lam, n, N, d)
-
-
-def i2_is_fixed(st: SignedTableau) -> bool:
-    lam, n, N, d, i = _augmented_params(st)
-    return i2_fixed_core(_member(st), d)
-
-
-def extract_core(member: Member, d: int) -> Member:
-    """:func:`extract_power_sum_factor` on plain data; the row is ``member[2]``."""
     rows, tau, i = member
     return rows[:i - 1] + (rows[i - 1][d:],) + rows[i:], tau, 0
 
 
-def extract_power_sum_factor(st: SignedTableau) -> tuple[SignedTableau, int]:
-    """Split a fixed point of :func:`i2` into a base-family member and its row.
-
-    Drops the leading block of the lengthened row i; the block contributes
-    the k-th power of the product of all colors at weight tau_i, so the
-    weight of the input equals that factor times the weight of the output.
-    The labels, and hence the sign, are untouched.
-    """
-    if not i2_is_fixed(st):
-        raise MembershipError("member is not fixed by the second pairing map")
-    lam, n, N, d, i = _augmented_params(st)
-    return as_signed_tableau(extract_core(_member(st), d), lam, n, N), i
-
-
-def insert_core(member: Member, i: int, d: int) -> Member:
-    """:func:`insert_power_sum_factor` on plain data, with d = k * n."""
+def insert_power_sum_factor(member: Member, i: int, d: int) -> Member:
+    """Inverse of :func:`extract_power_sum_factor`: prepend d = k*n copies of
+    its label to row i of a base-family member."""
     rows, tau, _ = member
     return rows[:i - 1] + ((tau[i - 1],) * d + rows[i - 1],) + rows[i:], tau, i
-
-
-def insert_power_sum_factor(st: SignedTableau, i: int, k: int) -> SignedTableau:
-    """Inverse of :func:`extract_power_sum_factor`."""
-    if st.d:
-        raise MembershipError("expected a plain staircase extension")
-    d = k * st.n
-    return as_signed_tableau(insert_core(_member(st), i, d), st.lam, st.n, st.N, d)
 
 
 def _climb(rows, i: int) -> tuple[int, bool]:
@@ -645,18 +581,20 @@ def _climb(rows, i: int) -> tuple[int, bool]:
     return p, p > 1 and len(rows[p - 2]) == length
 
 
-def slide_to_strip_core(member: Member) -> tuple[tuple[int, ...], int, Member]:
-    """Slide row i northwest (swapping whole rows) until lengths strictly decrease.
+def slide_to_border_strip(member: Member) -> tuple[tuple[int, ...], int, Member]:
+    """Carry a fixed point of :func:`i3` to its border-strip staircase family.
 
-    Rows start at column r - N, so exchanging the row tuples moves every cell
-    one step along its diagonal.  Returns the parts of the partition sigma
-    the slid rows fill, the number of slides, and the slid member on the
-    base family of sigma.
+    Slides the lengthened row northwest, exchanging whole rows, until row
+    lengths strictly decrease.  Rows start at column r - N, so exchanging the
+    row tuples moves every cell one step along its diagonal.  Returns
+    (parts, height, member): the parts of the partition sigma the slid rows
+    fill, which enlarges the base partition by a border strip whose height
+    equals the number of slides, and the slid member, a column-strict (hence
+    :func:`i1`-fixed) element of the base family of sigma with the same
+    weight.  The sign picks up (-1)**height.
     """
     rows, tau, i = member
-    p = i
-    while p > 1 and len(rows[p - 2]) <= len(rows[i - 1]):
-        p -= 1
+    p = _climb(rows, i)[0]
     rows = _moved(rows, i, p)
     N = len(rows)
     parts = [len(row) - (N - r) for r, row in enumerate(rows)]
@@ -665,22 +603,14 @@ def slide_to_strip_core(member: Member) -> tuple[tuple[int, ...], int, Member]:
     return tuple(parts), i - p, (rows, _moved(tau, i, p), 0)
 
 
-def slide_from_strip_core(member: Member, top: int, bottom: int) -> Member:
-    """Slide row ``top`` back down to row ``bottom``, the lengthened row."""
+def slide_from_border_strip(member: Member, top: int, bottom: int) -> Member:
+    """Inverse of :func:`slide_to_border_strip`: slide row ``top`` back down
+    to row ``bottom``, the lengthened row; :func:`strip_rows` gives both."""
     rows, tau, _ = member
     return _moved(rows, top, bottom), _moved(tau, top, bottom), bottom
 
 
-def i3_core(member: Member) -> Member:
-    """:func:`i3` on plain data."""
-    rows, tau, i = member
-    p, tie = _climb(rows, i)
-    if tie:
-        return _swapped(rows, i - 1, p - 2), _swapped(tau, i - 1, p - 2), i
-    return slide_from_strip_core(i1_core((_moved(rows, i, p), _moved(tau, i, p), 0)), p, i)
-
-
-def i3(st: SignedTableau) -> SignedTableau:
+def i3(member: Member) -> Member:
     """Third pairing map, on the augmented family.
 
     Equal-length branch: when the lengthened row i ties another row j, the
@@ -691,29 +621,11 @@ def i3(st: SignedTableau) -> SignedTableau:
     there; slide back.  Fixed points are the members whose slide lands on a
     column-strict filling.
     """
-    validate_member(st)
-    lam, n, N, d, i = _augmented_params(st)
-    return as_signed_tableau(i3_core(_member(st)), lam, n, N, d)
-
-
-def slide_to_border_strip(st: SignedTableau) -> tuple[Partition, int, SignedTableau]:
-    """Carry a fixed point of :func:`i3` to its border-strip staircase family.
-
-    Returns (sigma, height, member): sigma enlarges the base partition by a
-    border strip whose height equals the number of slides, and the member is
-    a column-strict (hence :func:`i1`-fixed) element of the base family of
-    sigma with the same weight.  The sign picks up (-1)**height.
-    """
-    validate_member(st)
-    lam, n, N, d, i = _augmented_params(st)
-    member = _member(st)
-    if _climb(member[0], i)[1]:
-        raise MembershipError("member has an equal-length row pair, so it is not fixed")
-    parts, slides, slid = slide_to_strip_core(member)
-    if column_violation(slid[0]) is not None:
-        raise MembershipError("member is not fixed by the third pairing map")
-    sigma = Partition(parts)
-    return sigma, slides, as_signed_tableau(slid, sigma, n, N)
+    rows, tau, i = member
+    p, tie = _climb(rows, i)
+    if tie:
+        return _swapped(rows, i - 1, p - 2), _swapped(tau, i - 1, p - 2), i
+    return slide_from_border_strip(i1((_moved(rows, i, p), _moved(tau, i, p), 0)), p, i)
 
 
 def strip_rows(sigma: Partition, lam: Partition) -> tuple[int, int]:
@@ -730,24 +642,24 @@ def strip_rows(sigma: Partition, lam: Partition) -> tuple[int, int]:
     return top, bottom
 
 
-def slide_from_border_strip(member: SignedTableau, lam: Partition) -> SignedTableau:
-    """Inverse of :func:`slide_to_border_strip` for the given base partition."""
-    if member.d:
-        raise MembershipError("expected a plain staircase extension")
-    sigma = member.lam
-    top, bottom = strip_rows(sigma, lam)
-    slid = slide_from_strip_core(_member(member), top, bottom)
-    return as_signed_tableau(slid, lam, member.n, member.N, sigma.size - lam.size)
-
-
-def in_low_core(member: Member, kl: int) -> bool:
-    """True when the lengthened row stays at or below N - kl."""
+def in_low_family(member: Member, kl: int) -> bool:
+    """True when the lengthened row stays at or below N - kl, kl = k*l."""
     rows, _, i = member
     return rows[i - 1][-1] <= len(rows) - kl
 
 
-def i4_core(member: Member, d: int, kl: int) -> Member:
-    """:func:`i4` on plain data, with d = k * n appended cells and kl = k * l."""
+def i4(member: Member, d: int, kl: int) -> Member:
+    """Fourth pairing map, on augmented members whose lengthened row stays low.
+
+    Defined on the low family (:func:`in_low_family`), with d = k*n
+    appended cells and kl = k*l: every entry of the lengthened row i is at
+    most N - k*l.  The leading block of row i moves to the row labeled
+    m + k*l, where m is the block's last entry; the remainder of row i slides
+    left k*n columns with k*l added to each entry, and the receiving row
+    slides right with k*l subtracted.  Entry compensation exactly offsets the
+    column jumps, so the shifted weight is preserved while the sign flips.
+    For l >= 1 the map has no fixed points.
+    """
     rows, tau, i = member
     row = rows[i - 1]
     j = tau.index(row[d - 1] + kl) + 1
@@ -755,38 +667,6 @@ def i4_core(member: Member, d: int, kl: int) -> Member:
     moved[i - 1] = tuple(map(kl.__add__, row[d:]))
     moved[j - 1] = row[:d] + tuple(map((-kl).__add__, moved[j - 1]))
     return tuple(moved), _swapped(tau, i - 1, j - 1), j
-
-
-def i4(st: SignedTableau, shift: ShiftParams) -> SignedTableau:
-    """Fourth pairing map, on augmented members whose lengthened row stays low.
-
-    Requires every entry of the lengthened row i to be at most N - k*l.  The
-    leading block of row i moves to the row labeled m + k*l, where m is the
-    block's last entry; the remainder of row i slides left k*n columns with
-    k*l added to each entry, and the receiving row slides right with k*l
-    subtracted.  Entry compensation exactly offsets the column jumps, so the
-    shifted weight is preserved while the sign flips.  For l >= 1 the map has
-    no fixed points.
-    """
-    validate_member(st)
-    lam, n, N, d, i = _augmented_params(st)
-    if shift.n != n:
-        raise ValueError(f"shift modulus {shift.n} does not match the family modulus {n}")
-    if d % n != 0:
-        raise ValueError(f"appended cell count {d} is not a multiple of {n}")
-    kl = d // n * shift.l
-    member = _member(st)
-    if not in_low_core(member, kl):
-        raise MembershipError(
-            f"row {i} reaches {st.rows[i - 1][-1]}, above the bound {N - kl}"
-        )
-    return as_signed_tableau(i4_core(member, d, kl), lam, n, N, d)
-
-
-def in_low_family(st: SignedTableau, shift: ShiftParams) -> bool:
-    """True when the lengthened row stays at or below N - k*l."""
-    _, n, N, d, i = _augmented_params(st)
-    return in_low_core(_member(st), (d // n) * shift.l)
 
 
 # ---------------------------------------------------------------------------

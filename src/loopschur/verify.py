@@ -29,40 +29,28 @@ from functools import lru_cache
 from operator import ge, itemgetter
 
 from .errors import ConfigError, MembershipError, PreconditionError
-from .involutions import (  # also the public maps, which callers may look up or replace here
+from .involutions import (  # also the maps, which callers may look up or replace here
     DEFAULT_CAP,
     Member,
-    as_signed_tableau,
+    SignedTableau,
     augmented_members,
     augmented_signed_sum,
-    column_violation,
-    entries_standard_core,
     enumerate_augmented_tableaux,
     enumerate_staircase_tableaux,
-    extract_core,
     extract_power_sum_factor,
     i1,
-    i1_core,
     i2,
-    i2_core,
-    i2_fixed_core,
     i2_is_fixed,
     i3,
-    i3_core,
     i4,
-    i4_core,
-    in_low_core,
     in_low_family,
-    insert_core,
     insert_power_sum_factor,
     is_column_strict,
     permutation_sign,
     sample_augmented_tableau,
     sample_staircase_tableau,
     slide_from_border_strip,
-    slide_from_strip_core,
     slide_to_border_strip,
-    slide_to_strip_core,
     staircase_entries_standard,
     staircase_members,
     staircase_signed_sum,
@@ -405,13 +393,13 @@ class _FamilyCheck:
 def _check_i1_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
     if image != m and not c.closed(image):
         return c.fail("closure", m)
-    if i1_core(image) != m:
+    if i1(image) != m:
         return c.fail("involution", m)
     fixed = image == m
-    if fixed != (column_violation(m[0]) is None):
+    if fixed != is_column_strict(m[0]):
         return c.fail("fixed_iff_column_strict", m)
     if fixed:
-        if not entries_standard_core(m[0]) or m[1] != tuple(range(1, c.N + 1)):
+        if not staircase_entries_standard(m[0]) or m[1] != tuple(range(1, c.N + 1)):
             return c.fail("fixed_point_shape", m)
     else:
         if c.sign(image[1]) != -sign or c.key(image[0]) != c.key(m[0]):
@@ -424,17 +412,17 @@ def _check_i1_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
 def _check_i2_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
     if image != m and not c.closed(image):
         return c.fail("closure", m)
-    if i2_core(image, c.d) != m:
+    if i2(image, c.d) != m:
         return c.fail("involution", m)
     fixed = image == m
-    if fixed != i2_fixed_core(m, c.d):
+    if fixed != i2_is_fixed(m, c.d):
         return c.fail("fixed_point_rule", m)
     if fixed:
-        base, i = extract_core(m, c.d), m[2]
+        base, i = extract_power_sum_factor(m, c.d), m[2]
         factor = c.plain.power_key(m[1][i - 1], c.d // c.n)
         if c.sign(base[1]) != sign or factor + c.key(base[0]) != c.key(m[0]):
             return c.fail("factor_weight_law", m)
-        if insert_core(base, i, c.d) != m:
+        if insert_power_sum_factor(base, i, c.d) != m:
             return c.fail("factor_roundtrip", m)
     else:
         if c.sign(image[1]) != -sign or c.key(image[0]) != c.key(m[0]):
@@ -445,22 +433,22 @@ def _check_i2_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
 def _check_i3_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
     if image != m and not c.closed(image):
         return c.fail("closure", m)
-    if i3_core(image) != m:
+    if i3(image) != m:
         return c.fail("involution", m)
     fixed = image == m
     if fixed:
-        parts, height, landed = slide_to_strip_core(m)
+        parts, height, landed = slide_to_border_strip(m)
         if list(parts) != sorted(parts, reverse=True):  # a tie left the rows unsorted
             return c.fail("strip_shape", m)
         sigma = Partition(parts)
         if not is_border_strip(sigma, c.lam, c.d):
             return c.fail("strip_shape", m)
-        if column_violation(landed[0]) is not None or i1_core(landed) != landed:
+        if not is_column_strict(landed[0]) or i1(landed) != landed:
             return c.fail("landing_not_fixed", m)
         sign_factor = -1 if height % 2 else 1
         if sign != sign_factor * c.sign(landed[1]) or c.key(landed[0]) != c.key(m[0]):
             return c.fail("slide_sign_or_weight", m)
-        if slide_from_strip_core(landed, *strip_rows(sigma, c.lam)) != m:
+        if slide_from_border_strip(landed, *strip_rows(sigma, c.lam)) != m:
             return c.fail("slide_roundtrip", m)
     else:
         if c.sign(image[1]) != -sign or c.key(image[0]) != c.key(m[0]):
@@ -471,9 +459,9 @@ def _check_i3_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
 
 
 def _check_i4_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
-    if not c.closed(image) or not in_low_core(image, c.kl):
+    if not c.closed(image) or not in_low_family(image, c.kl):
         return c.fail("closure", m)
-    if i4_core(image, c.d, c.kl) != m:
+    if i4(image, c.d, c.kl) != m:
         return c.fail("involution", m)
     if image == m:
         return c.fail("unexpected_fixed_point", m)
@@ -484,17 +472,17 @@ def _check_i4_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
     return False
 
 
-# Per map: its core, its member check, and the part of a moved image's own
-# check that the check of its partner does not already cover: the image is
-# not column-strict (first map) or not named fixed by the rule (second map).
-# The other checks are symmetric in the pair.
+# Per map: the map, looked up here when it is applied, its member check, and
+# the part of a moved image's own check that the check of its partner does
+# not already cover: the image is not column-strict (first map) or not named
+# fixed by the rule (second map).  The other checks are symmetric in the pair.
 _MAPS = {
-    "I1": (lambda c, m: i1_core(m), _check_i1_member,
-           lambda c, image: column_violation(image[0]) is not None),
-    "I2": (lambda c, m: i2_core(m, c.d), _check_i2_member,
-           lambda c, image: not i2_fixed_core(image, c.d)),
-    "I3": (lambda c, m: i3_core(m), _check_i3_member, lambda c, image: True),
-    "I4": (lambda c, m: i4_core(m, c.d, c.kl), _check_i4_member, lambda c, image: True),
+    "I1": (lambda c, m: i1(m), _check_i1_member,
+           lambda c, image: not is_column_strict(image[0])),
+    "I2": (lambda c, m: i2(m, c.d), _check_i2_member,
+           lambda c, image: not i2_is_fixed(image, c.d)),
+    "I3": (lambda c, m: i3(m), _check_i3_member, lambda c, image: True),
+    "I4": (lambda c, m: i4(m, c.d, c.kl), _check_i4_member, lambda c, image: True),
 }
 
 
@@ -502,18 +490,18 @@ def _walk_each(c: _FamilyCheck, which: str, members) -> tuple[int, int]:
     """Check every member on its own; returns the members checked and the
     fixed points.  For the fourth map it also adds up the signed shifted
     weights of the members it reaches in ``c.reachable``."""
-    core, check_member, _ = _MAPS[which]
+    apply, check_member, _ = _MAPS[which]
     low = which == "I4"
     checked = fixed = 0
     for m in members:
-        if low and not in_low_core(m, c.kl):
+        if low and not in_low_family(m, c.kl):
             continue  # unreachable by the fourth map: a stream of the whole family
         checked += 1
         sign = c.sign(m[1])
         if low:
             weight = c.shifted_key(m[0])
             c.reachable[weight] = c.reachable.get(weight, 0) + sign
-        fixed += check_member(c, m, sign, core(c, m))
+        fixed += check_member(c, m, sign, apply(c, m))
     return checked, fixed
 
 
@@ -528,14 +516,14 @@ def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
     agree every backward member is such an image and its check is implied.
     The cancelled pairs leave ``c.reachable`` empty.
     """
-    core, check_member, check_image = _MAPS[which]
+    apply, check_member, check_image = _MAPS[which]
     low = which == "I4"
     checked = fixed = forward = backward = 0
     for m in members:
-        if low and not in_low_core(m, c.kl):
+        if low and not in_low_family(m, c.kl):
             continue  # unreachable by the fourth map: a stream of the whole family
         checked += 1
-        image = core(c, m)
+        image = apply(c, m)
         if image < m:
             backward += 1
         elif check_member(c, m, c.sign(m[1]), image):
@@ -548,15 +536,15 @@ def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
 
 
 def _sampled_members(which, lam, n, k, N, shift, samples, rng):
-    """The sampled members of :func:`check_involution` as plain data."""
+    """The sampled members of :func:`check_involution`."""
     for _ in range(samples):
         if which == "I1":
-            st = sample_staircase_tableau(lam, n, N, rng)
+            member = sample_staircase_tableau(lam, n, N, rng)
         else:
-            st = sample_augmented_tableau(lam, n, k, N, rng, shift.l if which == "I4" else 0)
-            if which == "I4" and not in_low_family(st, shift):
+            member = sample_augmented_tableau(lam, n, k, N, rng, shift.l if which == "I4" else 0)
+            if which == "I4" and not in_low_family(member, k * shift.l):
                 raise MembershipError("the low-family sampler drew a member outside it")
-        yield st.rows, st.tau, st.i
+        yield member
 
 
 def check_involution(
@@ -636,7 +624,7 @@ def check_involution(
         name, member = failures[0]
         witness = {
             "property": name,
-            "member": (as_signed_tableau(member, lam, n, N, d).to_document()
+            "member": (SignedTableau(lam, n, N, d, *member).to_document()
                        if member is not None else None),
         }
     params = {"which": which, "lambda": str(lam), "n": n, "k": k, "N": N, "mode": mode}

@@ -11,11 +11,10 @@ import pytest
 from loopschur import (
     Partition,
     ShiftParams,
+    augmented_members,
     augmented_signed_sum,
-    enumerate_augmented_tableaux,
     enumerate_border_strips,
     enumerate_ssyt,
-    enumerate_staircase_tableaux,
     i1,
     i2,
     i3,
@@ -23,7 +22,9 @@ from loopschur import (
     in_low_family,
     sample_augmented_tableau,
     shifted_loop_schur,
+    staircase_members,
     staircase_monomial,
+    validate_in_family,
     verify_degree_bound,
     verify_murnaghan_nakayama,
 )
@@ -66,30 +67,37 @@ def test_shifted_master_sum_with_k_two():
 
 def test_fixed_point_counts_match_tableau_counts():
     # i1 fixed points biject onto semistandard fillings of the base partition
-    for lam, n, N in ((Partition.of(2, 2), 1, 4), (Partition.of(1, 1), 2, 3)):
-        fixed = sum(1 for st in enumerate_staircase_tableaux(lam, n, N) if i1(st) == st)
+    for lam, N in ((Partition.of(2, 2), 4), (Partition.of(1, 1), 3)):
+        fixed = sum(1 for m in staircase_members(lam, N) if i1(m) == m)
         assert fixed == sum(1 for _ in enumerate_ssyt(lam, N))
 
 
 def test_involutions_commute_with_validation_on_random_walks():
     # random alternating applications never leave the families
     rng = random.Random(515)
-    lam, n, k, N = Partition.of(2, 1), 3, 1, 5
-    shift = ShiftParams(n, 1)
+    lam, n, k, N, l = Partition.of(2, 1), 3, 1, 5, 1
+    d, kl = k * n, k * l
     for _ in range(200):
-        st = sample_augmented_tableau(lam, n, k, N, rng)
-        walked = i2(i2(i3(i3(st))))
-        assert walked == st
-        if in_low_family(st, shift):
-            assert i4(i4(st, shift), shift) == st
+        m = sample_augmented_tableau(lam, n, k, N, rng)
+        walked = i2(i2(i3(i3(m)), d), d)
+        assert walked == m
+        for image in (i3(m), i2(m, d)):
+            validate_in_family(image, lam, N, d)
+        if in_low_family(m, kl):
+            image = i4(m, d, kl)
+            validate_in_family(image, lam, N, d)
+            assert i4(image, d, kl) == m
 
 
 def test_exhaustive_family_with_tall_partition():
     # every member pairs consistently even when the base partition is a column
     lam, n, k, N = Partition.of(1, 1), 2, 1, 3
+    d = k * n
     total = 0
-    for st in enumerate_augmented_tableaux(lam, n, k, N):
+    for m in augmented_members(lam, n, k, N):
         total += 1
-        assert i2(i2(st)) == st
-        assert i3(i3(st)) == st
+        for image in (i2(m, d), i3(m)):
+            validate_in_family(image, lam, N, d)
+        assert i2(i2(m, d), d) == m
+        assert i3(i3(m)) == m
     assert total > 0

@@ -15,21 +15,15 @@ import pytest
 from loopschur import (
     CapExceededError,
     Partition,
-    ShiftParams,
+    augmented_members,
     count_augmented_tableaux,
     count_staircase_tableaux,
-    enumerate_augmented_tableaux,
     in_low_family,
     sample_augmented_tableau,
     sample_staircase_tableau,
-    validate_member,
+    validate_in_family,
 )
-from loopschur.involutions import (
-    _augmented_table,
-    _label_table,
-    augmented_members,
-    count_weakly_increasing,
-)
+from loopschur.involutions import _augmented_table, _label_table, count_weakly_increasing
 
 PARTITIONS = [(), (1,), (2,), (1, 1), (2, 1)]  # every lambda inside (2,1)
 RING = [(n, k) for n in (1, 2, 3) for k in (1, 2)]
@@ -148,8 +142,8 @@ class TestDraws:
         lam = Partition(lam)
         table = reference_staircase_table(lam, N)
         for seed in range(200):
-            st = sample_staircase_tableau(lam, n, N, seed)
-            assert (st.i, st.rows, st.tau) == reference_draw(table, random.Random(seed))
+            rows, tau, i = sample_staircase_tableau(lam, n, N, seed)
+            assert (i, rows, tau) == reference_draw(table, random.Random(seed))
 
     @pytest.mark.parametrize("n,k", RING)
     @pytest.mark.parametrize("lam,N", SIZES)
@@ -157,8 +151,8 @@ class TestDraws:
         lam = Partition(lam)
         table = reference_augmented_table(lam, k, n, N)
         for seed in range(200):
-            st = sample_augmented_tableau(lam, n, k, N, seed)
-            assert (st.i, st.rows, st.tau) == reference_draw(table, random.Random(seed))
+            rows, tau, i = sample_augmented_tableau(lam, n, k, N, seed)
+            assert (i, rows, tau) == reference_draw(table, random.Random(seed))
 
     @pytest.mark.parametrize("lam,n,k,N,l", [
         ((), 2, 1, 3, 1), ((), 3, 1, 3, 2), ((1,), 3, 1, 4, 2), ((1,), 2, 1, 5, 1),
@@ -168,44 +162,35 @@ class TestDraws:
         lam = Partition(lam)
         table = reference_augmented_table(lam, k, n, N, top=N - k * l)
         for seed in range(200):
-            st = sample_augmented_tableau(lam, n, k, N, seed, l)
-            assert (st.i, st.rows, st.tau) == reference_draw(table, random.Random(seed))
+            rows, tau, i = sample_augmented_tableau(lam, n, k, N, seed, l)
+            assert (i, rows, tau) == reference_draw(table, random.Random(seed))
 
 
 class TestLowFamily:
     def test_count_matches_filtered_enumeration(self):
         lam, n, k, N, l = Partition(), 2, 1, 4, 1
-        shift = ShiftParams(n, l)
-        enumerated = sum(
-            1 for st in enumerate_augmented_tableaux(lam, n, k, N) if in_low_family(st, shift)
-        )
+        enumerated = sum(1 for m in augmented_members(lam, n, k, N) if in_low_family(m, k * l))
         assert enumerated == 21_138
         assert low_family_size(lam, k, n, N, l) == 21_138
 
     @pytest.mark.parametrize("lam,n,k,N,l", [((), 2, 1, 4, 1), ((2, 1), 3, 1, 5, 1), ((1,), 3, 2, 7, 2)])
     def test_draws_are_low_members(self, lam, n, k, N, l):
-        lam, shift = Partition(lam), ShiftParams(n, l)
+        lam = Partition(lam)
         rng = random.Random(9)
         for _ in range(300):
-            st = sample_augmented_tableau(lam, n, k, N, rng, l)
-            validate_member(st)
-            assert in_low_family(st, shift)
+            m = sample_augmented_tableau(lam, n, k, N, rng, l)
+            validate_in_family(m, lam, N, k * n)
+            assert in_low_family(m, k * l)
 
     def test_uniformity_within_three_sigma(self):
         # every member of the 18-element low family should appear ~200 times
         lam, n, k, N, l = Partition(), 3, 1, 3, 2
-        shift = ShiftParams(n, l)
-        population = {
-            (st.i, st.rows, st.tau): 0
-            for st in enumerate_augmented_tableaux(lam, n, k, N)
-            if in_low_family(st, shift)
-        }
+        population = {m: 0 for m in augmented_members(lam, n, k, N) if in_low_family(m, k * l)}
         assert len(population) == low_family_size(lam, k, n, N, l) == 18
         draws = 3600
         rng = random.Random(1414)
         for _ in range(draws):
-            st = sample_augmented_tableau(lam, n, k, N, rng, l)
-            population[(st.i, st.rows, st.tau)] += 1
+            population[sample_augmented_tableau(lam, n, k, N, rng, l)] += 1
         expected = draws / 18
         sigma = math.sqrt(draws * (1 / 18) * (17 / 18))
         for count in population.values():

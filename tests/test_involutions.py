@@ -13,6 +13,7 @@ from loopschur import (
     Polynomial,
     ShiftParams,
     SignedTableau,
+    augmented_members,
     augmented_signed_sum,
     check_involution,
     count_augmented_tableaux,
@@ -39,37 +40,39 @@ from loopschur import (
     slide_from_border_strip,
     slide_to_border_strip,
     staircase_entries_standard,
+    staircase_members,
     staircase_monomial,
     staircase_signed_sum,
     to_document,
-    validate_member,
+    validate_in_family,
     verify_expansion,
 )
 import loopschur.involutions as involutions_mod
 from loopschur.cli import main
 from loopschur.involutions import (
     DEFAULT_CAP,
-    as_signed_tableau,
-    augmented_members,
     count_weakly_increasing,
-    in_low_core,
+    strip_rows,
     unrank_weakly_increasing,
-    validate_in_family,
 )
 from loopschur.tableaux import rows_monomial, staircase_cells
 
 LAM21 = Partition.of(2, 1)
 
 
-def family(lam, n, N, d=0, i=0):
-    """A family colored mod n with N rows and d cells appended to row i (the
-    base family: d = i = 0), with that row."""
-    return lam, n, N, d, i
+def member(rows, tau, i=0):
+    """A member as plain data, lengthened at row i (0: the base family)."""
+    return tuple(tuple(r) for r in rows), tuple(tau), i
 
 
-def member(fam, rows, tau):
-    lam, n, N, d, i = fam
-    return SignedTableau(lam, n, N, d, tuple(tuple(r) for r in rows), tuple(tau), i)
+def weight(m, lam, n, N, d=0, l=0):
+    """The (shifted) weight of a member of the family of ``lam`` with N rows
+    and d cells appended, colored mod n."""
+    return rows_monomial(m[0], staircase_cells(lam, N, d, n, l), n)
+
+
+def sign(m):
+    return permutation_sign(m[1])
 
 
 class TestMembership:
@@ -79,44 +82,36 @@ class TestMembership:
         assert members[0].rows == ((1,),) and members[0].tau == (1,)
 
     def test_example_pairs_are_members(self):
-        fam = family(LAM21, 3, 5)
-        left = member(fam, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)],
+        left = member([(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)],
                       (2, 5, 4, 1, 3))
-        right = member(fam, [(2, 2, 3, 4, 4, 4, 5), (4, 4, 5, 5, 5), (5, 5, 5), (2, 2), (3,)],
+        right = member([(2, 2, 3, 4, 4, 4, 5), (4, 4, 5, 5, 5), (5, 5, 5), (2, 2), (3,)],
                        (2, 4, 5, 1, 3))
-        validate_member(left)
-        validate_member(right)
+        validate_in_family(left, LAM21, 5, 0)
+        validate_in_family(right, LAM21, 5, 0)
 
     def test_rejects_low_leading_entry(self):
-        fam = family(Partition(), 1, 2)
         with pytest.raises(MembershipError):
-            validate_member(member(fam, [(1, 1), (1,)], (1, 2)))
+            validate_in_family(member([(1, 1), (1,)], (1, 2)), Partition(), 2, 0)
 
     def test_rejects_decreasing_row(self):
-        fam = family(Partition(), 1, 2)
         with pytest.raises(MembershipError):
-            validate_member(member(fam, [(2, 1), (2,)], (1, 2)))
+            validate_in_family(member([(2, 1), (2,)], (1, 2)), Partition(), 2, 0)
 
     def test_rejects_large_entries(self):
-        fam = family(Partition(), 1, 2)
         with pytest.raises(MembershipError):
-            validate_member(member(fam, [(1, 3), (2,)], (1, 2)))
+            validate_in_family(member([(1, 3), (2,)], (1, 2)), Partition(), 2, 0)
 
     def test_rejects_non_permutation(self):
-        fam = family(Partition(), 1, 2)
         with pytest.raises(MembershipError):
-            validate_member(member(fam, [(1, 1), (2,)], (1, 1)))
+            validate_in_family(member([(1, 1), (2,)], (1, 1)), Partition(), 2, 0)
 
-    # Construction checks nothing, so row lengths that disagree with the
-    # family must be caught by the membership check of every map.
+    # The maps trust their input, so row lengths that disagree with the
+    # family must be caught by the membership check.
     @pytest.mark.parametrize("rows", [[(1, 1, 1), (2,)], [(1,), (2,)], [(1, 1)],
                                       [(1, 1), (2,), (2,)]], ids=str)
     def test_rejects_row_lengths_off_the_shape(self, rows):
-        st = member(family(Partition(), 1, 2), rows, (1, 2))
         with pytest.raises(MembershipError, match="row lengths"):
-            validate_member(st)
-        with pytest.raises(MembershipError, match="row lengths"):
-            i1(st)
+            validate_in_family(member(rows, (1, 2)), Partition(), 2, 0)
 
     # The weight reads the family's cell table, which is as long as the
     # longest row; a cell past it, or a row without a table, must not be
@@ -124,18 +119,15 @@ class TestMembership:
     @pytest.mark.parametrize("rows", [[(1, 1, 1, 1, 1), (2,)], [(1, 1)], [(1, 1), (2,), (2,)]],
                              ids=str)
     def test_monomial_refuses_rows_off_the_cell_table(self, rows):
-        st = member(family(Partition(), 1, 2), rows, (1, 2))
+        st = SignedTableau(Partition(), 1, 2, 0, *member(rows, (1, 2)))
         with pytest.raises(ValueError):
             st.monomial()
 
     @pytest.mark.parametrize("rows", [[(1, 1, 1), (2,)], [(1, 1), (2,)], [(1, 1), (2, 2, 2)]],
                              ids=str)
     def test_rejects_augmented_row_lengths_off_the_shape(self, rows):
-        st = member(family(Partition(), 1, 2, 1, 2), rows, (1, 2))
         with pytest.raises(MembershipError, match="row lengths"):
-            validate_member(st)
-        with pytest.raises(MembershipError, match="row lengths"):
-            i2(st)
+            validate_in_family(member(rows, (1, 2), 2), Partition(), 2, 1)
 
     # Each row list below has two faults; the message names the first one in
     # row-major reading order, the row's label checked after its entries.
@@ -188,7 +180,7 @@ class TestCountsAndEnumeration:
                     whole = list(augmented_members(lam, n, k, N))
                     for l in range(1, n):
                         low = list(augmented_members(lam, n, k, N, DEFAULT_CAP, l))
-                        assert low == [m for m in whole if in_low_core(m, k * l)]
+                        assert low == [m for m in whole if in_low_family(m, k * l)]
                         assert len(low) == involutions_mod._augmented_table(lam, k, n, N, l).lengthened[-1]
                         with pytest.raises(CapExceededError) as err:
                             check_involution("I4", lam, n, k, N, l=l, cap=len(whole) - 1)
@@ -226,18 +218,22 @@ class TestRefusals:
         lambda lam, n, N: list(enumerate_augmented_tableaux(lam, n, 1, N)),
         lambda lam, n, N: sample_staircase_tableau(lam, n, N, 0),
         lambda lam, n, N: sample_augmented_tableau(lam, n, 1, N, 0),
-        lambda lam, n, N: as_signed_tableau(filled_member(lam, N, 0), lam, n, N),
-        lambda lam, n, N: as_signed_tableau(filled_member(lam, N, 2), lam, n, N, 2),
     ], ids=["enumerate_staircase", "enumerate_augmented", "sample_staircase",
-            "sample_augmented", "as_signed_tableau", "as_signed_tableau_augmented"])
+            "sample_augmented"])
     def test_no_family_is_refused(self, build, lam, n, N):
         with pytest.raises(ValueError):
             build(Partition(lam), n, N)
 
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_membership_refuses_too_few_rows(self, d):
+        lam = Partition.of(2, 1)
+        with pytest.raises(ValueError, match="need N >= 2 rows"):
+            validate_in_family(filled_member(lam, 1, d), lam, 1, d)
+
     def test_filled_members_belong_where_the_family_exists(self):
         lam = Partition.of(2, 1)
-        as_signed_tableau(filled_member(lam, 2, 0), lam, 2, 2)
-        as_signed_tableau(filled_member(lam, 2, 2), lam, 2, 2, 2)
+        validate_in_family(filled_member(lam, 2, 0), lam, 2, 0)
+        validate_in_family(filled_member(lam, 2, 2), lam, 2, 2)
 
 
 class TestSampling:
@@ -249,24 +245,20 @@ class TestSampling:
     def test_samples_are_members(self):
         rng = random.Random(4)
         for _ in range(200):
-            st = sample_augmented_tableau(Partition.of(1), 2, 1, 4, rng)
-            validate_member(st)
+            validate_in_family(sample_augmented_tableau(Partition.of(1), 2, 1, 4, rng),
+                               Partition.of(1), 4, 2)
         for _ in range(200):
-            st = sample_staircase_tableau(Partition.of(1), 2, 4, rng)
-            validate_member(st)
+            validate_in_family(sample_staircase_tableau(Partition.of(1), 2, 4, rng),
+                               Partition.of(1), 4, 0)
 
     def test_uniformity_within_three_sigma(self):
         # every member of the 12-element family should appear ~200 times
-        population = {
-            (st.i, st.rows, st.tau): 0
-            for st in enumerate_augmented_tableaux(Partition(), 1, 1, 2)
-        }
+        population = {m: 0 for m in augmented_members(Partition(), 1, 1, 2)}
         assert len(population) == 12
         draws = 2400
         rng = random.Random(2718)
         for _ in range(draws):
-            st = sample_augmented_tableau(Partition(), 1, 1, 2, rng)
-            population[(st.i, st.rows, st.tau)] += 1
+            population[sample_augmented_tableau(Partition(), 1, 1, 2, rng)] += 1
         expected = draws / 12
         sigma = math.sqrt(draws * (1 / 12) * (11 / 12))
         for count in population.values():
@@ -275,10 +267,9 @@ class TestSampling:
 
 class TestFirstMap:
     def test_worked_example_pair(self):
-        fam = family(LAM21, 3, 5)
-        left = member(fam, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)],
+        left = member([(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)],
                       (2, 5, 4, 1, 3))
-        right = member(fam, [(2, 2, 3, 4, 4, 4, 5), (4, 4, 5, 5, 5), (5, 5, 5), (2, 2), (3,)],
+        right = member([(2, 2, 3, 4, 4, 4, 5), (4, 4, 5, 5, 5), (5, 5, 5), (2, 2), (3,)],
                        (2, 4, 5, 1, 3))
         assert i1(left) == right
         assert i1(right) == left
@@ -291,29 +282,29 @@ class TestFirstMap:
                 tuple([r] * (N - r + 1)) + ssyt[r - 1] if r <= len(lam) else tuple([r] * (N - r + 1))
                 for r in range(1, N + 1)
             ]
-            st = member(family(lam, n, N), rows, range(1, N + 1))
+            st = member(rows, range(1, N + 1))
             assert i1(st) == st
 
     def test_single_row_always_fixed(self):
         for rows in combinations_with_replacement((1,), 1):
-            st = member(family(Partition(), 2, 1), [rows], (1,))
+            st = member([rows], (1,))
             assert i1(st) == st
 
     def test_exhaustive_properties(self):
         lam, n, N = Partition.of(1), 2, 3
         fixed = 0
-        for st in enumerate_staircase_tableaux(lam, n, N):
+        for st in staircase_members(lam, N):
             image = i1(st)
             assert i1(image) == st
             if image == st:
                 fixed += 1
-                assert is_column_strict(st)
-                assert staircase_entries_standard(st)
-                assert st.tau == (1, 2, 3)
+                assert is_column_strict(st[0])
+                assert staircase_entries_standard(st[0])
+                assert st[1] == (1, 2, 3)
             else:
-                assert image.sign == -st.sign
-                assert image.monomial() == st.monomial()
-                assert image.monomial(1) == st.monomial(1)
+                assert sign(image) == -sign(st)
+                assert weight(image, lam, n, N) == weight(st, lam, n, N)
+                assert weight(image, lam, n, N, l=1) == weight(st, lam, n, N, l=1)
         assert fixed == sum(1 for _ in enumerate_ssyt(lam, N))
 
     def test_signed_sum_factors_through_schur(self):
@@ -330,55 +321,47 @@ class TestFirstMap:
         rhs = Polynomial.from_term(n, staircase_monomial(N, n)) * loop_schur(lam, n, N)
         assert lhs == rhs
 
-    def test_rejects_augmented_shapes(self):
-        st = member(family(Partition(), 1, 2, 1, 1), [(1, 1, 1), (2,)], (1, 2))
-        with pytest.raises(MembershipError):
-            i1(st)
-
 
 class TestSecondMap:
     def test_worked_example_pair(self):
-        fam4 = family(LAM21, 3, 5, 3, 4)
-        fam5 = family(LAM21, 3, 5, 3, 5)
-        a = member(fam4, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5), (3,)],
-                   (2, 5, 4, 1, 3))
-        b = member(fam5, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (4, 5), (2, 2, 3, 3)],
-                   (2, 5, 4, 3, 1))
-        assert i2(a) == b
-        assert i2(b) == a
+        a = member([(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5), (3,)],
+                   (2, 5, 4, 1, 3), 4)
+        b = member([(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (4, 5), (2, 2, 3, 3)],
+                   (2, 5, 4, 3, 1), 5)
+        assert i2(a, 3) == b
+        assert i2(b, 3) == a
 
     def test_fixed_rule(self):
-        fam = family(Partition(), 1, 2, 1, 1)
-        fixed = member(fam, [(1, 1, 2), (2,)], (1, 2))
-        assert i2_is_fixed(fixed) and i2(fixed) == fixed
-        moved = member(fam, [(2, 2, 2), (2,)], (1, 2))
-        assert not i2_is_fixed(moved) and i2(moved) != moved
+        fixed = member([(1, 1, 2), (2,)], (1, 2), 1)
+        assert i2_is_fixed(fixed, 1) and i2(fixed, 1) == fixed
+        moved = member([(2, 2, 2), (2,)], (1, 2), 1)
+        assert not i2_is_fixed(moved, 1) and i2(moved, 1) != moved
 
     def test_involution_on_samples(self):
         rng = random.Random(31)
         for _ in range(1000):
             st = sample_augmented_tableau(LAM21, 3, 1, 5, rng)
-            image = i2(st)
-            assert i2(image) == st
+            image = i2(st, 3)
+            assert i2(image, 3) == st
             if image != st:
-                assert image.sign == -st.sign
-                assert image.monomial() == st.monomial()
+                assert sign(image) == -sign(st)
+                assert weight(image, LAM21, 3, 5, 3) == weight(st, LAM21, 3, 5, 3)
 
     def test_factorization_weight_law_exhaustive(self):
         # every fixed point splits off the k-th power of a full color block
         n, k, N = 1, 1, 2
-        lam = Partition()
-        fixed_points = [st for st in enumerate_augmented_tableaux(lam, n, k, N) if i2_is_fixed(st)]
+        lam, d = Partition(), k * n
+        fixed_points = [st for st in augmented_members(lam, n, k, N) if i2_is_fixed(st, d)]
         assert len(fixed_points) == 10
         seen = set()
         for st in fixed_points:
-            base, i = extract_power_sum_factor(st)
-            value = st.tau[i - 1]
+            base, i = extract_power_sum_factor(st, d), st[2]
+            value = st[1][i - 1]
             factor = Monomial.from_exponents({(c, n * value): k for c in range(n)})
-            assert factor * base.monomial() == st.monomial()
-            assert base.sign == st.sign
-            assert insert_power_sum_factor(base, i, k) == st
-            seen.add((base.rows, base.tau, value))
+            assert factor * weight(base, lam, n, N) == weight(st, lam, n, N, d)
+            assert sign(base) == sign(st)
+            assert insert_power_sum_factor(base, i, d) == st
+            seen.add((base[0], base[1], value))
         # the split is a bijection onto (base family) x (power-sum index)
         assert len(seen) == len(fixed_points)
         assert len(seen) == count_staircase_tableaux(lam, N) * N
@@ -395,62 +378,58 @@ class TestSecondMap:
 
 class TestThirdMap:
     def test_equal_length_example_pair(self):
-        fam4 = family(LAM21, 3, 5, 3, 4)
-        a = member(fam4, [(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5), (3,)],
-                   (2, 5, 4, 1, 3))
-        c = member(fam4, [(2, 2, 3, 4, 4, 4, 5), (2, 2, 3, 4, 5), (4, 4, 5), (5, 5, 5, 5, 5), (3,)],
-                   (2, 1, 4, 5, 3))
+        a = member([(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2, 3, 4, 5), (3,)],
+                   (2, 5, 4, 1, 3), 4)
+        c = member([(2, 2, 3, 4, 4, 4, 5), (2, 2, 3, 4, 5), (4, 4, 5), (5, 5, 5, 5, 5), (3,)],
+                   (2, 1, 4, 5, 3), 4)
         assert i3(a) == c
         assert i3(c) == a
 
     def test_slide_example_pair(self):
-        fam3 = family(LAM21, 3, 5, 3, 3)
-        start = member(fam3, [(2, 2, 3, 4, 4, 4, 4), (2, 2, 3, 4, 4), (4, 4, 5, 5, 5, 5), (5, 5), (3,)],
-                       (2, 1, 4, 5, 3))
-        end = member(fam3, [(2, 2, 3, 4, 4, 4, 4), (4, 4, 5, 5, 5), (2, 2, 3, 4, 4, 5), (5, 5), (3,)],
-                     (2, 4, 1, 5, 3))
+        start = member([(2, 2, 3, 4, 4, 4, 4), (2, 2, 3, 4, 4), (4, 4, 5, 5, 5, 5), (5, 5), (3,)],
+                       (2, 1, 4, 5, 3), 3)
+        end = member([(2, 2, 3, 4, 4, 4, 4), (4, 4, 5, 5, 5), (2, 2, 3, 4, 4, 5), (5, 5), (3,)],
+                     (2, 4, 1, 5, 3), 3)
         assert i3(start) == end
         assert i3(end) == start
 
     def test_zero_slide_fixed_point(self):
         # lengthening row 1 keeps lengths strictly decreasing: no slides
-        fam = family(Partition(), 1, 2, 1, 1)
-        st = member(fam, [(1, 1, 2), (2,)], (1, 2))
+        st = member([(1, 1, 2), (2,)], (1, 2), 1)
         assert i3(st) == st
-        sigma, height, landed = slide_to_border_strip(st)
-        assert sigma == Partition.of(1) and height == 0
-        assert landed.rows == st.rows and landed.tau == st.tau
-        assert slide_from_border_strip(landed, Partition()) == st
+        parts, height, landed = slide_to_border_strip(st)
+        assert Partition(parts) == Partition.of(1) and height == 0
+        assert landed[0] == st[0] and landed[1] == st[1]
+        assert slide_from_border_strip(landed, *strip_rows(Partition(parts), Partition())) == st
 
     def test_exhaustive_properties_and_strip_bijection(self):
         lam, n, k, N = Partition.of(1), 2, 1, 3
         landings: dict = {}
-        for st in enumerate_augmented_tableaux(lam, n, k, N):
+        d = k * n
+        for st in augmented_members(lam, n, k, N):
             image = i3(st)
             assert i3(image) == st
             if image == st:
-                sigma, height, landed = slide_to_border_strip(st)
-                assert is_border_strip(sigma, lam, k * n)
+                parts, height, landed = slide_to_border_strip(st)
+                sigma = Partition(parts)
+                assert is_border_strip(sigma, lam, d)
+                validate_in_family(landed, sigma, N, 0)
                 assert i1(landed) == landed
-                assert landed.monomial() == st.monomial()
-                assert landed.monomial(1) == st.monomial(1)
-                assert st.sign == (-1) ** height * landed.sign
-                assert slide_from_border_strip(landed, lam) == st
-                landings.setdefault((sigma, height), set()).add((landed.rows, landed.tau))
+                assert weight(landed, sigma, n, N) == weight(st, lam, n, N, d)
+                assert weight(landed, sigma, n, N, l=1) == weight(st, lam, n, N, d, l=1)
+                assert sign(st) == (-1) ** height * sign(landed)
+                assert slide_from_border_strip(landed, *strip_rows(sigma, lam)) == st
+                landings.setdefault((sigma, height), set()).add((landed[0], landed[1]))
             else:
-                assert image.sign == -st.sign
-                assert image.monomial() == st.monomial()
-                assert image.monomial(1) == st.monomial(1)
+                assert sign(image) == -sign(st)
+                assert weight(image, lam, n, N, d) == weight(st, lam, n, N, d)
+                assert weight(image, lam, n, N, d, l=1) == weight(st, lam, n, N, d, l=1)
         # fixed points land bijectively on the column-strict members per strip
         expected_strips = {(b.sigma, b.height) for b in enumerate_border_strips(lam, k * n)
                            if len(b.sigma) <= N}
         assert set(landings) == expected_strips
         for (sigma, _height), seen in landings.items():
-            fixed_on_sigma = {
-                (st.rows, st.tau)
-                for st in enumerate_staircase_tableaux(sigma, n, N)
-                if i1(st) == st
-            }
+            fixed_on_sigma = {(st[0], st[1]) for st in staircase_members(sigma, N) if i1(st) == st}
             assert seen == fixed_on_sigma
 
     @pytest.mark.parametrize("lam,n,k,N", [((), 1, 1, 2), ((), 2, 1, 3), ((1,), 2, 1, 3)])
@@ -467,48 +446,41 @@ class TestThirdMap:
 
 class TestFourthMap:
     def test_weight_preserved_by_hand(self):
-        fam1 = family(Partition(), 2, 3, 2, 1)
-        st = member(fam1, [(1, 1, 1, 1, 1), (2, 2), (3,)], (1, 2, 3))
-        shift = ShiftParams(2, 1)
-        image = i4(st, shift)
-        assert image.i == 2
-        assert image.rows == ((2, 2, 2), (1, 1, 1, 1), (3,))
-        assert image.tau == (2, 1, 3)
-        assert image.monomial(1) == st.monomial(1)
-        assert i4(image, shift) == st
+        # lambda = 0, n = 2, k = 1, l = 1: d = 2 cells appended and kl = 1
+        st = member([(1, 1, 1, 1, 1), (2, 2), (3,)], (1, 2, 3), 1)
+        image = i4(st, 2, 1)
+        assert image[2] == 2
+        assert image[0] == ((2, 2, 2), (1, 1, 1, 1), (3,))
+        assert image[1] == (2, 1, 3)
+        assert weight(image, Partition(), 2, 3, 2, l=1) == weight(st, Partition(), 2, 3, 2, l=1)
+        assert i4(image, 2, 1) == st
 
     def test_no_fixed_points_and_preservation_on_samples(self):
+        # n = 3, k = 1, l = 1: d = 3 cells appended and kl = 1
         rng = random.Random(77)
-        shift = ShiftParams(3, 1)
         for _ in range(500):
             st = sample_augmented_tableau(LAM21, 3, 1, 5, rng)
-            if not in_low_family(st, shift):
+            if not in_low_family(st, 1):
                 continue
-            image = i4(st, shift)
+            image = i4(st, 3, 1)
             assert image != st
-            assert in_low_family(image, shift)
-            assert i4(image, shift) == st
-            assert image.sign == -st.sign
-            assert image.monomial(1) == st.monomial(1)
-
-    def test_rejects_high_rows(self):
-        fam1 = family(Partition(), 2, 3, 2, 1)
-        st = member(fam1, [(1, 1, 1, 1, 3), (2, 2), (3,)], (1, 2, 3))
-        with pytest.raises(MembershipError):
-            i4(st, ShiftParams(2, 1))
+            assert in_low_family(image, 1)
+            assert i4(image, 3, 1) == st
+            assert sign(image) == -sign(st)
+            assert weight(image, LAM21, 3, 5, 3, l=1) == weight(st, LAM21, 3, 5, 3, l=1)
 
     def test_unreachable_members_carry_the_shifted_sum(self):
         lam, n, k, N, l = Partition(), 2, 1, 3, 1
-        shift = ShiftParams(n, l)
+        d, kl = k * n, k * l
         total: dict = {}
-        for st in enumerate_augmented_tableaux(lam, n, k, N):
-            if in_low_family(st, shift):
-                image = i4(st, shift)
-                assert image != st and i4(image, shift) == st
-                assert image.monomial(l) == st.monomial(l)
+        for st in augmented_members(lam, n, k, N):
+            if in_low_family(st, kl):
+                image = i4(st, d, kl)
+                assert image != st and i4(image, d, kl) == st
+                assert weight(image, lam, n, N, d, l) == weight(st, lam, n, N, d, l)
             else:
-                m = st.monomial(l)
-                total[m] = total.get(m, 0) + st.sign
+                m = weight(st, lam, n, N, d, l)
+                total[m] = total.get(m, 0) + sign(st)
         assert Polynomial(n, total) == augmented_signed_sum(lam, n, k, N, l)
 
 

@@ -1,10 +1,11 @@
-"""Differential tests of the pairing-map cores on every member of the small
-families: lambda within (2,1), n <= 3, k <= 2, N <= 3 and every shift l < n.
+"""Tests of the pairing maps on every member of the small families: lambda
+within (2,1), n <= 3, k <= 2, N <= 3 and every shift l < n.
 
-Each core must agree with its validating public wrapper, the row-tuple weight
-with a cell-by-cell reference, the family's weight code with the row-tuple
-weight, and the one-pass sum of the fourth map's check with
-``augmented_signed_sum``.
+Each map's image must belong to its family, each map must be an involution,
+the power-sum factor and the border-strip slide must round-trip, the
+row-tuple weight must agree with a cell-by-cell reference, the family's
+weight code with the row-tuple weight, and the one-pass sum of the fourth
+map's check with ``augmented_signed_sum``.  Each map has one entry point.
 """
 
 import pytest
@@ -13,10 +14,9 @@ from loopschur import (
     Monomial,
     Partition,
     Polynomial,
-    ShiftParams,
+    SignedTableau,
+    augmented_members,
     augmented_signed_sum,
-    enumerate_augmented_tableaux,
-    enumerate_staircase_tableaux,
     extract_power_sum_factor,
     i1,
     i2,
@@ -25,30 +25,17 @@ from loopschur import (
     i4,
     in_low_family,
     insert_power_sum_factor,
+    is_border_strip,
     is_column_strict,
     permutation_sign,
     slide_from_border_strip,
     slide_to_border_strip,
     staircase_entries_standard,
-)
-from loopschur import verify
-from loopschur.involutions import (
-    augmented_members,
-    column_violation,
-    entries_standard_core,
-    extract_core,
-    i1_core,
-    i2_core,
-    i2_fixed_core,
-    i3_core,
-    i4_core,
-    in_low_core,
-    insert_core,
-    slide_from_strip_core,
-    slide_to_strip_core,
     staircase_members,
-    strip_rows,
+    validate_in_family,
 )
+from loopschur import involutions, verify
+from loopschur.involutions import strip_rows
 from loopschur.tableaux import WeightCode, cell_weights, rows_monomial, staircase_cells
 
 from conftest import assert_code_matches_rows_monomial
@@ -59,68 +46,77 @@ BASE = [(Partition(p), n, N) for p in PARTITIONS for n in (1, 2, 3)
 AUGMENTED = [(lam, n, k, N) for lam, n, N in BASE for k in (1, 2)]
 
 
-def reference_weight(st, l):
+def reference_weight(rows, n, N, l):
     """The cell-by-cell formula: row r of a staircase extension starts at
     column r - N, and a cell at (r, c) has content c - r."""
-    n = st.n
     variables = []
-    for r in range(1, st.N + 1):
-        lo = r - st.N
-        for idx, value in enumerate(st.rows[r - 1]):
+    for r in range(1, N + 1):
+        lo = r - N
+        for idx, value in enumerate(rows[r - 1]):
             content = lo + idx - r
             variables.append((content % n, n * value + l * content))
     return Monomial.from_variables(variables)
 
 
-def as_member(st):
-    return st.rows, st.tau, st.i
-
-
-def assert_weights(st, lam, n, N, d):
+def assert_weights(m, lam, n, N, d):
     # Every row of a staircase extension starts at content -N.
     longest = lam.part(1) + N + d
+    st = SignedTableau(lam, n, N, d, *m)
     for l in range(n):
         cells = (cell_weights(-N, longest, n, l),) * N
-        expected = reference_weight(st, l)
-        assert rows_monomial(st.rows, cells, n) == expected
+        expected = reference_weight(m[0], n, N, l)
+        assert rows_monomial(m[0], cells, n) == expected
         assert st.monomial(l) == expected
 
 
 @pytest.mark.parametrize("lam,n,N", BASE, ids=str)
-def test_base_family_cores_match_wrappers(lam, n, N):
-    for st in enumerate_staircase_tableaux(lam, n, N):
-        m = as_member(st)
-        assert i1_core(m) == as_member(i1(st))
-        assert (column_violation(m[0]) is None) == is_column_strict(st)
-        assert entries_standard_core(m[0]) == staircase_entries_standard(st)
-        assert_weights(st, lam, n, N, 0)
+def test_base_family_map_is_a_closed_involution(lam, n, N):
+    for m in staircase_members(lam, N):
+        image = i1(m)
+        validate_in_family(image, lam, N, 0)
+        assert i1(image) == m
+        assert (image == m) == is_column_strict(m[0])
+        if image == m:
+            assert staircase_entries_standard(m[0]) and m[1] == tuple(range(1, N + 1))
+        assert_weights(m, lam, n, N, 0)
 
 
 @pytest.mark.parametrize("lam,n,k,N", AUGMENTED, ids=str)
-def test_augmented_family_cores_match_wrappers(lam, n, k, N):
+def test_augmented_family_maps_are_closed_involutions(lam, n, k, N):
     d = k * n
-    for st in enumerate_augmented_tableaux(lam, n, k, N):
-        m = as_member(st)
-        assert i2_core(m, d) == as_member(i2(st))
-        assert i2_fixed_core(m, d) == i2_is_fixed(st)
-        if i2_is_fixed(st):
-            base, i = extract_power_sum_factor(st)
-            assert (extract_core(m, d), m[2]) == (as_member(base), i)
-            inserted = insert_power_sum_factor(base, i, k)
-            assert insert_core(as_member(base), i, d) == as_member(inserted)
-        image = i3(st)
-        assert i3_core(m) == as_member(image)
-        if image == st:
-            sigma, height, landed = slide_to_border_strip(st)
-            assert slide_to_strip_core(m) == (sigma.parts, height, as_member(landed))
-            assert (slide_from_strip_core(as_member(landed), *strip_rows(sigma, lam))
-                    == as_member(slide_from_border_strip(landed, lam)))
+    for m in augmented_members(lam, n, k, N):
+        image = i2(m, d)
+        validate_in_family(image, lam, N, d)
+        assert i2(image, d) == m
+        assert (image == m) == i2_is_fixed(m, d)
+        if i2_is_fixed(m, d):
+            base = extract_power_sum_factor(m, d)
+            validate_in_family(base, lam, N, 0)
+            assert insert_power_sum_factor(base, m[2], d) == m
+        image = i3(m)
+        validate_in_family(image, lam, N, d)
+        assert i3(image) == m
+        if image == m:
+            parts, _, landed = slide_to_border_strip(m)
+            sigma = Partition(parts)
+            assert is_border_strip(sigma, lam, d)
+            validate_in_family(landed, sigma, N, 0)
+            assert is_column_strict(landed[0])
+            assert slide_from_border_strip(landed, *strip_rows(sigma, lam)) == m
         for l in range(1, n):
-            shift = ShiftParams(n, l)
-            assert in_low_core(m, k * l) == in_low_family(st, shift)
-            if in_low_family(st, shift):
-                assert i4_core(m, d, k * l) == as_member(i4(st, shift))
-        assert_weights(st, lam, n, N, d)
+            if in_low_family(m, k * l):
+                image = i4(m, d, k * l)
+                validate_in_family(image, lam, N, d)
+                assert in_low_family(image, k * l) and image != m
+                assert i4(image, d, k * l) == m
+        assert_weights(m, lam, n, N, d)
+
+
+@pytest.mark.parametrize("module", [involutions, verify], ids=lambda module: module.__name__)
+def test_each_map_has_one_entry_point(module):
+    # No trusted "*_core" twin beside a map: check_involution and the callers
+    # apply the same function.
+    assert [name for name in vars(module) if name.endswith("_core")] == []
 
 
 @pytest.mark.parametrize("lam,n,k,N", [(lam, n, 0, N) for lam, n, N in BASE] + AUGMENTED,
@@ -145,7 +141,7 @@ def test_one_pass_sum_of_the_fourth_map(lam, n, k, N):
         verify._walk_each(check, "I4", augmented_members(lam, n, k, N))
         unreachable: dict = {}
         for m in augmented_members(lam, n, k, N):
-            if not in_low_core(m, check.kl):
+            if not in_low_family(m, check.kl):
                 weight = check.shifted_key(m[0])
                 unreachable[weight] = unreachable.get(weight, 0) + permutation_sign(m[1])
         pair = verify._FamilyCheck(lam, n, N, k * n, l)

@@ -54,10 +54,10 @@ def members_digest(command: str) -> str:
     digest = hashlib.sha256()
     for _ in range(samples):
         if which == "I1":
-            st = sample_staircase_tableau(lam, n, N, rng)
+            rows, tau, i = sample_staircase_tableau(lam, n, N, rng)
         else:
-            st = sample_augmented_tableau(lam, n, k, N, rng, l if which == "I4" else 0)
-        digest.update(repr((st.i, st.rows, st.tau)).encode())
+            rows, tau, i = sample_augmented_tableau(lam, n, k, N, rng, l if which == "I4" else 0)
+        digest.update(repr((i, rows, tau)).encode())
     return digest.hexdigest()
 
 

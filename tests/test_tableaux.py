@@ -24,6 +24,7 @@ from loopschur.involutions import augmented_members, staircase_members
 from loopschur.tableaux import (
     KeyPolynomial,
     WeightCode,
+    rows_monomial,
     ssyt_code,
     ssyt_keys,
     staircase_cells,
@@ -432,7 +433,8 @@ class TestStaircaseMonomial:
         rng = random.Random(99)
         for n, l, N in ((2, 1, 4), (3, 1, 5), (3, 2, 5)):
             floor = staircase_monomial(N, n, l).degree(n)
+            cells = staircase_cells(Partition(), N, 0, n, l)
             for _ in range(1000):
-                member = sample_staircase_tableau(Partition(), n, N, rng)
-                degree = member.monomial(l).degree(n)
+                rows, _, _ = sample_staircase_tableau(Partition(), n, N, rng)
+                degree = rows_monomial(rows, cells, n).degree(n)
                 assert degree >= floor

@@ -20,7 +20,6 @@ from loopschur import (
     check_specialization,
     classical_schur,
     default_grid_config,
-    enumerate_augmented_tableaux,
     in_low_family,
     loop_power_sum,
     loop_schur,
@@ -315,7 +314,7 @@ class TestDegreeBound:
         assert not report.passed
         assert report.to_document() == degree_bound_reference(lam, n, k, N, l, *sums[-1])
 
-    # ROADMAP item 3: achieved_min_degree - N is a constant c(lambda, n, k, l)
+    # ROADMAP item 2: achieved_min_degree - N is a constant c(lambda, n, k, l)
     # at every N tried, pinned here at the least and greatest N of its table.
     # This is an observation, not the paper's theorem, which states only the
     # floor N(n - l)/n - kn.
@@ -445,8 +444,8 @@ class TestInvolutionCheck:
         # The low-family sampler must never hand the fourth map a member whose
         # lengthened row passes N - k*l; if it does, the check raises.
         lam, n, k, N, l = Partition(), 2, 1, 3, 1
-        high = next(st for st in enumerate_augmented_tableaux(lam, n, k, N)
-                    if not in_low_family(st, ShiftParams(n, l)))
+        high = next(m for m in verify_mod.augmented_members(lam, n, k, N)
+                    if not in_low_family(m, k * l))
         monkeypatch.setattr(verify_mod, "sample_augmented_tableau", lambda *args: high)
         with pytest.raises(MembershipError, match="outside"):
             check_involution("I4", lam, n, k, N, l=l, mode="samples", samples=5)
@@ -483,8 +482,8 @@ def shifted_weight_not_preserved(which):
     and the plain weight is kept, but the shifted weight is not."""
     def apply(case, monkeypatch):
         pairing = case.shifted_pairs(which)
-        core = getattr(verify_mod, f"{which.lower()}_core")
-        monkeypatch.setattr(verify_mod, f"{which.lower()}_core",
+        core = getattr(verify_mod, which.lower())
+        monkeypatch.setattr(verify_mod, which.lower(),
                             lambda m, *args: pairing.get(m) or core(m, *args))
     return apply
 
@@ -492,7 +491,7 @@ def shifted_weight_not_preserved(which):
 def sign_and_weight(which, member):
     """The label sign and the plain weight of a member of ``which``'s fault family."""
     lam, n, k, N, l = FAULT_FAMILIES[which]
-    st = verify_mod.as_signed_tableau(member, lam, n, N, 0 if which == "I1" else k * n)
+    st = verify_mod.SignedTableau(lam, n, N, 0 if which == "I1" else k * n, *member)
     return st.sign, st.monomial()
 
 
@@ -505,14 +504,14 @@ def one_more_slide(original, member):
 # on FAULT_FAMILIES report that property.  Each one is also a mutant of the
 # member checks that no other test catches.
 FAULTS = {
-    ("I1", "fixed_point_shape"): replace_on_verify("entries_standard_core", lambda f, rows: False),
+    ("I1", "fixed_point_shape"): replace_on_verify("staircase_entries_standard", lambda f, rows: False),
     ("I1", "shifted_weight"): shifted_weight_not_preserved("I1"),
     ("I2", "factor_roundtrip"): replace_on_verify(
-        "insert_core", lambda f, base, i, d: f(base, i, d)[:2] + (0,)),
+        "insert_power_sum_factor", lambda f, base, i, d: f(base, i, d)[:2] + (0,)),
     ("I3", "strip_shape"): replace_on_verify("is_border_strip", lambda f, *args: False),
-    ("I3", "slide_sign_or_weight"): replace_on_verify("slide_to_strip_core", one_more_slide),
+    ("I3", "slide_sign_or_weight"): replace_on_verify("slide_to_border_strip", one_more_slide),
     ("I3", "slide_roundtrip"): replace_on_verify(
-        "slide_from_strip_core", lambda f, m, top, bottom: f(m, top, bottom)[:2] + (0,)),
+        "slide_from_border_strip", lambda f, m, top, bottom: f(m, top, bottom)[:2] + (0,)),
     ("I3", "shifted_weight"): shifted_weight_not_preserved("I3"),
 }
 
@@ -532,14 +531,14 @@ class TestInvolutionCheckCatchesFaultyMaps:
             stream = verify_mod.staircase_members(lam, N)
         else:
             stream = verify_mod.augmented_members(lam, n, k, N)
-        core = getattr(verify_mod, f"{which.lower()}_core")
+        core = getattr(verify_mod, which.lower())
         args = self.core_args(which)
         return [(m, core(m, *args)) for m in stream
-                if which != "I4" or verify_mod.in_low_core(m, k * l)]
+                if which != "I4" or verify_mod.in_low_family(m, k * l)]
 
     def check(self, which, monkeypatch, corrupt):
         """Run the exhaustive check with the core replaced by ``corrupt(core, member, *args)``."""
-        name = f"{which.lower()}_core"
+        name = which.lower()
         core = getattr(verify_mod, name)
         monkeypatch.setattr(verify_mod, name, lambda m, *args: corrupt(core, m, *args))
         return self.failed_property(which)
@@ -561,7 +560,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
         d = 0 if which == "I1" else k * n
 
         def sign_weight(m):
-            st = verify_mod.as_signed_tableau(m, lam, n, N, d)
+            st = verify_mod.SignedTableau(lam, n, N, d, *m)
             return st.sign, st.monomial(shift)
 
         pairs = []
@@ -588,7 +587,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
         for m, image in self.members(which):
             if image != m and all(m not in pair for pair in pairs):
                 pairs.append((m, image))
-                st = verify_mod.as_signed_tableau(m, lam, n, N, d)
+                st = verify_mod.SignedTableau(lam, n, N, d, *m)
                 key = st.sign, st.monomial()
                 for b, b2, shifted in seen.get(key, ()):
                     if shifted != st.monomial(1):
@@ -659,7 +658,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
             "extra": 2, "extended_row": 1}}),
     ])
     def test_witness_documents_are_pinned(self, which, witness, monkeypatch):
-        monkeypatch.setattr(verify_mod, f"{which.lower()}_core", lambda m, *args: m)
+        monkeypatch.setattr(verify_mod, which.lower(), lambda m, *args: m)
         lam, n, k, N, l = FAULT_FAMILIES[which]
         report = check_involution(which, lam, n, k, N, l=l)
         assert report.witness == witness
@@ -678,8 +677,8 @@ class TestInvolutionCheckCatchesFaultyMaps:
         d = k * n
         pair = next((m, image) for m, image in self.members("I2") if image != m)
         assert all(m[0][m[2] - 1][:d] != (m[1][m[2] - 1],) * d for m in pair)
-        rule = verify_mod.i2_fixed_core
-        monkeypatch.setattr(verify_mod, "i2_fixed_core", lambda m, d: m in pair or rule(m, d))
+        rule = verify_mod.i2_is_fixed
+        monkeypatch.setattr(verify_mod, "i2_is_fixed", lambda m, d: m in pair or rule(m, d))
         corrupt = lambda core, m, *args: m if m in pair else core(m, *args)
         assert self.check("I2", monkeypatch, corrupt) == "factor_weight_law"
 
@@ -690,7 +689,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
         def dropping(*args):
             dropped = False
             for m in stream(*args):
-                if not dropped and verify_mod.in_low_core(m, k * l):
+                if not dropped and verify_mod.in_low_family(m, k * l):
                     dropped = True
                     continue
                 yield m
