@@ -218,8 +218,10 @@ class TestRefusals:
         lambda lam, n, N: list(enumerate_augmented_tableaux(lam, n, 1, N)),
         lambda lam, n, N: sample_staircase_tableau(lam, n, N, 0),
         lambda lam, n, N: sample_augmented_tableau(lam, n, 1, N, 0),
+        lambda lam, n, N: SignedTableau(lam, n, N, 0, *filled_member(lam, N, 0)).monomial(),
+        lambda lam, n, N: SignedTableau(lam, n, N, 2, *filled_member(lam, N, 2)).monomial(),
     ], ids=["enumerate_staircase", "enumerate_augmented", "sample_staircase",
-            "sample_augmented"])
+            "sample_augmented", "signed_tableau_monomial", "signed_tableau_monomial_augmented"])
     def test_no_family_is_refused(self, build, lam, n, N):
         with pytest.raises(ValueError):
             build(Partition(lam), n, N)
@@ -320,6 +322,14 @@ class TestFirstMap:
         lhs = staircase_signed_sum(lam, n, N)
         rhs = Polynomial.from_term(n, staircase_monomial(N, n)) * loop_schur(lam, n, N)
         assert lhs == rhs
+
+    # I1 trusts its input: a member lengthened at a row lies outside its
+    # domain, the base family, and the membership check refuses it there.
+    def test_rejects_augmented_shapes(self):
+        st = member([(1, 1, 1), (2,)], (1, 2), 1)
+        validate_in_family(st, Partition(), 2, 1)
+        with pytest.raises(MembershipError, match="lengthened row"):
+            validate_in_family(st, Partition(), 2, 0)
 
 
 class TestSecondMap:
@@ -468,6 +478,17 @@ class TestFourthMap:
             assert i4(image, 3, 1) == st
             assert sign(image) == -sign(st)
             assert weight(image, LAM21, 3, 5, 3, l=1) == weight(st, LAM21, 3, 5, 3, l=1)
+
+    # I4 trusts its input: a lengthened row reaching above N - kl is a member
+    # of the augmented family but outside the low family, I4's domain.
+    def test_rejects_high_rows(self):
+        # lambda = 0, n = 2, k = 1, l = 1: d = 2 cells appended and kl = 1
+        st = member([(1, 1, 1, 1, 3), (2, 2), (3,)], (1, 2, 3), 1)
+        validate_in_family(st, Partition(), 3, 2)
+        assert not in_low_family(st, 1)
+        low = member([(1, 1, 1, 1, 2), (2, 2), (3,)], (1, 2, 3), 1)
+        validate_in_family(low, Partition(), 3, 2)
+        assert in_low_family(low, 1)
 
     def test_unreachable_members_carry_the_shifted_sum(self):
         lam, n, k, N, l = Partition(), 2, 1, 3, 1
