@@ -10,19 +10,19 @@ in :mod:`loopschur.involutions` do.  On an ordinary Young diagram all shifted
 weights stay positive; on staircase extensions they may reach zero or below.
 
 Weights are counted as packed integer keys (:class:`WeightCode`).
-:func:`ssyt_keys`, behind every SSYT builder and identity check, enumerates
-only the rows above the last; the last row is filled in bulk, its keys built
-once per distinct set of entries above it and added to each upper key by
-C-level iteration.
+:func:`ssyt_keys`, behind every SSYT builder and identity check, walks the
+rows one at a time: the first row comes from :func:`enumerate_ssyt`, and each
+later row is filled in bulk, once per distinct set of entries above it, its
+keys added to every key of the rows above by C-level iteration.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product, starmap
-from operator import add
+from itertools import chain, combinations_with_replacement, groupby, product, repeat, starmap
+from operator import add, itemgetter
 from typing import Iterator
 
 from .polyring import Monomial, Polynomial
@@ -57,6 +57,9 @@ def enumerate_ssyt(lam: Partition, N: int) -> Iterator[tuple[tuple[int, ...], ..
         yield ()
         return
     if len(lam) > N:
+        return
+    if len(lam) == 1:
+        yield from zip(combinations_with_replacement(range(1, N + 1), lam.parts[0]))
         return
     rows: list[list[int]] = [[0] * p for p in lam.parts]
     cells = [(r, c) for r, p in enumerate(lam.parts) for c in range(p)]
@@ -282,8 +285,9 @@ def ssyt_code(shapes, n: int, l: int, N: int) -> WeightCode:
 def _row_keys(bits, above, N: int):
     """The keys, as an iterable, of every weakly increasing filling of a row
     with entries at most N whose entry in column c exceeds ``above[c]``;
-    ``bits`` is the row's :meth:`WeightCode.cell_bits`.  Each column extends
-    the partial fillings ending at or below each value in one ``map`` per value."""
+    ``bits`` holds the :meth:`WeightCode.cell_bits` of the cells filled.  Each
+    column extends the partial fillings ending at or below each value in one
+    ``map`` per value."""
     ends = [[0]] + [[] for _ in range(N)]  # ends[v]: partial keys whose last entry is v
     for cell, floor in zip(bits, above):
         reach, extended = [], [[] for _ in range(N + 1)]
@@ -295,29 +299,55 @@ def _row_keys(bits, above, N: int):
     return chain.from_iterable(ends)
 
 
+def _heads(above, N: int) -> list[tuple[int, ...]]:
+    """Every weakly increasing row of entries at most N whose column c exceeds ``above[c]``."""
+    heads = [()]
+    for floor in above:
+        heads = [head + (v,) for head in heads for v in range(max((floor + 1, *head[-1:])), N + 1)]
+    return heads
+
+
 def ssyt_keys(lam: Partition, n: int, l: int, N: int, code: WeightCode) -> Counter:
     """The (shifted) weight keys of the SSYT of ``lam`` with entries at most
     N, counted; ``code`` is an :func:`ssyt_code` whose shapes include ``lam``.
 
-    The rows above the last come from :func:`enumerate_ssyt` and are keyed by
-    the code.  The last row is filled in bulk: its fillings depend only on the
-    first ``m`` entries of the row above (m the last part), so the upper keys
-    are grouped by those entries, and each group's last-row keys are built once
-    and added to every upper key of the group in one ``Counter.update``.  Beyond
-    the counts, the call holds one key per upper tableau and one group's row
-    keys, at most C(N + m - 1, m) of them.
+    The rows are walked one at a time, the keys of rows 1..r grouped by the
+    first ``lam.part(r + 1)`` entries of row r, all that row r + 1 depends on.
+    The first row comes from :func:`enumerate_ssyt`, keyed in bulk.  Each later
+    row is filled once per group: its head, the entries that name the next
+    group, is enumerated; its tail, the rest, comes from :func:`_row_keys` with
+    floors raised to start it at the head's last entry or above, through a memo
+    that lives for one row.  Each head's row keys are added to every key of the
+    group by C-level iteration, the last row's straight into the counts.  Groups
+    are released as they are filled, so beside the counts the call holds at
+    most one key per tableau of the rows above the last.
     """
-    cells = young_cells(lam, n, l)
-    upper_key = code.keyer(cells[:-1])
-    bits = code.cell_bits(cells[-1]) if cells else ()
-    top = (0,) * len(bits)  # no entries above a first row
-    groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
-    for rows in enumerate_ssyt(Partition(lam.parts[:-1]), N):
-        groups[rows[-1][:len(bits)] if rows else top].append(upper_key(rows))
-    del upper_key  # frees the upper rows' memos before the counts grow
-    counts = Counter()
-    for above in list(groups):  # popped, so each group's memory is reused by the counts
-        counts.update(starmap(add, product(groups.pop(above), _row_keys(bits, above, N))))
+    if not lam.parts:
+        return Counter((0,))
+    bits, parts = [code.cell_bits(row) for row in young_cells(lam, n, l)], lam.parts + (0,)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    first_rows = map(itemgetter(0), enumerate_ssyt(Partition(parts[:1]), N))
+    for above, rows in groupby(first_rows, itemgetter(slice(parts[1]))):
+        groups.setdefault(above, []).extend(
+            map(sum, map(map, repeat(dict.__getitem__), repeat(bits[0]), rows)))
+    counts = Counter(groups.get((), ()) if len(lam) == 1 else ())  # a first row that is the last
+    for r in range(1, len(lam)):
+        m, grown, tails = parts[r + 1], {}, {}
+        for above in list(groups):  # popped, so each group's memory is reused
+            keys = groups.pop(above)
+            if not m:  # the last row
+                counts.update(starmap(add, product(keys, _row_keys(bits[r], above, N))))
+                continue
+            for head in _heads(above[:m], N):
+                floors = tuple(map(max, above[m:], repeat(head[-1] - 1)))
+                tail = tails.get(floors)
+                if tail is None:
+                    tail = tails[floors] = list(_row_keys(bits[r][m:], floors, N))
+                if tail:
+                    head_key = sum(map(dict.__getitem__, bits[r], head))
+                    grown.setdefault(head, []).extend(
+                        starmap(add, product(keys, map(head_key.__add__, tail))))
+        groups = grown
     return counts
 
 

@@ -1,7 +1,9 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from operator import add, mul, sub
 
 import pytest
@@ -113,6 +115,12 @@ class TestEnumerateSsyt:
             got = list(enumerate_ssyt(lam, N))
             assert all(tuple(map(len, rows)) == lam.parts for rows in got)
             assert got == recursive_ssyt_rows(parts, N)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_one_row_is_every_weakly_increasing_tuple_in_order(self, p):
+        for N in range(7):
+            expected = [(row,) for row in combinations_with_replacement(range(1, N + 1), p)]
+            assert list(enumerate_ssyt(Partition.of(p), N)) == expected
 
     def test_a_thousand_cells_do_not_exhaust_the_stack(self):
         tableaux = list(enumerate_ssyt(Partition.of(1200), 2))
@@ -303,6 +311,53 @@ class TestSsytKeys:
                     got = ssyt_keys(lam, n, l, N, code)
                     assert got == reference_ssyt_keys(lam, n, l, N, code)
                     assert sum(got.values()) == hook_content_count(lam, N)
+
+    @pytest.mark.parametrize("parts", [(2, 2, 2), (3, 3, 1), (3, 3, 2), (4, 4), (3, 2, 2, 1),
+                                       (2, 2, 1, 1, 1), (3, 1, 1, 1, 1, 1)], ids=str)
+    def test_strip_shapes_match_the_reference(self, parts):
+        # Equal consecutive rows and three or more rows: every row below the
+        # first is filled once per group, with heads and shared tails.
+        lam = Partition(parts)
+        for n in (1, 2, 3):
+            for l in range(n):
+                for N in (7, 8):
+                    code = ssyt_code((lam,), n, l, N)
+                    got = ssyt_keys(lam, n, l, N, code)
+                    assert got == reference_ssyt_keys(lam, n, l, N, code)
+                    assert sum(got.values()) == hook_content_count(lam, N)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_first_rows_in_any_order(self, order, monkeypatch):
+        # The first rows are grouped by their leading entries whatever order
+        # the stream yields them in, split runs included.
+        from loopschur import tableaux
+
+        def stream(lam, N):
+            rows = list(enumerate_ssyt(lam, N))
+            if order == "reversed":
+                return reversed(rows)
+            random.Random(1).shuffle(rows)
+            return iter(rows)
+
+        monkeypatch.setattr(tableaux, "enumerate_ssyt", stream)
+        for parts in [(2,), (2, 1), (3, 1), (3, 3, 1), (2, 2, 2), (3, 2, 2, 1)]:
+            lam = Partition(parts)
+            code = ssyt_code((lam,), 3, 1, 6)
+            assert ssyt_keys(lam, 3, 1, 6, code) == reference_ssyt_keys(lam, 3, 1, 6, code)
+
+    def test_memory_of_a_signed_strip_sum_stays_bounded(self):
+        # Nothing ssyt_keys builds outlives its call: a tail memo kept across
+        # the four strips' calls would peak above the bound.
+        from loopschur import verify
+
+        tracemalloc.start()
+        try:
+            total, strips, _ = verify._signed_border_strip_sum(Partition.of(2, 1), 3, 1, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert strips == 4 and total
+        assert peak < 6.5 * 2**20
 
     def test_upper_rows_that_leave_the_last_row_no_room(self):
         # Most fillings of the five rows above leave no entry for the sixth.
