@@ -21,7 +21,7 @@ import json
 import math
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -341,14 +341,15 @@ _first = itemgetter(0)
 
 class _FamilyCheck:
     """What the member checks of one family share: its parameters, the failures
-    found, and the signed shifted sum of the members the fourth map reaches.
+    found, and the signed shifted sum of the members the map moves.
 
     Members and images are plain data (see :mod:`loopschur.involutions`).  A
     weight is the integer key of a :class:`WeightCode` on the family's
     :func:`staircase_cells`, taken of a member's rows by ``key`` (plain) or
     ``shifted_key``, and a product of weights is a sum of keys; ``l`` is the
-    shift of the map's shifted-weight check.  Label signs are memoized, and so
-    is what :meth:`closed` has accepted.
+    shift of the map's shifted-weight check, and ``kl`` is read only by the
+    maps of the low family.  Label signs are memoized, and so is what
+    :meth:`closed` has accepted.
     """
 
     def __init__(self, lam: Partition, n: int, N: int, d: int, l: int):
@@ -358,7 +359,7 @@ class _FamilyCheck:
         self.shifted = WeightCode(staircase_cells(lam, N, d, n, l), n, N) if l else self.plain
         self.key, self.shifted_key = self.plain.key, self.shifted.key
         self.failures: list[tuple[str, Member | None]] = []
-        self.reachable: dict[int, int] = {}
+        self.reachable = Counter()
         self.sign = lru_cache(maxsize=None)(permutation_sign)  # at most the family's labelings
         # What validate_in_family accepted: the row lengths of an image, by its
         # lengthened row, and every row of an image.
@@ -472,36 +473,39 @@ def _check_i4_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
     return False
 
 
-# Per map: the map, looked up here when it is applied, its member check, and
-# the part of a moved image's own check that the check of its partner does
-# not already cover: the image is not column-strict (first map) or not named
-# fixed by the rule (second map).  The other checks are symmetric in the pair.
+# Per map: the map, looked up here when it is applied; its member check; the
+# part of a moved image's own check that its partner's check does not cover,
+# the rest being symmetric in the pair (first map: the image is not
+# column-strict; second: the rule does not name it fixed); whether it
+# lengthens a row by k*n cells (k >= 1); whether it acts only on the low
+# family (1 <= l < n); and the shift of its weight check, given l and n.
+_Map = namedtuple("_Map", "apply check_member check_image lengthens low shift")
 _MAPS = {
-    "I1": (lambda c, m: i1(m), _check_i1_member,
-           lambda c, image: not is_column_strict(image[0])),
-    "I2": (lambda c, m: i2(m, c.d), _check_i2_member,
-           lambda c, image: not i2_is_fixed(image, c.d)),
-    "I3": (lambda c, m: i3(m), _check_i3_member, lambda c, image: True),
-    "I4": (lambda c, m: i4(m, c.d, c.kl), _check_i4_member, lambda c, image: True),
+    "I1": _Map(lambda c, m: i1(m), _check_i1_member, lambda c, image: not is_column_strict(image[0]),
+               False, False, lambda l, n: l or int(n > 1)),
+    "I2": _Map(lambda c, m: i2(m, c.d), _check_i2_member,
+               lambda c, image: not i2_is_fixed(image, c.d), True, False, lambda l, n: 0),
+    "I3": _Map(lambda c, m: i3(m), _check_i3_member, lambda c, image: True,
+               True, False, lambda l, n: l),
+    "I4": _Map(lambda c, m: i4(m, c.d, c.kl), _check_i4_member, lambda c, image: True,
+               True, True, lambda l, n: l),
 }
 
 
-def _walk_each(c: _FamilyCheck, which: str, members) -> tuple[int, int]:
-    """Check every member on its own; returns the members checked and the
-    fixed points.  For the fourth map it also adds up the signed shifted
-    weights of the members it reaches in ``c.reachable``."""
-    apply, check_member, _ = _MAPS[which]
-    low = which == "I4"
+def _walk_each(c: _FamilyCheck, which: str, members, moved_sum: bool = True) -> tuple[int, int]:
+    """Check every member on its own; returns the members checked and the fixed
+    points.  With ``moved_sum`` it adds up the signed shifted weights of the
+    members the map moves in ``c.reachable``, where pairs cancel."""
+    apply, check_member, _, _, low, _ = _MAPS[which]
     checked = fixed = 0
     for m in members:
         if low and not in_low_family(m, c.kl):
-            continue  # unreachable by the fourth map: a stream of the whole family
+            continue  # unreachable by a map of the low family: a stream of the whole family
         checked += 1
-        sign = c.sign(m[1])
-        if low:
-            weight = c.shifted_key(m[0])
-            c.reachable[weight] = c.reachable.get(weight, 0) + sign
-        fixed += check_member(c, m, sign, apply(c, m))
+        sign, image = c.sign(m[1]), apply(c, m)
+        if moved_sum and image != m:
+            c.reachable[c.shifted_key(m[0])] += sign
+        fixed += check_member(c, m, sign, image)
     return checked, fixed
 
 
@@ -516,12 +520,11 @@ def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
     agree every backward member is such an image and its check is implied.
     The cancelled pairs leave ``c.reachable`` empty.
     """
-    apply, check_member, check_image = _MAPS[which]
-    low = which == "I4"
+    apply, check_member, check_image, _, low, _ = _MAPS[which]
     checked = fixed = forward = backward = 0
     for m in members:
         if low and not in_low_family(m, c.kl):
-            continue  # unreachable by the fourth map: a stream of the whole family
+            continue  # unreachable by a map of the low family: a stream of the whole family
         checked += 1
         image = apply(c, m)
         if image < m:
@@ -533,18 +536,6 @@ def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
         else:
             forward += 1
     return (checked, fixed) if forward == backward else None
-
-
-def _sampled_members(which, lam, n, k, N, shift, samples, rng):
-    """The sampled members of :func:`check_involution`."""
-    for _ in range(samples):
-        if which == "I1":
-            member = sample_staircase_tableau(lam, n, N, rng)
-        else:
-            member = sample_augmented_tableau(lam, n, k, N, rng, shift.l if which == "I4" else 0)
-            if which == "I4" and not in_low_family(member, k * shift.l):
-                raise MembershipError("the low-family sampler drew a member outside it")
-        yield member
 
 
 def check_involution(
@@ -565,13 +556,14 @@ def check_involution(
     draws the requested number of members (at least one) with the given seed.
     Checked per member: the involution property, closure in the family, sign
     reversal and weight preservation off fixed points, and the fixed-point
-    behavior specific to the map.  The second to fourth maps need k >= 1,
-    refused before any counting.  The fourth map additionally requires
-    l >= 1; its sampled members are drawn directly from the members it acts
-    on, and its exhaustive walk streams only those, its low family, while the
-    cap counts the whole augmented family.  In exhaustive mode the members it
-    cannot reach must carry the whole signed shifted sum, that is, the members
-    it reaches must cancel.
+    behavior specific to the map.  Its family and the shift of its weight
+    check are read off its :data:`_MAPS` entry.  The second to fourth maps
+    need k >= 1, refused before any counting.  The fourth map also needs
+    1 <= l < n; it draws from and walks only the members it acts on, its low
+    family, while the cap counts the whole augmented family.  In exhaustive
+    mode the signed shifted weights of the members the map moves must cancel
+    in pairs, else ``unreachable_sum_mismatch``: a stream that lost a moved
+    member fails, while one that lost a fixed point, breaking no pair, passes.
 
     Members are walked as plain data.  The exhaustive walk checks each pair
     of the map once, from its lesser member in tuple order, together with the
@@ -579,44 +571,51 @@ def check_involution(
     counted.  It passes when every check passes and the forward and backward
     counts agree; otherwise the family is walked again checking every member
     on its own, so a failing report names the same first witness and number
-    of failures either way.  Sampled mode always checks member by member.  The
-    closure check validates an image (:meth:`_FamilyCheck.closed`); a fixed
-    point's image is the member itself, valid by construction, so it is not
-    validated again.
+    of failures either way.  Sampled mode always checks member by member and
+    keeps no sum.  The closure check validates an image
+    (:meth:`_FamilyCheck.closed`); a fixed point's image is the member itself,
+    valid by construction, so it is not validated again.
     """
     which = which.upper()
-    if which not in _MAPS:
+    spec = _MAPS.get(which)
+    if spec is None:
         raise PreconditionError(f"unknown pairing map {which!r}")
-    if which == "I4" and not 1 <= l < n:
+    if spec.low and not 1 <= l < n:
         raise PreconditionError(f"the fourth map needs 1 <= l < n, got l={l}, n={n}")
     if mode not in ("exhaustive", "samples"):
         raise PreconditionError(f"mode must be 'exhaustive' or 'samples', got {mode!r}")
     if mode == "samples" and samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
-    lengthened = which != "I1"
-    if lengthened and k < 1:
+    if spec.lengthens and k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
     start = time.perf_counter()
-    shift = ShiftParams(n, l)
-    d = k * n if lengthened else 0
-    family = lambda: _FamilyCheck(lam, n, N, d, (1 if n > 1 else 0) if which == "I1" else l)
+    ShiftParams(n, l)  # refuses l outside 0 <= l < n, whatever shift the map checks
+    d, low_l = (k * n if spec.lengthens else 0), (l if spec.low else 0)
+    family = lambda: _FamilyCheck(lam, n, N, d, spec.shift(l, n))
     c = family()
+    if spec.lengthens:
+        members = lambda: augmented_members(lam, n, k, N, cap, low_l)
+        draw = lambda rng: sample_augmented_tableau(lam, n, k, N, rng, low_l)
+    else:
+        members = lambda: staircase_members(lam, N, cap)
+        draw = lambda rng: sample_staircase_tableau(lam, n, N, rng)
 
     if mode == "exhaustive":
-        members = lambda: (staircase_members(lam, N, cap) if which == "I1"
-                           else augmented_members(lam, n, k, N, cap, l if which == "I4" else 0))
         counts = _walk_pairs(c, which, members())
         if counts is None:  # walk again member by member, for the failures it reports
             c = family()
             counts = _walk_each(c, which, members())
+        if any(c.reachable.values()):  # the moved members do not cancel
+            c.failures.append(("unreachable_sum_mismatch", None))
     else:
-        counts = _walk_each(c, which, _sampled_members(which, lam, n, k, N, shift, samples,
-                                                       random.Random(seed)))
+        def drawn(rng):
+            for _ in range(samples):
+                member = draw(rng)
+                if spec.low and not in_low_family(member, c.kl):
+                    raise MembershipError("the low-family sampler drew a member outside it")
+                yield member
+        counts = _walk_each(c, which, drawn(random.Random(seed)), moved_sum=False)
     total, fixed_count = counts
-    # The unreachable members carry the whole signed shifted sum exactly when
-    # the reachable ones cancel.
-    if which == "I4" and mode == "exhaustive" and any(c.reachable.values()):
-        c.failures.append(("unreachable_sum_mismatch", None))
 
     failures = c.failures
     witness = None

@@ -314,7 +314,7 @@ class TestDegreeBound:
         assert not report.passed
         assert report.to_document() == degree_bound_reference(lam, n, k, N, l, *sums[-1])
 
-    # ROADMAP item 2: achieved_min_degree - N is a constant c(lambda, n, k, l)
+    # ROADMAP item 3: achieved_min_degree - N is a constant c(lambda, n, k, l)
     # at every N tried, pinned here at the least and greatest N of its table.
     # This is an observation, not the paper's theorem, which states only the
     # floor N(n - l)/n - kn.
@@ -449,6 +449,39 @@ class TestInvolutionCheck:
         monkeypatch.setattr(verify_mod, "sample_augmented_tableau", lambda *args: high)
         with pytest.raises(MembershipError, match="outside"):
             check_involution("I4", lam, n, k, N, l=l, mode="samples", samples=5)
+
+    def family_checks(self, monkeypatch):
+        """The family checks that ``check_involution`` builds, collected as it builds them."""
+        built = []
+
+        class Recorded(verify_mod._FamilyCheck):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(verify_mod, "_FamilyCheck", Recorded)
+        return built
+
+    @pytest.mark.parametrize("which,n,l,shift", [
+        ("I1", 1, 0, 0), ("I1", 2, 0, 1), ("I1", 3, 1, 1), ("I1", 3, 2, 2),
+        ("I2", 2, 0, 0), ("I2", 3, 2, 0), ("I3", 2, 0, 0), ("I3", 3, 2, 2),
+        ("I4", 2, 1, 1), ("I4", 3, 2, 2),
+    ])
+    def test_family_check_shift(self, which, n, l, shift, monkeypatch):
+        # The first map checks its shifted weight at the l it reports, and at
+        # 1 when none is given; the second checks the plain weight only.
+        built = self.family_checks(monkeypatch)
+        report = check_involution(which, Partition(), n, 1, 2, l=l)
+        assert report.passed and report.params.get("l", 0) == l
+        assert [check.l for check in built] == [shift]
+        assert (built[0].shifted is built[0].plain) == (shift == 0)
+
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    def test_sampled_mode_keeps_no_moved_sum(self, which, monkeypatch):
+        built = self.family_checks(monkeypatch)
+        report = check_involution(which, Partition.of(1), 2, 1, 4, l=1, mode="samples", samples=50)
+        assert report.passed and report.details["moved"] > 0
+        assert len(built) == 1 and not built[0].reachable
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sampled_mode_needs_a_sample(self, samples):
@@ -700,6 +733,23 @@ class TestInvolutionCheckCatchesFaultyMaps:
         assert report.witness == {"property": "unreachable_sum_mismatch", "member": None}
         assert report.details["failures"] == 1
 
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3"])
+    def test_dropped_moved_member_breaks_the_moved_sum(self, which, monkeypatch):
+        # With one moved member gone from the stream, every check of the rest
+        # still passes; only its partner is left without its cancelling
+        # weight, and the count of moved members turns odd.
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        dropped = next(m for m, image in self.members(which) if image != m)
+        name = "staircase_members" if which == "I1" else "augmented_members"
+        stream = getattr(verify_mod, name)
+        monkeypatch.setattr(verify_mod, name,
+                            lambda *args: (m for m in stream(*args) if m != dropped))
+        report = check_involution(which, lam, n, k, N, l=l)
+        assert not report.passed
+        assert report.witness == {"property": "unreachable_sum_mismatch", "member": None}
+        assert report.details["failures"] == 1 and report.details["moved"] % 2 == 1
+        self.assert_per_member_report(which, monkeypatch)
+
     @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
     def test_fault_only_the_pair_counts_catch(self, which, monkeypatch):
         # x < y is a moved pair, and z belongs to another moved pair and
@@ -785,20 +835,21 @@ PROPERTY_FIXTURES = {
     ("I4", "shifted_weight"): "test_weight_not_preserved",
     ("I2", "factor_weight_law"): "test_false_fixed_point_breaks_the_factor_law",
     ("I4", "unreachable_sum_mismatch"): "test_dropped_reachable_member_breaks_the_unreachable_sum",
+    **{(which, "unreachable_sum_mismatch"): "test_dropped_moved_member_breaks_the_moved_sum"
+       for which in ("I1", "I2", "I3")},
     **{key: "test_fault_reports_its_property" for key in FAULTS},
 }
 
 
 def reported_properties():
     """Every (map, property) that ``check_involution`` can report, read off the
-    source of ``verify``: the ``c.fail`` names of each member check, and the
-    fourth map's failure appended after its pass."""
+    source of ``verify``: the ``c.fail`` names of each member check, and for
+    every map the failures that ``check_involution`` appends after its walk."""
+    appended = re.findall(r'failures\.append\(\("(\w+)"', inspect.getsource(verify_mod.check_involution))
     found = set()
     for which in FAULT_FAMILIES:
         source = inspect.getsource(getattr(verify_mod, f"_check_{which.lower()}_member"))
-        found |= {(which, name) for name in re.findall(r'c\.fail\("(\w+)"', source)}
-    source = inspect.getsource(verify_mod.check_involution)
-    found |= {("I4", name) for name in re.findall(r'failures\.append\(\("(\w+)"', source)}
+        found |= {(which, name) for name in re.findall(r'c\.fail\("(\w+)"', source) + appended}
     return found
 
 
