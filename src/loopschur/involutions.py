@@ -9,8 +9,8 @@ The base family lives on the plain staircase extension of the partition; the
 augmented family lives on the staircase extension with k*n cells appended to
 the right of one row i, ranging over i = 1..N.  Each family is counted and
 sampled from one label table: the augmented family's sum over i is the ε part
-of a permanent over dual numbers (ε² = 0).  Four involutions act on these
-families:
+(ε² = 0) of one permanent, carried as a second table of integers beside the
+first.  Four involutions act on these families:
 
 ``i1``
     finds the rightmost, then highest, vertically adjacent cell pair whose
@@ -211,23 +211,8 @@ def unrank_weakly_increasing(lo: int, hi: int, length: int, index: int) -> tuple
     return tuple(seq)
 
 
-class _Dual:
-    """a + b*ε with ε² = 0, closed under ``+`` and ``*`` only."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        self.a, self.b = a, b
-
-    def __add__(self, other):
-        return _Dual(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other):
-        return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-
-
 class _LabelTable(NamedTuple):
-    """Counts of one row-labeled family, by subset dynamic programming.
+    """Counts of one row-labeled family, as integers, by subset dynamic programming.
 
     ``fillings[r][t]`` is the number of weakly increasing fillings of row
     r + 1 with entries in [t + 1, N], that is, with label t + 1;
@@ -278,9 +263,11 @@ def _label_table(lam: Partition, N: int, d: int = 0, top: int = 0) -> _LabelTabl
     cells appended to a lengthened row whose entries stay at most ``top``
     (d = 0: the base family).
 
-    The subset counts are one unsigned :func:`subset_expansion` of the row
-    counts, over :class:`_Dual` entries on the augmented family and plain
-    integers on the base one: O(2^N * N) products and 2^N entries.
+    The base family's subset counts are one unsigned :func:`subset_expansion`
+    of the row counts; the augmented family's run its loop with the ε part on
+    a second integer list: with r = N - |S|, ``lengthened[S]`` sums
+    ``fillings[r][t]·lengthened[S-t] + longer[r][t]·subsets[S-t]`` over t in S.
+    O(2^N * N) integer products and 2^N entries a part.
     """
     lengths = _row_lengths(lam, N)
     fillings, longer = (
@@ -290,10 +277,19 @@ def _label_table(lam: Partition, N: int, d: int = 0, top: int = 0) -> _LabelTabl
     )
     if not d:
         return _LabelTable(d, top, fillings, longer, tuple(subset_expansion(fillings, 0, 1)), ())
-    matrix = [list(map(_Dual, *rows)) for rows in zip(fillings, longer)]
-    expansion = subset_expansion(matrix, _Dual(0, 0), _Dual(1, 0))
-    subsets, lengthened = tuple(x.a for x in expansion), tuple(x.b for x in expansion)
-    return _LabelTable(d, top, fillings, longer, subsets, lengthened)
+    subsets, lengthened = [1] + [0] * ((1 << N) - 1), [0] * (1 << N)
+    for subset in range(1, 1 << N):
+        r = N - subset.bit_count()
+        row, long_row, rest = fillings[r], longer[r], subset
+        plain = either = 0
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            t, below = bit.bit_length() - 1, subset ^ bit
+            plain += row[t] * subsets[below]
+            either += row[t] * lengthened[below] + long_row[t] * subsets[below]
+        subsets[subset], lengthened[subset] = plain, either
+    return _LabelTable(d, top, fillings, longer, tuple(subsets), tuple(lengthened))
 
 
 def _augmented_table(lam: Partition, k: int, n: int, N: int, l: int) -> _LabelTable:
@@ -311,10 +307,12 @@ def count_staircase_tableaux(lam: Partition, N: int) -> int:
     return _label_table(lam, N).subsets[-1]
 
 
-def count_augmented_tableaux(lam: Partition, k: int, n: int, N: int) -> int:
+def count_augmented_tableaux(lam: Partition, k: int, n: int, N: int, l: int = 0) -> int:
     """Exact size of the augmented family, summed over the lengthened row i
-    as the ε part of one label table: O(2^N * N) time, two 2^N-entry tables."""
-    return _augmented_table(lam, k, n, N, 0).lengthened[-1]
+    as the ε part of one label table: O(2^N * N) integer products, two
+    2^N-entry tables.  With ``l`` >= 1, the size of the fourth map's low family
+    (lengthened row at or below N - k*l), from a table of its own."""
+    return _augmented_table(lam, k, n, N, l).lengthened[-1]
 
 
 def _members(lam: Partition, N: int, d: int, lengthened, top: int) -> Iterator[Member]:
@@ -337,26 +335,27 @@ def _members(lam: Partition, N: int, d: int, lengthened, top: int) -> Iterator[M
 def staircase_members(lam: Partition, N: int, cap: int = DEFAULT_CAP) -> Iterator[Member]:
     """Deterministic exhaustive stream of the base family, as plain data.
 
-    Refuses with :class:`CapExceededError` when the exact member count
-    exceeds ``cap``; counting costs O(2^N * N), so a refusal is cheap.
+    Counts the family when called, and refuses with :class:`CapExceededError`
+    when the exact member count exceeds ``cap``, before the stream is made;
+    counting costs O(2^N * N), so a refusal is cheap.
     """
     count = count_staircase_tableaux(lam, N)
     if count > cap:
         raise CapExceededError(count, cap)
-    yield from _members(lam, N, 0, (0,), N)
+    return _members(lam, N, 0, (0,), N)
 
 
 def augmented_members(
     lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP, l: int = 0
 ) -> Iterator[Member]:
-    """Like :func:`staircase_members` for the augmented family, i ascending;
-    refuses after one label table.  With ``l`` >= 1 only the low family of the
+    """Like :func:`staircase_members` for the augmented family, i ascending; a
+    refusal costs one label table.  With ``l`` >= 1 only the low family of the
     fourth map comes out, the members whose lengthened row stays at or below
     N - k*l, in the same order; the cap still counts the whole family."""
     count = count_augmented_tableaux(lam, k, n, N)
     if count > cap:
         raise CapExceededError(count, cap)
-    yield from _members(lam, N, k * n, range(1, N + 1), N - k * l)
+    return _members(lam, N, k * n, range(1, N + 1), N - k * l)
 
 
 def enumerate_staircase_tableaux(
@@ -439,7 +438,8 @@ def sample_augmented_tableau(
     the lengthened row are unranked together from the one table of
     :func:`count_augmented_tableaux`, row by row and label first, so members
     are not grouped by lengthened row.  Building the table costs O(2^N * N)
-    time, with two 2^N-entry tables; a member then costs what one of
+    integer products, three for each of the base table's, and two 2^N-entry
+    tables of integers; a member then costs what one of
     :func:`sample_staircase_tableau` does, with two choices per free label
     until the lengthened row is placed.
     """

@@ -35,6 +35,8 @@ from .involutions import (  # also the maps, which callers may look up or replac
     SignedTableau,
     augmented_members,
     augmented_signed_sum,
+    count_augmented_tableaux,
+    count_staircase_tableaux,
     enumerate_augmented_tableaux,
     enumerate_staircase_tableaux,
     extract_power_sum_factor,
@@ -274,15 +276,14 @@ def verify_expansion(
     if which != 1 and k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
     start = time.perf_counter()
-    staircase = Polynomial.from_term(n, staircase_monomial(N, n))
+    lhs = (staircase_signed_sum(lam, n, N, cap=cap) if which == 1
+           else augmented_signed_sum(lam, n, k, N, cap=cap))
+    staircase = Polynomial.from_term(n, staircase_monomial(N, n))  # once the cap admits the left side
     if which == 1:
-        lhs = staircase_signed_sum(lam, n, N, cap=cap)
         rhs = staircase * loop_schur(lam, n, N)
     elif which == 2:
-        lhs = augmented_signed_sum(lam, n, k, N, cap=cap)
         rhs = loop_power_sum(k, n, N) * staircase * loop_schur(lam, n, N)
     else:
-        lhs = augmented_signed_sum(lam, n, k, N, cap=cap)
         strip_sum, _, code = _signed_border_strip_sum(lam, n, k, N)
         rhs = staircase * code.polynomial(strip_sum)
     diff = lhs - rhs
@@ -560,10 +561,13 @@ def check_involution(
     check are read off its :data:`_MAPS` entry.  The second to fourth maps
     need k >= 1, refused before any counting.  The fourth map also needs
     1 <= l < n; it draws from and walks only the members it acts on, its low
-    family, while the cap counts the whole augmented family.  In exhaustive
-    mode the signed shifted weights of the members the map moves must cancel
-    in pairs, else ``unreachable_sum_mismatch``: a stream that lost a moved
-    member fails, while one that lost a fixed point, breaking no pair, passes.
+    family, while the cap counts the whole augmented family.  Exhaustive mode
+    makes its stream, which counts the family and refuses above the cap,
+    before it builds anything else.  The signed shifted weights of the members
+    the map moves must then cancel in pairs, else ``unreachable_sum_mismatch``,
+    and the members checked must number the family's count (the low family's
+    for the fourth map), else ``member_count_mismatch``: a stream that lost a
+    moved member fails both, and one that lost a fixed point the second.
 
     Members are walked as plain data.  The exhaustive walk checks each pair
     of the map once, from its lesser member in tuple order, together with the
@@ -592,22 +596,28 @@ def check_involution(
     ShiftParams(n, l)  # refuses l outside 0 <= l < n, whatever shift the map checks
     d, low_l = (k * n if spec.lengthens else 0), (l if spec.low else 0)
     family = lambda: _FamilyCheck(lam, n, N, d, spec.shift(l, n))
-    c = family()
     if spec.lengthens:
         members = lambda: augmented_members(lam, n, k, N, cap, low_l)
+        size = lambda: count_augmented_tableaux(lam, k, n, N, low_l)
         draw = lambda rng: sample_augmented_tableau(lam, n, k, N, rng, low_l)
     else:
         members = lambda: staircase_members(lam, N, cap)
+        size = lambda: count_staircase_tableaux(lam, N)
         draw = lambda rng: sample_staircase_tableau(lam, n, N, rng)
 
     if mode == "exhaustive":
-        counts = _walk_pairs(c, which, members())
+        stream = members()  # counted, and refused above the cap, before the check is built
+        c = family()
+        counts = _walk_pairs(c, which, stream)
         if counts is None:  # walk again member by member, for the failures it reports
             c = family()
             counts = _walk_each(c, which, members())
         if any(c.reachable.values()):  # the moved members do not cancel
             c.failures.append(("unreachable_sum_mismatch", None))
+        if counts[0] != size():  # the stream lost or repeated a member
+            c.failures.append(("member_count_mismatch", None))
     else:
+        c = family()
         def drawn(rng):
             for _ in range(samples):
                 member = draw(rng)

@@ -23,7 +23,12 @@ from loopschur import (
     sample_staircase_tableau,
     validate_in_family,
 )
-from loopschur.involutions import _augmented_table, _label_table, count_weakly_increasing
+from loopschur.involutions import (
+    _augmented_table,
+    _label_table,
+    count_weakly_increasing,
+    subset_expansion,
+)
 
 PARTITIONS = [(), (1,), (2,), (1, 1), (2, 1)]  # every lambda inside (2,1)
 RING = [(n, k) for n in (1, 2, 3) for k in (1, 2)]
@@ -133,6 +138,36 @@ class TestCounts:
         with pytest.raises(CapExceededError):
             next(augmented_members(Partition.of(1), 2, 1, 6, cap=1))
         assert _label_table.cache_info().currsize == 1
+
+
+def reference_label_table(lam, N, d, top):
+    """Both parts of the label table from their definitions: the plain part is
+    the unsigned expansion of the fillings matrix, and entry S of the ε part
+    sums, over the last |S| rows i, the expansion with row i replaced by the
+    longer row."""
+    lengths, _ = reference_bounds(lam, N)
+    fillings = [[count_weakly_increasing(t, N, length) for t in range(1, N + 1)] for length in lengths]
+    longer = [[count_weakly_increasing(t, top, length + d) for t in range(1, N + 1)] for length in lengths]
+    subsets = subset_expansion(fillings, 0, 1)
+    replaced = [subset_expansion(fillings[:i] + [longer[i]] + fillings[i + 1:], 0, 1) for i in range(N)]
+    lengthened = [sum(replaced[i][S] for i in range(N - S.bit_count(), N)) for S in range(1 << N)]
+    return fillings, longer, subsets, lengthened
+
+
+class TestLabelTable:
+    @pytest.mark.parametrize("top_below", [0, 1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    @pytest.mark.parametrize("lam", PARTITIONS)
+    def test_every_entry_matches_its_definition(self, lam, d, top_below):
+        lam = Partition(lam)
+        for N in range(len(lam), 9):
+            table = _label_table(lam, N, d, N - top_below)
+            fillings, longer, subsets, lengthened = reference_label_table(lam, N, d, N - top_below)
+            assert (table.d, table.top) == (d, N - top_below)
+            assert table.fillings == tuple(map(tuple, fillings))
+            assert table.longer == tuple(map(tuple, longer))
+            assert table.subsets == tuple(subsets)
+            assert table.lengthened == tuple(lengthened)
 
 
 class TestDraws:

@@ -48,6 +48,7 @@ from loopschur import (
     verify_expansion,
 )
 import loopschur.involutions as involutions_mod
+import loopschur.verify as verify_mod
 from loopschur.cli import main
 from loopschur.involutions import (
     DEFAULT_CAP,
@@ -573,6 +574,24 @@ class TestKeyedSignedSums:
             staircase_signed_sum(Partition(), 2, 3, l=1, cap=1)
         with pytest.raises(CapExceededError):
             augmented_signed_sum(Partition(), 2, 1, 3, l=1, cap=1)
+
+    @pytest.mark.parametrize("which,l", [("I1", 0), ("I2", 0), ("I3", 0), ("I4", 1)])
+    def test_cap_refuses_before_the_family_check_is_built(self, which, l, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("a family check was built")
+        monkeypatch.setattr(verify_mod, "_FamilyCheck", no_check)
+        involutions_mod._label_table.cache_clear()
+        with pytest.raises(CapExceededError):
+            check_involution(which, Partition(), 2, 1, 3, l=l, cap=1)
+        assert involutions_mod._label_table.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_cap_refuses_before_the_staircase_factor_is_built(self, which, monkeypatch):
+        def no_factor(*args):
+            raise AssertionError("the staircase factor was built")
+        monkeypatch.setattr(verify_mod, "staircase_monomial", no_factor)
+        with pytest.raises(CapExceededError):
+            verify_expansion(which, Partition(), 2, 1, 3, cap=1)
 
     @pytest.mark.parametrize("which", [1, 2, 3])
     def test_flipped_labeling_sign_fails_with_the_difference(self, which, monkeypatch, capsys):

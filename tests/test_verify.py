@@ -731,13 +731,14 @@ class TestInvolutionCheckCatchesFaultyMaps:
         report = check_involution("I4", lam, n, k, N, l=l)
         assert not report.passed
         assert report.witness == {"property": "unreachable_sum_mismatch", "member": None}
-        assert report.details["failures"] == 1
+        assert report.details["failures"] == 2  # the member count falls short too
 
     @pytest.mark.parametrize("which", ["I1", "I2", "I3"])
     def test_dropped_moved_member_breaks_the_moved_sum(self, which, monkeypatch):
         # With one moved member gone from the stream, every check of the rest
         # still passes; only its partner is left without its cancelling
-        # weight, and the count of moved members turns odd.
+        # weight, the count of moved members turns odd, and the members
+        # checked fall one short of the family.
         lam, n, k, N, l = FAULT_FAMILIES[which]
         dropped = next(m for m, image in self.members(which) if image != m)
         name = "staircase_members" if which == "I1" else "augmented_members"
@@ -747,7 +748,27 @@ class TestInvolutionCheckCatchesFaultyMaps:
         report = check_involution(which, lam, n, k, N, l=l)
         assert not report.passed
         assert report.witness == {"property": "unreachable_sum_mismatch", "member": None}
-        assert report.details["failures"] == 1 and report.details["moved"] % 2 == 1
+        assert report.details["failures"] == 2 and report.details["moved"] % 2 == 1
+        self.assert_per_member_report(which, monkeypatch)
+
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    def test_dropped_member_breaks_the_member_count(self, which, monkeypatch):
+        # A lost fixed point breaks no pair, so every other check passes.  The
+        # fourth map fixes nothing, so its stream loses a low member, which
+        # breaks the moved sum first.
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        members = self.members(which)
+        dropped = next(m for m, image in members if image == m or which == "I4")
+        name = "staircase_members" if which == "I1" else "augmented_members"
+        stream = getattr(verify_mod, name)
+        monkeypatch.setattr(verify_mod, name,
+                            lambda *args: (m for m in stream(*args) if m != dropped))
+        report = check_involution(which, lam, n, k, N, l=l)
+        assert not report.passed
+        assert report.details["checked"] == len(members) - 1
+        first = "unreachable_sum_mismatch" if which == "I4" else "member_count_mismatch"
+        assert report.witness == {"property": first, "member": None}
+        assert report.details["failures"] == (2 if which == "I4" else 1)
         self.assert_per_member_report(which, monkeypatch)
 
     @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
@@ -837,6 +858,8 @@ PROPERTY_FIXTURES = {
     ("I4", "unreachable_sum_mismatch"): "test_dropped_reachable_member_breaks_the_unreachable_sum",
     **{(which, "unreachable_sum_mismatch"): "test_dropped_moved_member_breaks_the_moved_sum"
        for which in ("I1", "I2", "I3")},
+    **{(which, "member_count_mismatch"): "test_dropped_member_breaks_the_member_count"
+       for which in FAULT_FAMILIES},
     **{key: "test_fault_reports_its_property" for key in FAULTS},
 }
 
@@ -854,7 +877,7 @@ def reported_properties():
 
 
 def test_every_reported_property_has_a_fault_fixture():
-    assert len({name for _, name in reported_properties()}) == 16  # the parse found them all
+    assert len({name for _, name in reported_properties()}) == 17  # the parse found them all
     assert reported_properties() == set(PROPERTY_FIXTURES)
     for test in PROPERTY_FIXTURES.values():
         assert callable(getattr(TestInvolutionCheckCatchesFaultyMaps, test))
