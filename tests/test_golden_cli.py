@@ -30,8 +30,11 @@ CASES = [
     "schur --lambda 1,2 --n 1 --N 2",
     "schur --lambda 1 --n 2",
     "schur --lambda 1 --n 2 --N x",
+    "schur --lambda 3,2 --n 3 --N 5 --l 1 --format structured",
+    "schur --lambda 3,2 --n 3 --N 4 --l 2",
     "power-sum --k 2 --n 3 --N 5",
     "power-sum --k 1 --n 2 --N 2 --format structured",
+    "power-sum --k 2 --n 3 --N 4 --format structured",
     "border-strips --lambda 2,1 --k 1 --n 3",
     "border-strips --lambda 0 --k 3 --format structured",
     # mn-verify
