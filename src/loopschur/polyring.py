@@ -34,6 +34,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -125,7 +127,8 @@ class Monomial:
             return "1"
         pieces = []
         for color, wn, exp in self.vars:
-            base = f"x({color},{Fraction(wn, n)})"
+            g = math.gcd(wn, n)
+            base = f"x({color},{wn // g})" if g == n else f"x({color},{wn // g}/{n // g})"
             pieces.append(base if exp == 1 else f"{base}^{exp}")
         return "*".join(pieces)
 
@@ -172,9 +175,9 @@ class Polynomial:
         return self._terms.get(monomial, 0)
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
-        """Yield ``(monomial, coefficient)`` pairs in canonical order."""
-        for m in sorted(self._terms, key=lambda m: m.vars):
-            yield m, self._terms[m]
+        """``(monomial, coefficient)`` pairs, sorted by the monomials' variable vectors."""
+        monomials = sorted(self._terms, key=attrgetter("vars"))
+        return zip(monomials, map(self._terms.__getitem__, monomials))
 
     def coefficients(self) -> Iterator[int]:
         return iter(self._terms.values())
@@ -220,22 +223,14 @@ class Polynomial:
         return min(m.degree(self.n) for m in self._terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         pieces = []
         for m, c in self.terms():
-            body = m.format(self.n)
-            if m.is_one:
-                text = str(abs(c))
-            elif abs(c) == 1:
-                text = body
-            else:
-                text = f"{abs(c)}*{body}"
-            if not pieces:
-                pieces.append(text if c > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(pieces)
+            text = str(abs(c)) if m.is_one else m.format(self.n)
+            if abs(c) != 1 and not m.is_one:
+                text = f"{abs(c)}*{text}"
+            sign = ("+ " if c > 0 else "- ") if pieces else ("" if c > 0 else "-")
+            pieces.append(sign + text)
+        return " ".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial(n={self.n}, {self})"
@@ -248,12 +243,12 @@ def poly_div_monomial(a: Polynomial, m: Monomial) -> Polynomial:
     some term is not divisible.
     """
     out: dict[Monomial, int] = {}
-    for term in sorted(a._terms, key=lambda t: t.vars):
+    for term, coeff in a.terms():
         if not m.divides(term):
             raise MonomialDivisionError(
                 f"term {term.format(a.n)} is not divisible by {m.format(a.n)}"
             )
-        out[term.divide(m)] = a._terms[term]
+        out[term.divide(m)] = coeff
     return Polynomial(a.n, out)
 
 
@@ -281,25 +276,20 @@ def specialize_forget_color(a: Polynomial) -> Polynomial:
 
 
 def to_document(a: Polynomial) -> dict:
-    """Structured form of ``a`` in the interchange format."""
-    return {
-        "n": a.n,
-        "terms": [
-            {
-                "coeff": str(c),
-                "vars": [
-                    {"color": color, "weight_num": wn, "exp": exp}
-                    for color, wn, exp in m.vars
-                ],
-            }
-            for m, c in a.terms()
-        ],
-    }
+    """Structured form of ``a`` in the interchange format: its :func:`serialize` text, read back."""
+    return json.loads(serialize(a))
+
+
+# Templates of the canonical text, keys sorted; _VARIABLE takes a (color, weight_num, exp) triple.
+_VARIABLE = '{{"color":{0},"exp":{2},"weight_num":{1}}}'.format
+_TERM = '{"coeff":"%d","vars":[%s]}'.__mod__
 
 
 def serialize(a: Polynomial) -> str:
-    """Canonical JSON text of ``a``.  Equal polynomials serialize identically."""
-    return json.dumps(to_document(a), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text of ``a``: sorted keys, compact separators, written by templates
+    term by term, with no ``json.dumps``.  Equal polynomials serialize identically."""
+    terms = (_TERM((c, ",".join(starmap(_VARIABLE, m.vars)))) for m, c in a.terms())
+    return '{"n":%d,"terms":[%s]}' % (a.n, ",".join(terms))
 
 
 def _expect(condition: bool, message: str, path: str) -> None:

@@ -26,7 +26,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import ge, itemgetter
+from itertools import repeat, tee
+from operator import add, ge, itemgetter, rshift, sub
 
 from .errors import ConfigError, MembershipError, PreconditionError
 from .involutions import (  # also the maps, which callers may look up or replace here
@@ -111,10 +112,18 @@ class VerificationReport:
         return line
 
 
-def _difference_witness(diff: Polynomial) -> dict | None:
-    if diff.is_zero:
+def _fold(total: dict, keys, counts, sign=add) -> dict:
+    """Add (or ``sub``) each count to ``total`` at its key, in C; equal keys add up."""
+    keys, lookups = tee(keys)  # in lockstep, so tee holds one key
+    dict.update(total, zip(keys, map(sign, map(total.get, lookups, repeat(0)), counts)))
+    return total
+
+
+def _difference_witness(lhs, rhs, decode: Callable) -> dict | None:
+    """The decoded difference of two key maps with no zero count; None if they are equal dicts."""
+    if dict.__eq__(lhs, rhs):
         return None
-    return {"difference": to_document(diff)}
+    return {"difference": to_document(decode(_fold(dict(lhs), rhs, rhs.values(), sub)))}
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +177,23 @@ def classical_schur(lam: Partition, N: int) -> Polynomial:
 
 def _signed_border_strip_sum(lam: Partition, n: int, k: int, N: int, l: int = 0) -> tuple[Counter, int, WeightCode]:
     """The signed sum of the (shifted) loop Schur functions of the kn-border strips sigma/lam,
-    as its nonzero key counts; with the strip count and the code, which covers lam and all sigma."""
+    as its nonzero key counts, folded strip by strip in C; with the strip count and the code,
+    which covers lam and all sigma."""
     strips = enumerate_border_strips(lam, k * n)
     code = ssyt_code([lam] + [addition.sigma for addition in strips], n, l, N)
-    total = Counter()
+    total = {}
     for addition in strips:
-        fold = total.update if addition.height % 2 == 0 else total.subtract
-        fold(ssyt_keys(addition.sigma, n, l, N, code))
-    return Counter({key: c for key, c in total.items() if c}), len(strips), code
+        keys = ssyt_keys(addition.sigma, n, l, N, code)
+        _fold(total, keys, keys.values(), add if addition.height % 2 == 0 else sub)
+        del keys  # before the next strip is counted
+    return Counter(dict(filter(itemgetter(1), total.items()))), len(strips), code
 
 
 def _power_sum_product(lam: Partition, n: int, k: int, N: int, code: WeightCode) -> Counter:
-    """The keys of the loop power sum times the loop Schur function of lam."""
+    """The keys of the loop power sum times the loop Schur function of lam, folded in C."""
     keys, product = ssyt_keys(lam, n, 0, N, code), Counter()
-    for power in (code.power_key(j, k) for j in range(1, N + 1)):
-        product.update({key + power: c for key, c in keys.items()})
+    for power in map(code.power_key, range(1, N + 1), repeat(k)):
+        _fold(product, map(power.__add__, keys), keys.values())
     return product
 
 
@@ -204,12 +215,12 @@ def verify_murnaghan_nakayama(lam: Partition, n: int, k: int, N: int) -> Verific
     start = time.perf_counter()
     rhs, strip_count, code = _signed_border_strip_sum(lam, n, k, N)
     lhs = _power_sum_product(lam, n, k, N, code)
-    diff = code.polynomial({key: lhs[key] - rhs[key] for key in lhs.keys() | rhs.keys()})
+    witness = _difference_witness(lhs, rhs, code.polynomial)
     return VerificationReport(
         check="mn-verify",
         params={"lambda": str(lam), "n": n, "k": k, "N": N},
-        passed=diff.is_zero,
-        witness=_difference_witness(diff),
+        passed=witness is None,
+        witness=witness,
         details={"strips": strip_count, "lhs_terms": len(lhs), "rhs_terms": len(rhs)},
         wall_time_s=time.perf_counter() - start,
     )
@@ -294,7 +305,7 @@ def verify_expansion(
         check="lemma-verify",
         params=params,
         passed=diff.is_zero,
-        witness=_difference_witness(diff),
+        witness=None if diff.is_zero else {"difference": to_document(diff)},
         details={"lhs_terms": len(lhs), "rhs_terms": len(rhs)},
         wall_time_s=time.perf_counter() - start,
     )
@@ -304,29 +315,28 @@ def _forgotten_keys(lam: Partition, n: int, N: int) -> Counter:
     """The loop Schur keys of ``lam`` with their colors forgotten, on the
     classical oracle's layout.  The fields of the unshifted :func:`ssyt_code`
     are, per color of a cell, a block of N fields x(color, n*v), v = 1..N, as
-    wide as y_v's (|lam|.bit_length() bits); summing the blocks forgets colors."""
+    wide as y_v's (|lam|.bit_length() bits); summing the blocks (a ``map`` each) forgets colors."""
     code = ssyt_code((lam,), n, 0, N)
     mask = (1 << (N * code.width)) - 1
     blocks = [j * code.width for j, (_, weight_num) in enumerate(code.variables) if weight_num == n]
-    forgotten = Counter()
-    for key, c in ssyt_keys(lam, n, 0, N, code).items():
-        forgotten[sum((key >> shift) & mask for shift in blocks)] += c
-    return forgotten
+    keys, summed = ssyt_keys(lam, n, 0, N, code), repeat(0)  # summed over no block yet
+    for shift in blocks:
+        summed = map(add, summed, map(mask.__and__, map(rshift, keys, repeat(shift))))
+    return _fold(Counter(), summed, keys.values())
 
 
 def check_specialization(lam: Partition, n: int, N: int) -> VerificationReport:
     """Check that forgetting colors turns the loop Schur function into the
-    classical Schur polynomial of the determinant oracle, on keys; only their
-    difference is decoded, for a FAIL's witness."""
+    classical Schur polynomial of the determinant oracle, on keys; only a
+    FAIL builds their difference and decodes it, for the witness."""
     start = time.perf_counter()
-    oracle, difference = _schur_keys(lam, N), _forgotten_keys(lam, n, N)
-    difference.subtract(oracle)
-    diff = _y_polynomial(difference, lam, N)
+    oracle, forgotten = _schur_keys(lam, N), _forgotten_keys(lam, n, N)
+    witness = _difference_witness(forgotten, oracle, lambda keys: _y_polynomial(keys, lam, N))
     return VerificationReport(
         check="specialize-check",
         params={"lambda": str(lam), "n": n, "N": N},
-        passed=diff.is_zero,
-        witness=_difference_witness(diff),
+        passed=witness is None,
+        witness=witness,
         details={"terms": len(oracle)},
         wall_time_s=time.perf_counter() - start,
     )

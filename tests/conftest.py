@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -30,6 +31,20 @@ def random_polynomial(rng: random.Random, n: int, max_terms: int = 4) -> Polynom
         m = Monomial.from_exponents(factors)
         terms[m] = terms.get(m, 0) + coeff
     return Polynomial(n, terms)
+
+
+def reference_document(poly: Polynomial) -> dict:
+    """The interchange document of ``poly``, built term by term, not read
+    back from :func:`loopschur.serialize`."""
+    return {"n": poly.n, "terms": [
+        {"coeff": str(c), "vars": [{"color": color, "weight_num": wn, "exp": exp}
+                                   for color, wn, exp in m.vars]}
+        for m, c in sorted(poly.terms(), key=lambda term: term[0].vars)]}
+
+
+def canonical(doc) -> str:
+    """``json.dumps`` of ``doc`` with sorted keys and compact separators."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def assert_code_matches_rows_monomial(code, fillings, cells, n):

@@ -12,6 +12,7 @@ from loopschur import (
     FractionalWeightError,
     Monomial,
     MonomialDivisionError,
+    Partition,
     Polynomial,
     RingMismatchError,
     parse,
@@ -21,7 +22,9 @@ from loopschur import (
     to_document,
 )
 
-from conftest import random_polynomial
+from loopschur.tableaux import WeightCode, staircase_cells
+
+from conftest import canonical, random_polynomial, reference_document
 
 
 def x(n, color, weight_num, exp=1, coeff=1):
@@ -223,6 +226,66 @@ class TestSerialization:
         with pytest.raises(DocumentError) as err:
             parse(json.dumps(doc))
         assert ".color" in str(err.value)
+
+
+def shifted_staircase_polynomial() -> Polynomial:
+    """Decoded keys of shifted staircase fillings, whose weights reach zero and below."""
+    n, N = 3, 4
+    code = WeightCode(staircase_cells(Partition(), N, 1, n, 2), n, N)
+    fillings = [((1, 1, 1, 1, 1), (2, 2, 2), (3, 3), (4,)),
+                ((1, 2, 3, 4), (1, 1, 4), (2, 4), (3, 3)),
+                ((1,), (2,), (3,), (4, 4, 4, 4, 4))]
+    return code.polynomial({code.key(rows): c for rows, c in zip(fillings, (1, -2, 5))})
+
+
+class TestTemplateText:
+    """serialize writes by templates the bytes of json.dumps of the document."""
+
+    @pytest.mark.parametrize("poly", [
+        Polynomial.zero(1),
+        Polynomial.zero(3),
+        Polynomial.one(2),
+        Polynomial.constant(3, -7),
+        x(2, 1, 4, exp=3, coeff=-1) + x(2, 0, 2, coeff=-12),
+        x(3, 2, 5, coeff=2**64 + 1) + x(3, 0, 1, exp=2, coeff=-(2**70)) + Polynomial.one(3),
+        x(3, 1, 0) + x(3, 2, -4, exp=2, coeff=-3),
+        shifted_staircase_polynomial(),
+    ], ids=["zero1", "zero3", "unit", "constant", "negative", "big", "nonpositive", "staircase"])
+    def test_equals_json_dumps(self, poly):
+        assert serialize(poly) == canonical(reference_document(poly))
+        assert to_document(poly) == json.loads(serialize(poly))
+
+    def test_cases_cover_unit_and_nonpositive_weights(self):
+        assert serialize(Polynomial.one(2)) == '{"n":2,"terms":[{"coeff":"1","vars":[]}]}'
+        weights = {wn for m, _ in shifted_staircase_polynomial().terms() for _, wn, _ in m.vars}
+        assert 0 in weights and min(weights) < 0
+
+    def test_equals_json_dumps_on_random_polynomials(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            p = random_polynomial(rng, rng.choice([1, 2, 3, 5]), max_terms=8)
+            assert serialize(p) == canonical(reference_document(p))
+            assert to_document(p) == json.loads(serialize(p))
+
+    def test_terms_are_in_variable_vector_order(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            p = random_polynomial(rng, 3, max_terms=8)
+            vectors = [m.vars for m, _ in p.terms()]
+            assert vectors == sorted(vectors) and len(vectors) == len(p)
+
+    def test_text_equals_the_fraction_form(self):
+        # Each weight as str(Fraction(weight_num, n)), the text format's reference.
+        for n in range(1, 7):
+            for wn in range(-3 * n, 4 * n + 1):
+                for exp in (1, 2):
+                    m = Monomial.from_exponents({(n - 1, wn): exp, (0, wn + 1): 1})
+                    expected = "*".join(
+                        f"x({color},{Fraction(w, n)})" + ("" if e == 1 else f"^{e}")
+                        for color, w, e in m.vars)
+                    assert m.format(n) == expected
+        assert Monomial.one().format(3) == "1"
+        assert str(x(3, 1, 0) + x(3, 2, -4, exp=2, coeff=-3)) == "x(1,0) - 3*x(2,-4/3)^2"
 
 
 @settings(max_examples=200, derandomize=True)

@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 
@@ -33,8 +34,9 @@ from loopschur import (
     verify_murnaghan_nakayama,
 )
 from loopschur.shapes import BorderStripAddition, enumerate_border_strips
+from loopschur.tableaux import ssyt_code, ssyt_keys
 
-from conftest import brute_partitions
+from conftest import brute_partitions, canonical, reference_document
 
 
 def classical_power_sum(m: int, N: int) -> Polynomial:
@@ -231,6 +233,121 @@ class TestKeyedIdentities:
         assert report.details["terms"] == len(total)
         assert len(report.witness["min_degree_terms"]) == sum(
             m.degree(n) == total.min_degree() for m, _ in total.terms())
+
+
+# The folds as they were written with Counter methods and per-key Python
+# loops, kept as the references of the C-level folds in verify.
+
+
+def reference_signed_border_strip_sum(lam, n, k, N, l=0):
+    strips = verify_mod.enumerate_border_strips(lam, k * n)  # as flip_first_strip leaves it
+    code = ssyt_code([lam] + [addition.sigma for addition in strips], n, l, N)
+    total = Counter()
+    for addition in strips:
+        fold = total.update if addition.height % 2 == 0 else total.subtract
+        fold(ssyt_keys(addition.sigma, n, l, N, code))
+    return Counter({key: c for key, c in total.items() if c}), len(strips), code
+
+
+def reference_power_sum_product(lam, n, k, N, code):
+    keys, product = ssyt_keys(lam, n, 0, N, code), Counter()
+    for power in (code.power_key(j, k) for j in range(1, N + 1)):
+        product.update({key + power: c for key, c in keys.items()})
+    return product
+
+
+def reference_forgotten_keys(lam, n, N):
+    code = ssyt_code((lam,), n, 0, N)
+    mask = (1 << (N * code.width)) - 1
+    blocks = [j * code.width for j, (_, weight_num) in enumerate(code.variables) if weight_num == n]
+    forgotten = Counter()
+    for key, c in ssyt_keys(lam, n, 0, N, code).items():
+        forgotten[sum((key >> shift) & mask for shift in blocks)] += c
+    return forgotten
+
+
+class TestFolds:
+    """The C-level folds of verify against their Counter references."""
+
+    # Every (sigma, N) at n = 3, k = 2 and N = 7 is a few thousand tableaux.
+    @pytest.mark.parametrize("parts", [(), (1,), (2,), (1, 1), (2, 1), (3,), (3, 1)], ids=str)
+    def test_signed_border_strip_sum_and_power_sum_product(self, parts):
+        lam = Partition(parts)
+        for n in (1, 2, 3):
+            for k in (1, 2):
+                for N in range(8):
+                    for l in range(n):
+                        got = verify_mod._signed_border_strip_sum(lam, n, k, N, l)
+                        expected = reference_signed_border_strip_sum(lam, n, k, N, l)
+                        assert type(got[0]) is Counter and 0 not in got[0].values()
+                        assert got[0] == expected[0] and got[1] == expected[1]
+                        if l == 0:
+                            code = got[2]
+                            product = verify_mod._power_sum_product(lam, n, k, N, code)
+                            assert type(product) is Counter and 0 not in product.values()
+                            assert product == reference_power_sum_product(lam, n, k, N, code)
+
+    @pytest.mark.parametrize("parts", [p for size in range(6) for p in brute_partitions(size)],
+                             ids=str)
+    def test_forgotten_keys(self, parts):
+        lam = Partition(parts)
+        for n in (1, 2, 3):
+            for N in range(7):
+                got = verify_mod._forgotten_keys(lam, n, N)
+                assert type(got) is Counter and 0 not in got.values()
+                assert got == reference_forgotten_keys(lam, n, N), (n, N)
+
+    def test_forgetting_keeps_no_list_of_sums(self):
+        # Summed lazily, one map per block, the forgotten keys peak near the
+        # colored keys' own 3.0 MiB; a list of sums per block peaks at 5.1 MiB.
+        lam, n, N = Partition.of(3, 2, 1), 3, 11
+        code = ssyt_code((lam,), n, 0, N)
+        peaks = []
+        for build in (lambda: ssyt_keys(lam, n, 0, N, code), lambda: verify_mod._forgotten_keys(lam, n, N)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+    def test_flipped_strip_sign_fails_with_the_reference_witness(self, monkeypatch):
+        lam, n, k, N = Partition.of(2, 1), 3, 1, 6
+        flip_first_strip(monkeypatch)
+        report = verify_murnaghan_nakayama(lam, n, k, N)
+        rhs, strips, code = reference_signed_border_strip_sum(lam, n, k, N)
+        lhs = reference_power_sum_product(lam, n, k, N, code)
+        diff = code.polynomial({key: lhs[key] - rhs[key] for key in lhs.keys() | rhs.keys()})
+        assert not report.passed and not diff.is_zero
+        assert report.to_json() == canonical({
+            "check": "mn-verify", "params": {"lambda": "2,1", "n": n, "k": k, "N": N},
+            "pass": False, "witness": {"difference": reference_document(diff)},
+            "details": {"strips": strips, "lhs_terms": len(lhs), "rhs_terms": len(rhs)}})
+
+    @pytest.mark.parametrize("corrupt", ["drop", "bump", "add"])
+    def test_corrupted_oracle_fails_with_the_reference_witness(self, monkeypatch, corrupt):
+        lam, n, N = Partition.of(2, 1), 3, 4
+        oracle = verify_mod._schur_keys(lam, N)
+        first = min(oracle)
+        wrong = dict(oracle)
+        if corrupt == "drop":
+            del wrong[first]
+        elif corrupt == "bump":
+            wrong[first] += 1
+        else:
+            wrong[max(oracle) + 1] = -2
+        monkeypatch.setattr(verify_mod, "_schur_keys", lambda *args: wrong)
+        report = check_specialization(lam, n, N)
+        difference = reference_forgotten_keys(lam, n, N)
+        difference.subtract(wrong)
+        diff = verify_mod._y_polynomial(difference, lam, N)
+        assert not report.passed and not diff.is_zero
+        assert report.to_json() == canonical({
+            "check": "specialize-check", "params": {"lambda": "2,1", "n": n, "N": N},
+            "pass": False, "witness": {"difference": reference_document(diff)},
+            "details": {"terms": len(wrong)}})
+        assert verify_mod._schur_keys(lam, N) == wrong and dict(oracle) != wrong  # nothing mutated
 
 
 class TestDegreeBound:
