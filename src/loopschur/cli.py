@@ -15,7 +15,9 @@ from functools import lru_cache
 from .errors import LoopSchurError
 from .polyring import Polynomial, serialize
 from .shapes import Partition, enumerate_border_strips
-from .tableaux import ShiftParams, loop_power_sum, loop_schur, shifted_loop_schur
+from .tableaux import (  # also the builders, which callers may look up or replace here
+    ShiftParams, loop_power_sum, loop_schur, shifted_loop_schur,
+)
 from .verify import (  # also the verifiers, which callers may look up or replace here
     CHECKS,
     DEFAULT_CAP,
@@ -146,9 +148,7 @@ def _dispatch(args) -> int:
             return _emit_report(spec.run(options), args)
 
     if args.command == "schur":
-        shift = ShiftParams(args.n, args.l)
-        poly = (loop_schur(args.lam, args.n, args.N) if args.l == 0
-                else shifted_loop_schur(args.lam, shift, args.N))
+        poly = shifted_loop_schur(args.lam, ShiftParams(args.n, args.l), args.N)
         _emit_polynomial(poly, args.format)
         return 0
 

@@ -50,7 +50,8 @@ checked against the backward ones it skips, falling back to checking every
 member on its own when a check fails or the counts differ.  The fourth map's
 walk streams only its low family (:func:`augmented_members` with ``l``),
 while the cap counts the whole augmented family.  Enumerated and sampled
-members are valid by construction.
+members are valid by construction.  Every stream yields plain members, and a
+:class:`SignedTableau` pairs one with its family only to weigh or document it.
 """
 
 from __future__ import annotations
@@ -91,12 +92,12 @@ def permutation_sign(tau: tuple[int, ...]) -> int:
 class SignedTableau(NamedTuple):
     """A member with its family's parameters: the family ``lam, n, N, d``
     (colored mod n, d cells appended) and the member ``rows, tau, i`` (see
-    :data:`Member`); sign = sgn(tau).
+    :data:`Member`).
 
-    The ``enumerate_*_tableaux`` streams yield it, the signed sums weigh one
-    member per distinct key with :meth:`monomial`, and a failing check's
-    witness is its :meth:`to_document`.  Construction checks nothing;
-    :meth:`monomial` raises ValueError when the rows do not fit the family.
+    The signed sums weigh the first member of each distinct key with
+    :meth:`monomial`, and a failing check's witness is its
+    :meth:`to_document`.  Construction checks nothing; :meth:`monomial`
+    raises ValueError when the rows do not fit the family.
     """
 
     lam: Partition
@@ -107,13 +108,8 @@ class SignedTableau(NamedTuple):
     tau: tuple[int, ...]
     i: int
 
-    @property
-    def sign(self) -> int:
-        return permutation_sign(self.tau)
-
     def monomial(self, l: int = 0) -> Monomial:
-        """The (shifted) weight monomial, read off the family's cell table;
-        the signed sums weigh one member per distinct weight key with it."""
+        """The (shifted) weight monomial, read off the family's cell table."""
         cells = staircase_cells(self.lam, self.N, self.d, self.n, l)
         return rows_monomial(self.rows, cells, self.n)
 
@@ -292,7 +288,7 @@ def _label_table(lam: Partition, N: int, d: int = 0, top: int = 0) -> _LabelTabl
     return _LabelTable(d, top, fillings, longer, tuple(subsets), tuple(lengthened))
 
 
-def _augmented_table(lam: Partition, k: int, n: int, N: int, l: int) -> _LabelTable:
+def _augmented_table(lam: Partition, n: int, k: int, N: int, l: int) -> _LabelTable:
     """The table of the augmented family whose lengthened row stays at or below
     N - k*l; n < 1 and k < 1 name no such family and are refused first."""
     ShiftParams(n)
@@ -307,12 +303,12 @@ def count_staircase_tableaux(lam: Partition, N: int) -> int:
     return _label_table(lam, N).subsets[-1]
 
 
-def count_augmented_tableaux(lam: Partition, k: int, n: int, N: int, l: int = 0) -> int:
+def count_augmented_tableaux(lam: Partition, n: int, k: int, N: int, l: int = 0) -> int:
     """Exact size of the augmented family, summed over the lengthened row i
     as the ε part of one label table: O(2^N * N) integer products, two
     2^N-entry tables.  With ``l`` >= 1, the size of the fourth map's low family
     (lengthened row at or below N - k*l), from a table of its own."""
-    return _augmented_table(lam, k, n, N, l).lengthened[-1]
+    return _augmented_table(lam, n, k, N, l).lengthened[-1]
 
 
 def _members(lam: Partition, N: int, d: int, lengthened, top: int) -> Iterator[Member]:
@@ -352,7 +348,7 @@ def augmented_members(
     refusal costs one label table.  With ``l`` >= 1 only the low family of the
     fourth map comes out, the members whose lengthened row stays at or below
     N - k*l, in the same order; the cap still counts the whole family."""
-    count = count_augmented_tableaux(lam, k, n, N)
+    count = count_augmented_tableaux(lam, n, k, N)
     if count > cap:
         raise CapExceededError(count, cap)
     return _members(lam, N, k * n, range(1, N + 1), N - k * l)
@@ -360,22 +356,18 @@ def augmented_members(
 
 def enumerate_staircase_tableaux(
     lam: Partition, n: int, N: int, cap: int = DEFAULT_CAP
-) -> Iterator[SignedTableau]:
-    """Deterministic exhaustive stream of the base family on the staircase
-    extension; wraps :func:`staircase_members`.  ValueError for n < 1."""
+) -> Iterator[Member]:
+    """The stream of :func:`staircase_members`, for a family colored mod n;
+    ValueError for n < 1."""
     ShiftParams(n)
-    members = staircase_members(lam, N, cap)
-    return (SignedTableau(lam, n, N, 0, rows, tau, 0) for rows, tau, _ in members)
+    return staircase_members(lam, N, cap)
 
 
 def enumerate_augmented_tableaux(
     lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP
-) -> Iterator[SignedTableau]:
-    """Deterministic exhaustive stream of the augmented family, i ascending;
-    wraps :func:`augmented_members`."""
-    d = k * n
-    members = augmented_members(lam, n, k, N, cap)
-    return (SignedTableau(lam, n, N, d, rows, tau, i) for rows, tau, i in members)
+) -> Iterator[Member]:
+    """The stream of :func:`augmented_members`, whose count refuses n < 1."""
+    return augmented_members(lam, n, k, N, cap)
 
 
 def _draw(lam: Partition, N: int, table: _LabelTable, seed: int | random.Random) -> Member:
@@ -443,7 +435,7 @@ def sample_augmented_tableau(
     :func:`sample_staircase_tableau` does, with two choices per free label
     until the lengthened row is placed.
     """
-    return _draw(lam, N, _augmented_table(lam, k, n, N, l), seed)
+    return _draw(lam, N, _augmented_table(lam, n, k, N, l), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -674,23 +666,27 @@ def i4(member: Member, d: int, kl: int) -> Member:
 # ---------------------------------------------------------------------------
 
 
-def _signed_sum(members: Iterator[SignedTableau], cells, n: int, N: int, l: int) -> Polynomial:
-    """Count the members' signed keys on one :class:`WeightCode` over the family's
-    ``cells``, built once the cap has admitted the family, and weigh one member
-    per distinct key.  Members arrive grouped by labeling: one sign per group."""
-    counts: dict[int, int] = {}
-    firsts: dict[int, SignedTableau] = {}
+def _signed_sum(members: Iterator[Member], lam: Partition, n: int, N: int, d: int,
+                l: int) -> Polynomial:
+    """Count the members' signed keys on one :class:`WeightCode` over the
+    family's cells, built once the cap has admitted the family, and weigh the
+    first member of each distinct key.  Members arrive grouped by labeling: one
+    sign per run of equal labels."""
+    terms: dict[int, list] = {}  # key: [signed count, first member]
     key = tau = sign = None
-    for st in members:
+    for m in members:
         if key is None:
-            key = WeightCode(cells, n, N).key
-        if st.tau != tau:
-            tau, sign = st.tau, permutation_sign(st.tau)
-        k = key(st.rows)
-        if k not in counts:
-            counts[k], firsts[k] = 0, st
-        counts[k] += sign
-    return Polynomial(n, {firsts[k].monomial(l): c for k, c in counts.items() if c})
+            key = WeightCode(staircase_cells(lam, N, d, n, l), n, N).key
+        if m[1] != tau:
+            tau, sign = m[1], permutation_sign(m[1])
+        k = key(m[0])
+        term = terms.get(k)
+        if term is None:
+            terms[k] = [sign, m]
+        else:
+            term[0] += sign
+    return Polynomial(n, {SignedTableau(lam, n, N, d, *m).monomial(l): c
+                          for c, m in terms.values() if c})
 
 
 def staircase_signed_sum(
@@ -698,8 +694,8 @@ def staircase_signed_sum(
 ) -> Polynomial:
     """Sum of sgn(tau) times the (shifted) weight over the base family; a bad
     shift is refused before the family is counted."""
-    cells = staircase_cells(lam, N, 0, n, l)
-    return _signed_sum(enumerate_staircase_tableaux(lam, n, N, cap), cells, n, N, l)
+    ShiftParams(n, l)
+    return _signed_sum(enumerate_staircase_tableaux(lam, n, N, cap), lam, n, N, 0, l)
 
 
 def augmented_signed_sum(
@@ -711,5 +707,5 @@ def augmented_signed_sum(
     and the signed border-strip sum.  One cell table serves every lengthened
     row; a bad shift is refused before the family is counted.
     """
-    cells = staircase_cells(lam, N, k * n, n, l)
-    return _signed_sum(enumerate_augmented_tableaux(lam, n, k, N, cap), cells, n, N, l)
+    ShiftParams(n, l)
+    return _signed_sum(enumerate_augmented_tableaux(lam, n, k, N, cap), lam, n, N, k * n, l)

@@ -96,8 +96,8 @@ def rows_monomial(rows, cells, n: int) -> Monomial:
     ``cells[r]`` holds the :func:`cell_weights` of row r, at least as long as
     the row; :func:`staircase_cells` and :func:`young_cells` build them.
     This is the reference for :class:`WeightCode`, which the member checks,
-    signed sums and builders use instead, and it weighs one member per distinct
-    key of a signed sum through :meth:`SignedTableau.monomial`.
+    signed sums and builders use instead, and it weighs the first member of each
+    distinct key of a signed sum through :meth:`SignedTableau.monomial`.
     Raises ValueError when the rows do not fit the tables, rather than drop
     cells.
     """

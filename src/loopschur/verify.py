@@ -7,8 +7,8 @@ and decode only a FAIL's witness.  ``mn-verify`` compares two key maps of one
 degree field; ``specialize-check`` forgets the colors of the loop Schur keys
 and compares them with the oracle, a signed ``subset_expansion`` on
 :class:`KeyPolynomial` entries of its own layout.  ``lemma-verify`` still sums
-over enumerated members, which it checks, counting their keys and weighing one
-member per distinct key, so only its right-hand products work on monomials.
+over enumerated plain members, counting their keys and weighing the first
+member of each distinct key, so only its right-hand products work on monomials.
 
 Every verifier returns a :class:`VerificationReport` whose canonical rendering
 is byte-stable: equal inputs produce identical documents.  Wall time is
@@ -608,7 +608,7 @@ def check_involution(
     family = lambda: _FamilyCheck(lam, n, N, d, spec.shift(l, n))
     if spec.lengthens:
         members = lambda: augmented_members(lam, n, k, N, cap, low_l)
-        size = lambda: count_augmented_tableaux(lam, k, n, N, low_l)
+        size = lambda: count_augmented_tableaux(lam, n, k, N, low_l)
         draw = lambda rng: sample_augmented_tableau(lam, n, k, N, rng, low_l)
     else:
         members = lambda: staircase_members(lam, N, cap)

@@ -35,10 +35,10 @@ RING = [(n, k) for n in (1, 2, 3) for k in (1, 2)]
 SIZES = [(lam, N) for lam in PARTITIONS for N in range(max(1, len(lam)), 7)]
 
 
-def low_family_size(lam, k, n, N, l):
+def low_family_size(lam, n, k, N, l):
     """Members whose lengthened row stays at or below N - k*l, from the table
     the low-family sampler draws with."""
-    return _augmented_table(lam, k, n, N, l).lengthened[-1]
+    return _augmented_table(lam, n, k, N, l).lengthened[-1]
 
 
 def reference_bounds(lam, N, extra=0, row=0, top=None):
@@ -59,7 +59,7 @@ def reference_count_staircase(lam, N):
     return sum(reference_weight(tau, lengths, his) for tau in permutations(range(1, N + 1)))
 
 
-def reference_count_augmented(lam, k, n, N, top=None):
+def reference_count_augmented(lam, n, k, N, top=None):
     total = 0
     for i in range(1, N + 1):
         lengths, his = reference_bounds(lam, N, k * n, i, top)
@@ -73,7 +73,7 @@ def reference_staircase_table(lam, N):
     return choices, list(accumulate(reference_weight(tau, lengths, his) for *_, tau in choices))
 
 
-def reference_augmented_table(lam, k, n, N, top=None):
+def reference_augmented_table(lam, n, k, N, top=None):
     choices = []
     for i in range(1, N + 1):
         lengths, his = reference_bounds(lam, N, k * n, i, top)
@@ -110,13 +110,21 @@ class TestCounts:
     @pytest.mark.parametrize("lam,N", SIZES)
     def test_augmented_count_matches_labeling_sum(self, lam, N, n, k):
         lam = Partition(lam)
-        assert count_augmented_tableaux(lam, k, n, N) == reference_count_augmented(lam, k, n, N)
+        assert count_augmented_tableaux(lam, n, k, N) == reference_count_augmented(lam, n, k, N)
 
     @pytest.mark.parametrize("lam,n,k,N,l", [((), 2, 1, 3, 1), ((1,), 3, 1, 4, 2), ((2, 1), 3, 2, 5, 1)])
     def test_low_count_matches_labeling_sum(self, lam, n, k, N, l):
         lam = Partition(lam)
-        expected = reference_count_augmented(lam, k, n, N, top=N - k * l)
-        assert low_family_size(lam, k, n, N, l) == expected
+        expected = reference_count_augmented(lam, n, k, N, top=N - k * l)
+        assert low_family_size(lam, n, k, N, l) == expected
+
+    def test_modulus_comes_before_the_exponent(self):
+        # k*n cells are appended either way round; the low family's bound
+        # N - k*l tells n from k, so a swapped call would count another family.
+        lam, n, k, N, l = Partition.of(1), 3, 1, 4, 1
+        expected = reference_count_augmented(lam, n, k, N, top=N - k * l)
+        assert count_augmented_tableaux(lam, n, k, N, l) == expected
+        assert count_augmented_tableaux(lam, k, n, N, l) != expected
 
     @pytest.mark.parametrize("build", [
         lambda lam, N: count_staircase_tableaux(lam, N),
@@ -132,7 +140,7 @@ class TestCounts:
 
     def test_one_table_per_augmented_family(self):
         _label_table.cache_clear()
-        count_augmented_tableaux(Partition.of(1), 1, 2, 6)
+        count_augmented_tableaux(Partition.of(1), 2, 1, 6)
         assert _label_table.cache_info().currsize == 1
         _label_table.cache_clear()
         with pytest.raises(CapExceededError):
@@ -184,7 +192,7 @@ class TestDraws:
     @pytest.mark.parametrize("lam,N", SIZES)
     def test_augmented_draws_match_bisected_table(self, lam, N, n, k):
         lam = Partition(lam)
-        table = reference_augmented_table(lam, k, n, N)
+        table = reference_augmented_table(lam, n, k, N)
         for seed in range(200):
             rows, tau, i = sample_augmented_tableau(lam, n, k, N, seed)
             assert (i, rows, tau) == reference_draw(table, random.Random(seed))
@@ -195,7 +203,7 @@ class TestDraws:
     ])
     def test_low_draws_match_bisected_table(self, lam, n, k, N, l):
         lam = Partition(lam)
-        table = reference_augmented_table(lam, k, n, N, top=N - k * l)
+        table = reference_augmented_table(lam, n, k, N, top=N - k * l)
         for seed in range(200):
             rows, tau, i = sample_augmented_tableau(lam, n, k, N, seed, l)
             assert (i, rows, tau) == reference_draw(table, random.Random(seed))
@@ -206,7 +214,7 @@ class TestLowFamily:
         lam, n, k, N, l = Partition(), 2, 1, 4, 1
         enumerated = sum(1 for m in augmented_members(lam, n, k, N) if in_low_family(m, k * l))
         assert enumerated == 21_138
-        assert low_family_size(lam, k, n, N, l) == 21_138
+        assert low_family_size(lam, n, k, N, l) == 21_138
 
     @pytest.mark.parametrize("lam,n,k,N,l", [((), 2, 1, 4, 1), ((2, 1), 3, 1, 5, 1), ((1,), 3, 2, 7, 2)])
     def test_draws_are_low_members(self, lam, n, k, N, l):
@@ -221,7 +229,7 @@ class TestLowFamily:
         # every member of the 18-element low family should appear ~200 times
         lam, n, k, N, l = Partition(), 3, 1, 3, 2
         population = {m: 0 for m in augmented_members(lam, n, k, N) if in_low_family(m, k * l)}
-        assert len(population) == low_family_size(lam, k, n, N, l) == 18
+        assert len(population) == low_family_size(lam, n, k, N, l) == 18
         draws = 3600
         rng = random.Random(1414)
         for _ in range(draws):
@@ -233,6 +241,6 @@ class TestLowFamily:
 
     def test_empty_low_family_is_refused(self):
         # N - k*l = 0 leaves no entry for the lengthened row
-        assert low_family_size(Partition(), 1, 2, 2, 2) == 0
+        assert low_family_size(Partition(), 2, 1, 2, 2) == 0
         with pytest.raises(ValueError, match="empty"):
             sample_augmented_tableau(Partition(), 2, 1, 2, 0, 2)

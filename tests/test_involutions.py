@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -78,9 +80,7 @@ def sign(m):
 
 class TestMembership:
     def test_small_family_is_forced(self):
-        members = list(enumerate_staircase_tableaux(Partition(), 1, 1))
-        assert len(members) == 1
-        assert members[0].rows == ((1,),) and members[0].tau == (1,)
+        assert list(enumerate_staircase_tableaux(Partition(), 1, 1)) == [(((1,),), (1,), 0)]
 
     def test_example_pairs_are_members(self):
         left = member([(2, 2, 3, 4, 4, 4, 5), (5, 5, 5, 5, 5), (4, 4, 5), (2, 2), (3,)],
@@ -156,7 +156,7 @@ class TestCountsAndEnumeration:
     @pytest.mark.parametrize("lam,n,k,N", [((), 1, 1, 2), ((), 2, 1, 3), ((1,), 2, 1, 3)])
     def test_augmented_count_matches_stream(self, lam, n, k, N):
         lam = Partition(lam)
-        count = count_augmented_tableaux(lam, k, n, N)
+        count = count_augmented_tableaux(lam, n, k, N)
         assert count == sum(1 for _ in enumerate_augmented_tableaux(lam, n, k, N))
 
     def test_tiny_augmented_count_by_hand(self):
@@ -167,6 +167,35 @@ class TestCountsAndEnumeration:
         with pytest.raises(CapExceededError) as err:
             list(enumerate_augmented_tableaux(Partition(), 1, 1, 2, cap=5))
         assert err.value.count == 12 and err.value.cap == 5
+
+    @pytest.mark.parametrize("stream,count", [
+        (lambda cap: enumerate_staircase_tableaux(Partition(), 1, 2, cap), 5),
+        (lambda cap: enumerate_augmented_tableaux(Partition(), 1, 1, 2, cap), 12),
+    ], ids=["staircase", "augmented"])
+    def test_streams_refuse_above_the_cap_when_called(self, stream, count):
+        # The stream is refused when it is asked for, before any member.
+        with pytest.raises(CapExceededError) as err:
+            stream(count - 1)
+        assert err.value.count == count and err.value.cap == count - 1
+        assert sum(1 for _ in stream(count)) == count
+
+    @pytest.mark.parametrize("lam,n,N", [((), 1, 2), ((1,), 2, 3), ((2, 1), 3, 3)], ids=str)
+    def test_base_stream_yields_the_plain_members(self, lam, n, N):
+        lam = Partition(lam)
+        stream = enumerate_staircase_tableaux(lam, n, N)
+        assert inspect.isgenerator(stream)  # bench/tracing.py closes it
+        members = list(stream)
+        assert members == list(staircase_members(lam, N))
+        assert {type(m) for m in members} == {tuple}
+
+    @pytest.mark.parametrize("lam,n,k,N", [((), 1, 1, 2), ((1,), 2, 1, 3), ((), 3, 2, 2)], ids=str)
+    def test_augmented_stream_yields_the_plain_members(self, lam, n, k, N):
+        lam = Partition(lam)
+        stream = enumerate_augmented_tableaux(lam, n, k, N)
+        assert inspect.isgenerator(stream)
+        members = list(stream)
+        assert members == list(augmented_members(lam, n, k, N))
+        assert {type(m) for m in members} == {tuple}
 
     @pytest.mark.parametrize("parts", [(), (1,), (2,), (1, 1), (2, 1)], ids=str)
     def test_low_stream_is_the_low_part_of_the_whole_stream(self, parts):
@@ -182,7 +211,7 @@ class TestCountsAndEnumeration:
                     for l in range(1, n):
                         low = list(augmented_members(lam, n, k, N, DEFAULT_CAP, l))
                         assert low == [m for m in whole if in_low_family(m, k * l)]
-                        assert len(low) == involutions_mod._augmented_table(lam, k, n, N, l).lengthened[-1]
+                        assert len(low) == involutions_mod._augmented_table(lam, n, k, N, l).lengthened[-1]
                         with pytest.raises(CapExceededError) as err:
                             check_involution("I4", lam, n, k, N, l=l, cap=len(whole) - 1)
                         assert err.value.count == len(whole)
@@ -521,14 +550,15 @@ class TestShiftedSignedSums:
         assert lhs == rhs
 
 
-def reference_signed_sum(members, n, l, sign=permutation_sign):
-    """Sum of sign(tau) times the (shifted) weight, one ``rows_monomial`` per
-    member: the reference for the keyed signed sums."""
+def reference_signed_sum(members, lam, n, N, d, l, sign=permutation_sign):
+    """Sum of sign(tau) times the (shifted) weight over plain members of the
+    family of ``lam`` with N rows and d cells appended, one ``rows_monomial``
+    per member: the reference for the keyed signed sums."""
+    cells = staircase_cells(lam, N, d, n, l)
     terms: dict = {}
-    for st in members:
-        cells = staircase_cells(st.lam, st.N, st.d, st.n, l)
-        m = rows_monomial(st.rows, cells, n)
-        terms[m] = terms.get(m, 0) + sign(st.tau)
+    for rows, tau, _ in members:
+        m = rows_monomial(rows, cells, n)
+        terms[m] = terms.get(m, 0) + sign(tau)
     return Polynomial(n, terms)
 
 
@@ -543,7 +573,8 @@ class TestKeyedSignedSums:
         for N in range(len(lam), 5):  # lambda = 0 from N = 0
             members = list(enumerate_staircase_tableaux(lam, n, N))
             for l in range(n):
-                assert staircase_signed_sum(lam, n, N, l) == reference_signed_sum(members, n, l)
+                expected = reference_signed_sum(members, lam, n, N, 0, l)
+                assert staircase_signed_sum(lam, n, N, l) == expected
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -553,7 +584,7 @@ class TestKeyedSignedSums:
         for N in range(len(lam), 4):
             members = list(enumerate_augmented_tableaux(lam, n, k, N))
             for l in range(n):
-                expected = reference_signed_sum(members, n, l)
+                expected = reference_signed_sum(members, lam, n, N, k * n, l)
                 assert augmented_signed_sum(lam, n, k, N, l) == expected
 
     def test_bad_shift_is_refused_before_counting(self, monkeypatch):
@@ -574,6 +605,33 @@ class TestKeyedSignedSums:
             staircase_signed_sum(Partition(), 2, 3, l=1, cap=1)
         with pytest.raises(CapExceededError):
             augmented_signed_sum(Partition(), 2, 1, 3, l=1, cap=1)
+
+    @pytest.mark.parametrize("d,l", [(0, 0), (0, 1), (2, 0), (2, 1)])
+    def test_one_signed_tableau_per_distinct_weight(self, d, l, monkeypatch):
+        # Only the first member of each weight that survives the signed sum is
+        # wrapped, to be weighed; the rest stay plain tuples.
+        built = []
+
+        class Counted(SignedTableau):
+            def __new__(cls, *fields):
+                built.append(fields)
+                return super().__new__(cls, *fields)
+        monkeypatch.setattr(involutions_mod, "SignedTableau", Counted)
+        lam, n, N = Partition.of(1), 2, 3
+        if d:
+            total = augmented_signed_sum(lam, n, d // n, N, l)
+            members = list(augmented_members(lam, n, d // n, N))
+        else:
+            total = staircase_signed_sum(lam, n, N, l)
+            members = list(staircase_members(lam, N))
+        cells = staircase_cells(lam, N, d, n, l)
+        firsts, weights = {}, Counter()
+        for m in members:
+            weight = rows_monomial(m[0], cells, n)
+            firsts.setdefault(weight, m)
+            weights[weight] += permutation_sign(m[1])
+        assert built == [(lam, n, N, d, *m) for weight, m in firsts.items() if weights[weight]]
+        assert len(built) == len(total) < len(firsts) < len(members)
 
     @pytest.mark.parametrize("which,l", [("I1", 0), ("I2", 0), ("I3", 0), ("I4", 1)])
     def test_cap_refuses_before_the_family_check_is_built(self, which, l, monkeypatch):
@@ -602,10 +660,10 @@ class TestKeyedSignedSums:
             return -permutation_sign(tau) if tau == flipped_tau else permutation_sign(tau)
         monkeypatch.setattr(involutions_mod, "permutation_sign", flipped_sign)
         if which == 1:
-            members = enumerate_staircase_tableaux(lam, n, N)
+            members, d = enumerate_staircase_tableaux(lam, n, N), 0
         else:
-            members = enumerate_augmented_tableaux(lam, n, k, N)
-        lhs = reference_signed_sum(members, n, 0, sign=flipped_sign)
+            members, d = enumerate_augmented_tableaux(lam, n, k, N), k * n
+        lhs = reference_signed_sum(members, lam, n, N, d, 0, sign=flipped_sign)
         rhs = Polynomial.from_term(n, staircase_monomial(N, n)) * loop_schur(lam, n, N)
         if which != 1:  # identity 3's strip sum equals this product (mn-verify)
             rhs = loop_power_sum(k, n, N) * rhs

@@ -25,6 +25,7 @@ from loopschur import (
     loop_power_sum,
     loop_schur,
     parse_grid_config,
+    permutation_sign,
     run_grid,
     shifted_loop_schur,
     specialize_forget_color,
@@ -642,7 +643,7 @@ def sign_and_weight(which, member):
     """The label sign and the plain weight of a member of ``which``'s fault family."""
     lam, n, k, N, l = FAULT_FAMILIES[which]
     st = verify_mod.SignedTableau(lam, n, N, 0 if which == "I1" else k * n, *member)
-    return st.sign, st.monomial()
+    return permutation_sign(member[1]), st.monomial()
 
 
 def one_more_slide(original, member):
@@ -711,7 +712,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
 
         def sign_weight(m):
             st = verify_mod.SignedTableau(lam, n, N, d, *m)
-            return st.sign, st.monomial(shift)
+            return permutation_sign(m[1]), st.monomial(shift)
 
         pairs = []
         for m, image in self.members(which):
@@ -738,7 +739,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
             if image != m and all(m not in pair for pair in pairs):
                 pairs.append((m, image))
                 st = verify_mod.SignedTableau(lam, n, N, d, *m)
-                key = st.sign, st.monomial()
+                key = permutation_sign(m[1]), st.monomial()
                 for b, b2, shifted in seen.get(key, ()):
                     if shifted != st.monomial(1):
                         return {m: b2, b2: m, image: b, b: image}
