@@ -76,7 +76,7 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="report wall times on stderr")
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1)  # reused by every main call of a process
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process and shared by
     every ``main`` call, since ``parse_args`` keeps no state between calls.

@@ -160,7 +160,7 @@ def validate_in_family(member: Member, lam: Partition, N: int, d: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256)  # reused by every validated image of a family
 def _row_lengths(lam: Partition, N: int, d: int = 0, i: int = 0) -> tuple[int, ...]:
     """The row lengths of the family of ``lam`` with N rows and d cells
     appended to row i; every counter and sampler reaches this before building
@@ -253,7 +253,7 @@ def subset_expansion(matrix, zero, one, signed=False) -> list:
     return subsets
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # reused by every draw of a sampled check
 def _label_table(lam: Partition, N: int, d: int = 0, top: int = 0) -> _LabelTable:
     """The :class:`_LabelTable` of the family of ``lam`` with N rows and d
     cells appended to a lengthened row whose entries stay at most ``top``
@@ -456,7 +456,7 @@ def _moved(items: tuple, a: int, b: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256)  # reused by neighbouring members of an exhaustive walk
 def _pair_violation(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
     """The rightmost position q >= 1 of ``upper`` with upper[q] >= lower[q-1],
     or 0 when the pair of rows is column-strict.  Only the two rows decide it,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby, product, repeat, starmap
 from operator import add, itemgetter
 from typing import Iterator
@@ -80,12 +79,11 @@ def enumerate_ssyt(lam: Partition, N: int) -> Iterator[tuple[tuple[int, ...], ..
         stack.append(iter(range(lo, N + 1)))
 
 
-@lru_cache(maxsize=1024)
 def cell_weights(start: int, length: int, n: int, l: int = 0) -> tuple[tuple[int, int], ...]:
     """``(color, weight offset)`` of each cell of a row whose first cell has content ``start``.
 
     A cell of content c has color c mod n and contributes the weight numerator
-    ``n * entry + l * c``.
+    ``n * entry + l * c``.  Built on each call, as are the tables made of it.
     """
     return tuple(((start + q) % n, l * (start + q)) for q in range(length))
 
@@ -113,11 +111,11 @@ def rows_monomial(rows, cells, n: int) -> Monomial:
     return Monomial.from_exponents(factors)
 
 
-@lru_cache(maxsize=256)
 def staircase_cells(lam: Partition, N: int, d: int, n: int, l: int = 0) -> tuple:
     """The row cell tables of the staircase family of ``lam`` with N rows and d
     cells appended to one row.  Every row starts at content -N, so one
-    :func:`cell_weights` table, as long as the longest row, serves all N rows.
+    :func:`cell_weights` table, as long as the longest row, serves all N rows;
+    a family check builds one for each :class:`WeightCode` it keeps.
     Raises ValueError unless 0 <= l < n and N >= len(lam).
     """
     ShiftParams(n, l)
@@ -125,10 +123,9 @@ def staircase_cells(lam: Partition, N: int, d: int, n: int, l: int = 0) -> tuple
     return (cell_weights(-N, lam.part(1) + N + d, n, l),) * N
 
 
-@lru_cache(maxsize=256)
 def young_cells(lam: Partition, n: int, l: int = 0) -> tuple:
     """The row cell tables of the Young diagram of ``lam``, whose row r starts
-    at content 1 - r.  Raises ValueError unless 0 <= l < n."""
+    at content 1 - r, built on each call.  Raises ValueError unless 0 <= l < n."""
     ShiftParams(n, l)
     return tuple(cell_weights(1 - r, p, n, l) for r, p in enumerate(lam.parts, start=1))
 

@@ -69,7 +69,6 @@ from .tableaux import (  # also the builders, which callers may look up or repla
     WeightCode,
     loop_power_sum,
     loop_schur,
-    shifted_loop_schur,
     ssyt_code,
     ssyt_keys,
     staircase_cells,
@@ -134,9 +133,8 @@ def _y_width(lam: Partition) -> int:
     return max(lam.size, 1).bit_length()
 
 
-@lru_cache(maxsize=256)
 def _schur_keys(lam: Partition, N: int) -> KeyPolynomial:
-    """The keys of :func:`classical_schur`, shared by every caller, which only reads them."""
+    """The keys of :func:`classical_schur`, built afresh on each call."""
     ell, width = len(lam), _y_width(lam)
     if ell > N:
         return KeyPolynomial()
@@ -175,7 +173,7 @@ def classical_schur(lam: Partition, N: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _signed_border_strip_sum(lam: Partition, n: int, k: int, N: int, l: int = 0) -> tuple[Counter, int, WeightCode]:
+def _signed_border_strip_sum(lam: Partition, n: int, k: int, N: int, l: int = 0) -> tuple[dict, int, WeightCode]:
     """The signed sum of the (shifted) loop Schur functions of the kn-border strips sigma/lam,
     as its nonzero key counts, folded strip by strip in C; with the strip count and the code,
     which covers lam and all sigma."""
@@ -186,12 +184,12 @@ def _signed_border_strip_sum(lam: Partition, n: int, k: int, N: int, l: int = 0)
         keys = ssyt_keys(addition.sigma, n, l, N, code)
         _fold(total, keys, keys.values(), add if addition.height % 2 == 0 else sub)
         del keys  # before the next strip is counted
-    return Counter(dict(filter(itemgetter(1), total.items()))), len(strips), code
+    return dict(filter(itemgetter(1), total.items())), len(strips), code
 
 
-def _power_sum_product(lam: Partition, n: int, k: int, N: int, code: WeightCode) -> Counter:
+def _power_sum_product(lam: Partition, n: int, k: int, N: int, code: WeightCode) -> dict:
     """The keys of the loop power sum times the loop Schur function of lam, folded in C."""
-    keys, product = ssyt_keys(lam, n, 0, N, code), Counter()
+    keys, product = ssyt_keys(lam, n, 0, N, code), {}
     for power in map(code.power_key, range(1, N + 1), repeat(k)):
         _fold(product, map(power.__add__, keys), keys.values())
     return product
@@ -311,7 +309,7 @@ def verify_expansion(
     )
 
 
-def _forgotten_keys(lam: Partition, n: int, N: int) -> Counter:
+def _forgotten_keys(lam: Partition, n: int, N: int) -> dict:
     """The loop Schur keys of ``lam`` with their colors forgotten, on the
     classical oracle's layout.  The fields of the unshifted :func:`ssyt_code`
     are, per color of a cell, a block of N fields x(color, n*v), v = 1..N, as
@@ -322,7 +320,7 @@ def _forgotten_keys(lam: Partition, n: int, N: int) -> Counter:
     keys, summed = ssyt_keys(lam, n, 0, N, code), repeat(0)  # summed over no block yet
     for shift in blocks:
         summed = map(add, summed, map(mask.__and__, map(rshift, keys, repeat(shift))))
-    return _fold(Counter(), summed, keys.values())
+    return _fold({}, summed, keys.values())
 
 
 def check_specialization(lam: Partition, n: int, N: int) -> VerificationReport:
@@ -507,11 +505,9 @@ def _walk_each(c: _FamilyCheck, which: str, members, moved_sum: bool = True) -> 
     """Check every member on its own; returns the members checked and the fixed
     points.  With ``moved_sum`` it adds up the signed shifted weights of the
     members the map moves in ``c.reachable``, where pairs cancel."""
-    apply, check_member, _, _, low, _ = _MAPS[which]
+    apply, check_member = _MAPS[which][:2]
     checked = fixed = 0
     for m in members:
-        if low and not in_low_family(m, c.kl):
-            continue  # unreachable by a map of the low family: a stream of the whole family
         checked += 1
         sign, image = c.sign(m[1]), apply(c, m)
         if moved_sum and image != m:
@@ -531,11 +527,9 @@ def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
     agree every backward member is such an image and its check is implied.
     The cancelled pairs leave ``c.reachable`` empty.
     """
-    apply, check_member, check_image, _, low, _ = _MAPS[which]
+    apply, check_member, check_image = _MAPS[which][:3]
     checked = fixed = forward = backward = 0
     for m in members:
-        if low and not in_low_family(m, c.kl):
-            continue  # unreachable by a map of the low family: a stream of the whole family
         checked += 1
         image = apply(c, m)
         if image < m:
@@ -547,6 +541,15 @@ def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
         else:
             forward += 1
     return (checked, fixed) if forward == backward else None
+
+
+def _low_family_only(members, kl: int):
+    """``members``, raising MembershipError at the first outside the fourth
+    map's low family, whose lengthened row stays at or below N - kl."""
+    for m in members:
+        if not in_low_family(m, kl):
+            raise MembershipError("a member outside the low family reached the fourth map")
+        yield m
 
 
 def check_involution(
@@ -571,7 +574,8 @@ def check_involution(
     check are read off its :data:`_MAPS` entry.  The second to fourth maps
     need k >= 1, refused before any counting.  The fourth map also needs
     1 <= l < n; it draws from and walks only the members it acts on, its low
-    family, while the cap counts the whole augmented family.  Exhaustive mode
+    family, and raises MembershipError at a member outside it, in either mode,
+    while the cap counts the whole augmented family.  Exhaustive mode
     makes its stream, which counts the family and refuses above the cap,
     before it builds anything else.  The signed shifted weights of the members
     the map moves must then cancel in pairs, else ``unreachable_sum_mismatch``,
@@ -606,8 +610,10 @@ def check_involution(
     ShiftParams(n, l)  # refuses l outside 0 <= l < n, whatever shift the map checks
     d, low_l = (k * n if spec.lengthens else 0), (l if spec.low else 0)
     family = lambda: _FamilyCheck(lam, n, N, d, spec.shift(l, n))
+    # The fourth map's streams and draws must keep to its low family.
+    guard = (lambda stream: _low_family_only(stream, k * l)) if spec.low else (lambda stream: stream)
     if spec.lengthens:
-        members = lambda: augmented_members(lam, n, k, N, cap, low_l)
+        members = lambda: guard(augmented_members(lam, n, k, N, cap, low_l))
         size = lambda: count_augmented_tableaux(lam, n, k, N, low_l)
         draw = lambda rng: sample_augmented_tableau(lam, n, k, N, rng, low_l)
     else:
@@ -628,13 +634,9 @@ def check_involution(
             c.failures.append(("member_count_mismatch", None))
     else:
         c = family()
-        def drawn(rng):
-            for _ in range(samples):
-                member = draw(rng)
-                if spec.low and not in_low_family(member, c.kl):
-                    raise MembershipError("the low-family sampler drew a member outside it")
-                yield member
-        counts = _walk_each(c, which, drawn(random.Random(seed)), moved_sum=False)
+        rng = random.Random(seed)
+        draws = guard(draw(rng) for _ in range(samples))
+        counts = _walk_each(c, which, draws, moved_sum=False)
     total, fixed_count = counts
 
     failures = c.failures

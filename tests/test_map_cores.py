@@ -35,7 +35,7 @@ from loopschur import (
     validate_in_family,
 )
 from loopschur import involutions, verify
-from loopschur.involutions import strip_rows
+from loopschur.involutions import DEFAULT_CAP, strip_rows
 from loopschur.tableaux import WeightCode, cell_weights, rows_monomial, staircase_cells
 
 from conftest import assert_code_matches_rows_monomial
@@ -136,16 +136,17 @@ def test_one_pass_sum_of_the_fourth_map(lam, n, k, N):
     # members' signed shifted sum and requires it to vanish; with the
     # unreachable members' sum it must make up the whole signed sum.  The
     # pair walk cancels each pair it checks, so it leaves that sum empty.
+    # Both walk the low stream that check_involution hands them.
     for l in range(1, n):
         check = verify._FamilyCheck(lam, n, N, k * n, l)
-        verify._walk_each(check, "I4", augmented_members(lam, n, k, N))
+        verify._walk_each(check, "I4", augmented_members(lam, n, k, N, DEFAULT_CAP, l))
         unreachable: dict = {}
         for m in augmented_members(lam, n, k, N):
             if not in_low_family(m, check.kl):
                 weight = check.shifted_key(m[0])
                 unreachable[weight] = unreachable.get(weight, 0) + permutation_sign(m[1])
         pair = verify._FamilyCheck(lam, n, N, k * n, l)
-        assert verify._walk_pairs(pair, "I4", augmented_members(lam, n, k, N)) is not None
+        assert verify._walk_pairs(pair, "I4", augmented_members(lam, n, k, N, DEFAULT_CAP, l)) is not None
         assert not pair.reachable
         assert not check.failures
         decode = check.shifted.decode

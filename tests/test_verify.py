@@ -4,7 +4,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, islice
 
 import pytest
 
@@ -73,7 +73,6 @@ class TestClassicalOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("reached a tableau builder's weight code or cell table")
 
-        verify_mod._schur_keys.cache_clear()
         for module in (tableaux, verify_mod):  # wherever the oracle could look them up
             for name in ("WeightCode", "young_cells", "cell_weights"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
@@ -83,12 +82,17 @@ class TestClassicalOracle:
             check_specialization(Partition.of(3, 2, 1), 2, 4)  # the colored side does
 
     def test_module_caches_are_bounded(self):
-        from loopschur import involutions, tableaux
+        from loopschur import cli, involutions, tableaux
 
-        for cached in (verify_mod._schur_keys, involutions._label_table, involutions._row_lengths,
-                       involutions._pair_violation,
-                       tableaux.cell_weights, tableaux.young_cells,
-                       tableaux.staircase_cells):
+        def caches(module):
+            return {name for name, value in vars(module).items()
+                    if callable(getattr(value, "cache_info", None))}
+
+        assert caches(tableaux) == caches(verify_mod) == set()
+        assert caches(involutions) == {"_row_lengths", "_label_table", "_pair_violation"}
+        assert caches(cli) == {"build_parser"}
+        for cached in (involutions._label_table, involutions._row_lengths,
+                       involutions._pair_violation, cli.build_parser):
             assert cached.cache_info().maxsize is not None
 
 
@@ -280,12 +284,12 @@ class TestFolds:
                     for l in range(n):
                         got = verify_mod._signed_border_strip_sum(lam, n, k, N, l)
                         expected = reference_signed_border_strip_sum(lam, n, k, N, l)
-                        assert type(got[0]) is Counter and 0 not in got[0].values()
+                        assert type(got[0]) is dict and 0 not in got[0].values()
                         assert got[0] == expected[0] and got[1] == expected[1]
                         if l == 0:
                             code = got[2]
                             product = verify_mod._power_sum_product(lam, n, k, N, code)
-                            assert type(product) is Counter and 0 not in product.values()
+                            assert type(product) is dict and 0 not in product.values()
                             assert product == reference_power_sum_product(lam, n, k, N, code)
 
     @pytest.mark.parametrize("parts", [p for size in range(6) for p in brute_partitions(size)],
@@ -295,7 +299,7 @@ class TestFolds:
         for n in (1, 2, 3):
             for N in range(7):
                 got = verify_mod._forgotten_keys(lam, n, N)
-                assert type(got) is Counter and 0 not in got.values()
+                assert type(got) is dict and 0 not in got.values()
                 assert got == reference_forgotten_keys(lam, n, N), (n, N)
 
     def test_forgetting_keeps_no_list_of_sums(self):
@@ -401,7 +405,8 @@ class TestDegreeBound:
 
         def with_low_term(*args):
             keys, strips, code = strip_sum(*args)
-            keys[code.unit[(1, int(n * stated) - 1)]] += 1
+            key = code.unit[(1, int(n * stated) - 1)]
+            keys[key] = keys.get(key, 0) + 1
             return keys, strips, code
 
         monkeypatch.setattr(verify_mod, "_signed_border_strip_sum", with_low_term)
@@ -557,6 +562,16 @@ class TestInvolutionCheck:
     def test_fourth_map_requires_shift(self):
         with pytest.raises(PreconditionError):
             check_involution("I4", Partition(), 2, 1, 3, l=0)
+
+    def test_exhaustive_fourth_map_refuses_a_member_outside_the_low_family(self, monkeypatch):
+        # The exhaustive stream is guarded as the sampled draws are: one member
+        # whose lengthened row passes N - k*l, at the front of it, makes the check raise.
+        lam, n, k, N, l = Partition(), 2, 1, 3, 1
+        members = verify_mod.augmented_members
+        high = next(m for m in members(lam, n, k, N) if not in_low_family(m, k * l))
+        monkeypatch.setattr(verify_mod, "augmented_members", lambda *args: chain([high], members(*args)))
+        with pytest.raises(MembershipError, match="outside"):
+            check_involution("I4", lam, n, k, N, l=l)
 
     def test_sampled_fourth_map_refuses_a_draw_outside_the_low_family(self, monkeypatch):
         # The low-family sampler must never hand the fourth map a member whose
