@@ -8,8 +8,8 @@ on a concrete member.
 
 from loopschur import (
     Partition,
-    augmented_members,
     augmented_signed_sum,
+    enumerate_augmented_tableaux,
     extract_power_sum_factor,
     i1,
     i2,
@@ -72,7 +72,7 @@ st3 = i3(st2)
 show("i3 image", st3)
 assert i3(st3) == st2
 
-fixed_point = next(m for m in augmented_members(Partition.of(1), 2, 1, 3)
+fixed_point = next(m for m in enumerate_augmented_tableaux(Partition.of(1), 2, 1, 3)
                    if i3(m) == m and m[2] > 1)
 show("an i3 fixed point", fixed_point)
 parts, height, landed = slide_to_border_strip(fixed_point)

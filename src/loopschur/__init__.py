@@ -19,7 +19,6 @@ from .involutions import (
     DEFAULT_CAP,
     Member,
     SignedTableau,
-    augmented_members,
     augmented_signed_sum,
     count_augmented_tableaux,
     count_staircase_tableaux,
@@ -40,7 +39,6 @@ from .involutions import (
     slide_from_border_strip,
     slide_to_border_strip,
     staircase_entries_standard,
-    staircase_members,
     staircase_signed_sum,
     validate_in_family,
 )

@@ -48,10 +48,11 @@ the lesser member in tuple order; it validates each moved image it checks as
 :func:`validate_in_family` does, and matches the count of forward members
 checked against the backward ones it skips, falling back to checking every
 member on its own when a check fails or the counts differ.  The fourth map's
-walk streams only its low family (:func:`augmented_members` with ``l``),
-while the cap counts the whole augmented family.  Enumerated and sampled
-members are valid by construction.  Every stream yields plain members, and a
-:class:`SignedTableau` pairs one with its family only to weigh or document it.
+walk streams only its low family (:func:`enumerate_augmented_tableaux` with
+``l``), while the cap counts the whole augmented family.  Enumerated and
+sampled members are valid by construction.  Every stream yields plain members,
+and a :class:`SignedTableau` pairs one with its family only to weigh or
+document it.
 """
 
 from __future__ import annotations
@@ -328,46 +329,34 @@ def _members(lam: Partition, N: int, d: int, lengthened, top: int) -> Iterator[M
                 yield rows, tau, i
 
 
-def staircase_members(lam: Partition, N: int, cap: int = DEFAULT_CAP) -> Iterator[Member]:
-    """Deterministic exhaustive stream of the base family, as plain data.
+def enumerate_staircase_tableaux(
+    lam: Partition, n: int, N: int, cap: int = DEFAULT_CAP
+) -> Iterator[Member]:
+    """Deterministic exhaustive stream of the base family, colored mod n, as
+    plain data; ValueError for n < 1.
 
     Counts the family when called, and refuses with :class:`CapExceededError`
     when the exact member count exceeds ``cap``, before the stream is made;
     counting costs O(2^N * N), so a refusal is cheap.
     """
+    ShiftParams(n)
     count = count_staircase_tableaux(lam, N)
     if count > cap:
         raise CapExceededError(count, cap)
     return _members(lam, N, 0, (0,), N)
 
 
-def augmented_members(
+def enumerate_augmented_tableaux(
     lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP, l: int = 0
 ) -> Iterator[Member]:
-    """Like :func:`staircase_members` for the augmented family, i ascending; a
-    refusal costs one label table.  With ``l`` >= 1 only the low family of the
-    fourth map comes out, the members whose lengthened row stays at or below
-    N - k*l, in the same order; the cap still counts the whole family."""
+    """Like :func:`enumerate_staircase_tableaux` for the augmented family, i
+    ascending; a refusal costs one label table.  With ``l`` >= 1 only the low
+    family of the fourth map comes out, the members whose lengthened row stays
+    at or below N - k*l, in the same order; the cap still counts the whole family."""
     count = count_augmented_tableaux(lam, n, k, N)
     if count > cap:
         raise CapExceededError(count, cap)
     return _members(lam, N, k * n, range(1, N + 1), N - k * l)
-
-
-def enumerate_staircase_tableaux(
-    lam: Partition, n: int, N: int, cap: int = DEFAULT_CAP
-) -> Iterator[Member]:
-    """The stream of :func:`staircase_members`, for a family colored mod n;
-    ValueError for n < 1."""
-    ShiftParams(n)
-    return staircase_members(lam, N, cap)
-
-
-def enumerate_augmented_tableaux(
-    lam: Partition, n: int, k: int, N: int, cap: int = DEFAULT_CAP
-) -> Iterator[Member]:
-    """The stream of :func:`augmented_members`, whose count refuses n < 1."""
-    return augmented_members(lam, n, k, N, cap)
 
 
 def _draw(lam: Partition, N: int, table: _LabelTable, seed: int | random.Random) -> Member:

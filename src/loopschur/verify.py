@@ -34,7 +34,6 @@ from .involutions import (  # also the maps, which callers may look up or replac
     DEFAULT_CAP,
     Member,
     SignedTableau,
-    augmented_members,
     augmented_signed_sum,
     count_augmented_tableaux,
     count_staircase_tableaux,
@@ -55,7 +54,6 @@ from .involutions import (  # also the maps, which callers may look up or replac
     slide_from_border_strip,
     slide_to_border_strip,
     staircase_entries_standard,
-    staircase_members,
     staircase_signed_sum,
     strip_rows,
     subset_expansion,
@@ -613,11 +611,11 @@ def check_involution(
     # The fourth map's streams and draws must keep to its low family.
     guard = (lambda stream: _low_family_only(stream, k * l)) if spec.low else (lambda stream: stream)
     if spec.lengthens:
-        members = lambda: guard(augmented_members(lam, n, k, N, cap, low_l))
+        members = lambda: guard(enumerate_augmented_tableaux(lam, n, k, N, cap, low_l))
         size = lambda: count_augmented_tableaux(lam, n, k, N, low_l)
         draw = lambda rng: sample_augmented_tableau(lam, n, k, N, rng, low_l)
     else:
-        members = lambda: staircase_members(lam, N, cap)
+        members = lambda: enumerate_staircase_tableaux(lam, n, N, cap)
         size = lambda: count_staircase_tableaux(lam, N)
         draw = lambda rng: sample_staircase_tableau(lam, n, N, rng)
 
@@ -767,7 +765,7 @@ CHECKS_BY_KIND = {spec.kind: spec for spec in CHECKS}
 class GridEntry:
     kind: str
     options: dict
-    line: int = 0
+    line: int
 
 
 def parse_grid_config(text: str) -> list[GridEntry]:

@@ -239,7 +239,7 @@ def test_lengthening_maps_refuse_nonpositive_k(capsys, monkeypatch, tmp_path, wh
     def untouched(*args, **kwargs):
         raise AssertionError("the family was counted or sampled")
 
-    for attr in ("augmented_members", "sample_augmented_tableau"):
+    for attr in ("enumerate_augmented_tableaux", "sample_augmented_tableau"):
         monkeypatch.setattr(verify_mod, attr, untouched)
     expected = f"error: k must be positive, got {k}\n"
     code, out, err = run(capsys, "involution-check", "--which", which, "--lambda", "0",

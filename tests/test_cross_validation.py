@@ -11,10 +11,11 @@ import pytest
 from loopschur import (
     Partition,
     ShiftParams,
-    augmented_members,
     augmented_signed_sum,
+    enumerate_augmented_tableaux,
     enumerate_border_strips,
     enumerate_ssyt,
+    enumerate_staircase_tableaux,
     i1,
     i2,
     i3,
@@ -22,7 +23,6 @@ from loopschur import (
     in_low_family,
     sample_augmented_tableau,
     shifted_loop_schur,
-    staircase_members,
     staircase_monomial,
     validate_in_family,
     verify_degree_bound,
@@ -68,7 +68,7 @@ def test_shifted_master_sum_with_k_two():
 def test_fixed_point_counts_match_tableau_counts():
     # i1 fixed points biject onto semistandard fillings of the base partition
     for lam, N in ((Partition.of(2, 2), 4), (Partition.of(1, 1), 3)):
-        fixed = sum(1 for m in staircase_members(lam, N) if i1(m) == m)
+        fixed = sum(1 for m in enumerate_staircase_tableaux(lam, 1, N) if i1(m) == m)
         assert fixed == sum(1 for _ in enumerate_ssyt(lam, N))
 
 
@@ -94,7 +94,7 @@ def test_exhaustive_family_with_tall_partition():
     lam, n, k, N = Partition.of(1, 1), 2, 1, 3
     d = k * n
     total = 0
-    for m in augmented_members(lam, n, k, N):
+    for m in enumerate_augmented_tableaux(lam, n, k, N):
         total += 1
         for image in (i2(m, d), i3(m)):
             validate_in_family(image, lam, N, d)

@@ -15,9 +15,9 @@ import pytest
 from loopschur import (
     CapExceededError,
     Partition,
-    augmented_members,
     count_augmented_tableaux,
     count_staircase_tableaux,
+    enumerate_augmented_tableaux,
     in_low_family,
     sample_augmented_tableau,
     sample_staircase_tableau,
@@ -144,7 +144,7 @@ class TestCounts:
         assert _label_table.cache_info().currsize == 1
         _label_table.cache_clear()
         with pytest.raises(CapExceededError):
-            next(augmented_members(Partition.of(1), 2, 1, 6, cap=1))
+            next(enumerate_augmented_tableaux(Partition.of(1), 2, 1, 6, cap=1))
         assert _label_table.cache_info().currsize == 1
 
 
@@ -212,7 +212,8 @@ class TestDraws:
 class TestLowFamily:
     def test_count_matches_filtered_enumeration(self):
         lam, n, k, N, l = Partition(), 2, 1, 4, 1
-        enumerated = sum(1 for m in augmented_members(lam, n, k, N) if in_low_family(m, k * l))
+        enumerated = sum(1 for m in enumerate_augmented_tableaux(lam, n, k, N)
+                         if in_low_family(m, k * l))
         assert enumerated == 21_138
         assert low_family_size(lam, n, k, N, l) == 21_138
 
@@ -228,7 +229,8 @@ class TestLowFamily:
     def test_uniformity_within_three_sigma(self):
         # every member of the 18-element low family should appear ~200 times
         lam, n, k, N, l = Partition(), 3, 1, 3, 2
-        population = {m: 0 for m in augmented_members(lam, n, k, N) if in_low_family(m, k * l)}
+        population = {m: 0 for m in enumerate_augmented_tableaux(lam, n, k, N)
+                      if in_low_family(m, k * l)}
         assert len(population) == low_family_size(lam, n, k, N, l) == 18
         draws = 3600
         rng = random.Random(1414)

@@ -51,6 +51,7 @@ CASES = [
     "thm2-verify --lambda 1 --n 3 --k 1 --N 6 --l 2 --format structured",
     "thm2-verify --lambda 0 --n 2 --k 1 --N 4 --l 0",
     "thm2-verify --lambda 0 --n 2 --k 1 --N 4",
+    "thm2-verify --lambda 0 --n 2 --k 1 --N 4 --l 2",
     # lemma-verify
     "lemma-verify --which 1 --lambda 1 --n 2 --N 3",
     "lemma-verify --which 2 --lambda 0 --n 1 --k 1 --N 2 --format structured",
@@ -74,6 +75,8 @@ CASES = [
     "involution-check --which I5 --lambda 1 --n 2 --N 3",
     "involution-check --which I1 --lambda 1 --n 2 --N 3 --exhaustive --samples 5",
     "involution-check --which I1 --lambda 1 --n 2 --N 3 --samples x",
+    "involution-check --which I4 --lambda 0 --n 2 --k 3 --N 2 --l 1",
+    "involution-check --which I4 --lambda 0 --n 2 --k 3 --N 2 --l 1 --samples 3",
     # specialize-check
     "specialize-check --lambda 3,1 --n 2 --N 4",
     "specialize-check --lambda 2,1 --n 3 --N 4 --format structured",

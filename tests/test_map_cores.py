@@ -15,8 +15,9 @@ from loopschur import (
     Partition,
     Polynomial,
     SignedTableau,
-    augmented_members,
     augmented_signed_sum,
+    enumerate_augmented_tableaux,
+    enumerate_staircase_tableaux,
     extract_power_sum_factor,
     i1,
     i2,
@@ -31,7 +32,6 @@ from loopschur import (
     slide_from_border_strip,
     slide_to_border_strip,
     staircase_entries_standard,
-    staircase_members,
     validate_in_family,
 )
 from loopschur import involutions, verify
@@ -71,7 +71,7 @@ def assert_weights(m, lam, n, N, d):
 
 @pytest.mark.parametrize("lam,n,N", BASE, ids=str)
 def test_base_family_map_is_a_closed_involution(lam, n, N):
-    for m in staircase_members(lam, N):
+    for m in enumerate_staircase_tableaux(lam, n, N):
         image = i1(m)
         validate_in_family(image, lam, N, 0)
         assert i1(image) == m
@@ -84,7 +84,7 @@ def test_base_family_map_is_a_closed_involution(lam, n, N):
 @pytest.mark.parametrize("lam,n,k,N", AUGMENTED, ids=str)
 def test_augmented_family_maps_are_closed_involutions(lam, n, k, N):
     d = k * n
-    for m in augmented_members(lam, n, k, N):
+    for m in enumerate_augmented_tableaux(lam, n, k, N):
         image = i2(m, d)
         validate_in_family(image, lam, N, d)
         assert i2(image, d) == m
@@ -123,7 +123,8 @@ def test_each_map_has_one_entry_point(module):
                          ids=str)
 def test_weight_code_decodes_to_the_row_tuple_weight(lam, n, k, N):
     # k = 0 is the base family; every shift, l = 0 being the plain weight.
-    family = augmented_members(lam, n, k, N) if k else staircase_members(lam, N)
+    family = (enumerate_augmented_tableaux(lam, n, k, N) if k
+              else enumerate_staircase_tableaux(lam, n, N))
     fillings = [rows for rows, _, _ in family]
     for l in range(n):
         cells = staircase_cells(lam, N, k * n, n, l)
@@ -139,14 +140,15 @@ def test_one_pass_sum_of_the_fourth_map(lam, n, k, N):
     # Both walk the low stream that check_involution hands them.
     for l in range(1, n):
         check = verify._FamilyCheck(lam, n, N, k * n, l)
-        verify._walk_each(check, "I4", augmented_members(lam, n, k, N, DEFAULT_CAP, l))
+        verify._walk_each(check, "I4", enumerate_augmented_tableaux(lam, n, k, N, DEFAULT_CAP, l))
         unreachable: dict = {}
-        for m in augmented_members(lam, n, k, N):
+        for m in enumerate_augmented_tableaux(lam, n, k, N):
             if not in_low_family(m, check.kl):
                 weight = check.shifted_key(m[0])
                 unreachable[weight] = unreachable.get(weight, 0) + permutation_sign(m[1])
         pair = verify._FamilyCheck(lam, n, N, k * n, l)
-        assert verify._walk_pairs(pair, "I4", augmented_members(lam, n, k, N, DEFAULT_CAP, l)) is not None
+        low = enumerate_augmented_tableaux(lam, n, k, N, DEFAULT_CAP, l)
+        assert verify._walk_pairs(pair, "I4", low) is not None
         assert not pair.reachable
         assert not check.failures
         decode = check.shifted.decode

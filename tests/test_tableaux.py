@@ -22,7 +22,7 @@ from loopschur import (
     staircase_monomial,
     weight_monomial,
 )
-from loopschur.involutions import augmented_members, staircase_members
+from loopschur.involutions import enumerate_augmented_tableaux, enumerate_staircase_tableaux
 from loopschur.tableaux import (
     KeyPolynomial,
     WeightCode,
@@ -235,7 +235,8 @@ class TestWeightCode:
             for l in range(n):
                 for N in range(len(lam), 4):
                     cells = staircase_cells(lam, N, k * n, n, l)
-                    family = augmented_members(lam, n, k, N) if k else staircase_members(lam, N)
+                    family = (enumerate_augmented_tableaux(lam, n, k, N) if k
+                              else enumerate_staircase_tableaux(lam, n, N))
                     fillings = [rows for rows, _, _ in family] or [()]
                     code = WeightCode(cells, n, N)
                     walked = [sum(code.cell_bits(table)[c][v] for table, row in zip(cells, rows)

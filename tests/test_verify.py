@@ -567,9 +567,10 @@ class TestInvolutionCheck:
         # The exhaustive stream is guarded as the sampled draws are: one member
         # whose lengthened row passes N - k*l, at the front of it, makes the check raise.
         lam, n, k, N, l = Partition(), 2, 1, 3, 1
-        members = verify_mod.augmented_members
+        members = verify_mod.enumerate_augmented_tableaux
         high = next(m for m in members(lam, n, k, N) if not in_low_family(m, k * l))
-        monkeypatch.setattr(verify_mod, "augmented_members", lambda *args: chain([high], members(*args)))
+        monkeypatch.setattr(verify_mod, "enumerate_augmented_tableaux",
+                            lambda *args: chain([high], members(*args)))
         with pytest.raises(MembershipError, match="outside"):
             check_involution("I4", lam, n, k, N, l=l)
 
@@ -577,7 +578,7 @@ class TestInvolutionCheck:
         # The low-family sampler must never hand the fourth map a member whose
         # lengthened row passes N - k*l; if it does, the check raises.
         lam, n, k, N, l = Partition(), 2, 1, 3, 1
-        high = next(m for m in verify_mod.augmented_members(lam, n, k, N)
+        high = next(m for m in verify_mod.enumerate_augmented_tableaux(lam, n, k, N)
                     if not in_low_family(m, k * l))
         monkeypatch.setattr(verify_mod, "sample_augmented_tableau", lambda *args: high)
         with pytest.raises(MembershipError, match="outside"):
@@ -694,9 +695,9 @@ class TestInvolutionCheckCatchesFaultyMaps:
         """The members the check visits, each with its image under the true core."""
         lam, n, k, N, l = FAULT_FAMILIES[which]
         if which == "I1":
-            stream = verify_mod.staircase_members(lam, N)
+            stream = verify_mod.enumerate_staircase_tableaux(lam, n, N)
         else:
-            stream = verify_mod.augmented_members(lam, n, k, N)
+            stream = verify_mod.enumerate_augmented_tableaux(lam, n, k, N)
         core = getattr(verify_mod, which.lower())
         args = self.core_args(which)
         return [(m, core(m, *args)) for m in stream
@@ -850,7 +851,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
 
     def test_dropped_reachable_member_breaks_the_unreachable_sum(self, monkeypatch):
         lam, n, k, N, l = FAULT_FAMILIES["I4"]
-        stream = verify_mod.augmented_members
+        stream = verify_mod.enumerate_augmented_tableaux
 
         def dropping(*args):
             dropped = False
@@ -860,7 +861,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
                     continue
                 yield m
 
-        monkeypatch.setattr(verify_mod, "augmented_members", dropping)
+        monkeypatch.setattr(verify_mod, "enumerate_augmented_tableaux", dropping)
         report = check_involution("I4", lam, n, k, N, l=l)
         assert not report.passed
         assert report.witness == {"property": "unreachable_sum_mismatch", "member": None}
@@ -874,7 +875,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
         # checked fall one short of the family.
         lam, n, k, N, l = FAULT_FAMILIES[which]
         dropped = next(m for m, image in self.members(which) if image != m)
-        name = "staircase_members" if which == "I1" else "augmented_members"
+        name = "enumerate_staircase_tableaux" if which == "I1" else "enumerate_augmented_tableaux"
         stream = getattr(verify_mod, name)
         monkeypatch.setattr(verify_mod, name,
                             lambda *args: (m for m in stream(*args) if m != dropped))
@@ -892,7 +893,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
         lam, n, k, N, l = FAULT_FAMILIES[which]
         members = self.members(which)
         dropped = next(m for m, image in members if image == m or which == "I4")
-        name = "staircase_members" if which == "I1" else "augmented_members"
+        name = "enumerate_staircase_tableaux" if which == "I1" else "enumerate_augmented_tableaux"
         stream = getattr(verify_mod, name)
         monkeypatch.setattr(verify_mod, name,
                             lambda *args: (m for m in stream(*args) if m != dropped))
@@ -944,7 +945,7 @@ class TestInvolutionCheckCatchesFaultyMaps:
         x, partner, y = next((x, partner, y) for y, image in members if image == y
                              for x, partner in members
                              if partner != x and x < y and sign_and_weight(which, x) == opposite(y))
-        name = "staircase_members" if which == "I1" else "augmented_members"
+        name = "enumerate_staircase_tableaux" if which == "I1" else "enumerate_augmented_tableaux"
         stream = getattr(verify_mod, name)
         monkeypatch.setattr(verify_mod, name,
                             lambda *args: (m for m in stream(*args) if m != partner))
@@ -1058,7 +1059,7 @@ class TestPairWalk:
         # The counts do not depend on the order the members arrive in.
         lam, n, k, N, l = FAULT_FAMILIES[which]
         expected = per_member_report(monkeypatch, which, lam, n, k, N, l).to_json()
-        for name in ("staircase_members", "augmented_members"):
+        for name in ("enumerate_staircase_tableaux", "enumerate_augmented_tableaux"):
             stream = getattr(verify_mod, name)
             monkeypatch.setattr(verify_mod, name,
                                 lambda *args, stream=stream: reversed(list(stream(*args))))
@@ -1119,8 +1120,8 @@ class TestClosureCheck:
                              ids=str)
     def test_agrees_with_validate_in_family(self, parts, n, k, N):
         lam, d = Partition(parts), k * n
-        members = list(verify_mod.augmented_members(lam, n, k, N) if k
-                       else verify_mod.staircase_members(lam, N))
+        members = list(verify_mod.enumerate_augmented_tableaux(lam, n, k, N) if k
+                       else verify_mod.enumerate_staircase_tableaux(lam, n, N))
         check = verify_mod._FamilyCheck(lam, n, N, d, 0)
         for _ in range(2):  # the second pass finds every row in the memo
             assert all(map(check.closed, members))
