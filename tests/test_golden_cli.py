@@ -77,6 +77,11 @@ CASES = [
     "involution-check --which I1 --lambda 1 --n 2 --N 3 --samples x",
     "involution-check --which I4 --lambda 0 --n 2 --k 3 --N 2 --l 1",
     "involution-check --which I4 --lambda 0 --n 2 --k 3 --N 2 --l 1 --samples 3",
+    # the benchmark's exhaustive map checks, at the sizes it runs them
+    "involution-check --which I1 --lambda 1 --n 2 --N 4 --exhaustive --format structured",
+    "involution-check --which I2 --lambda 0 --n 1 --k 1 --N 4 --exhaustive --format structured",
+    "involution-check --which I3 --lambda 0 --n 1 --k 1 --N 4 --exhaustive --format structured",
+    "involution-check --which I4 --lambda 0 --n 2 --k 1 --N 4 --l 1 --exhaustive --format structured",
     # specialize-check
     "specialize-check --lambda 3,1 --n 2 --N 4",
     "specialize-check --lambda 2,1 --n 3 --N 4 --format structured",
