@@ -29,6 +29,7 @@ from .involutions import (
     i2,
     i2_is_fixed,
     i3,
+    i3_swaps,
     i4,
     in_low_family,
     insert_power_sum_factor,

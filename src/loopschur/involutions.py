@@ -44,12 +44,16 @@ lengthened row (0 on the base family).  Each map is written once, on members:
 it trusts its input, validates nothing and builds nothing, and
 :func:`validate_in_family` is the one membership check.  ``check_involution``
 applies the maps, and its exhaustive walk checks each pair of a map once, from
-the lesser member in tuple order; it validates each moved image it checks as
-:func:`validate_in_family` does, and matches the count of forward members
-checked against the backward ones it skips, falling back to checking every
-member on its own when a check fails or the counts differ.  The fourth map's
-walk streams only its low family (:func:`enumerate_augmented_tableaux` with
-``l``), while the cap counts the whole augmented family.  Enumerated and
+its member of positive label sign, validating each moved image it checks as
+:func:`validate_in_family` does.  A negative member is counted as backward,
+without applying the map, when the map's own rule names it moved (not
+:func:`is_column_strict`; not :func:`i2_is_fixed`; :func:`i3_swaps`; every
+member, for the fourth map); any other is mapped, and checked if the map
+fixes it or counted as backward if not.  The walk matches the count of
+forward members checked against the backward ones, falling back to checking
+every member on its own when a check fails or the counts differ.  The fourth
+map's walk streams only its low family (:func:`enumerate_augmented_tableaux`
+with ``l``), while the cap counts the whole augmented family.  Enumerated and
 sampled members are valid by construction.  Every stream yields plain members,
 and a :class:`SignedTableau` pairs one with its family only to weigh or
 document it.
@@ -475,8 +479,9 @@ def column_violation(rows) -> tuple[int, int] | None:
 
 
 def is_column_strict(rows) -> bool:
-    """True when no vertical pair of cells has its upper entry at or above the lower."""
-    return column_violation(rows) is None
+    """True when no vertical pair of cells has its upper entry at or above the
+    lower; stops at the first pair of rows that has one."""
+    return not any(map(_pair_violation, rows, rows[1:]))
 
 
 def staircase_entries_standard(rows) -> bool:
@@ -562,6 +567,15 @@ def _climb(rows, i: int) -> tuple[int, bool]:
     return p, p > 1 and len(rows[p - 2]) == length
 
 
+def i3_swaps(lam: Partition, N: int, d: int, i: int) -> bool:
+    """Whether the lengthened row i of the family of ``lam`` with N rows and d
+    cells appended is exactly as long as a row above it.  The row lengths
+    decide it, so :func:`i3` swaps two equal rows of every such member and
+    fixes none of them."""
+    lengths = _row_lengths(lam, N, d, i)
+    return lengths[i - 1] in lengths[:i - 1]
+
+
 def slide_to_border_strip(member: Member) -> tuple[tuple[int, ...], int, Member]:
     """Carry a fixed point of :func:`i3` to its border-strip staircase family.
 
@@ -600,12 +614,15 @@ def i3(member: Member) -> Member:
     row i northwest until row lengths strictly decrease, landing on the
     staircase extension of a border-strip enlargement; apply :func:`i1`
     there; slide back.  Fixed points are the members whose slide lands on a
-    column-strict filling.
+    column-strict filling.  A row that does not climb needs no slide.
     """
     rows, tau, i = member
     p, tie = _climb(rows, i)
     if tie:
         return _swapped(rows, i - 1, p - 2), _swapped(tau, i - 1, p - 2), i
+    if p == i:
+        rows, tau, _ = i1((rows, tau, 0))
+        return rows, tau, i
     return slide_from_border_strip(i1((_moved(rows, i, p), _moved(tau, i, p), 0)), p, i)
 
 

@@ -44,6 +44,7 @@ from .involutions import (  # also the maps, which callers may look up or replac
     i2,
     i2_is_fixed,
     i3,
+    i3_swaps,
     i4,
     in_low_family,
     insert_power_sum_factor,
@@ -355,7 +356,8 @@ class _FamilyCheck:
     :func:`staircase_cells`, taken of a member's rows by ``key`` (plain) or
     ``shifted_key``, and a product of weights is a sum of keys; ``l`` is the
     shift of the map's shifted-weight check, and ``kl`` is read only by the
-    maps of the low family.  Label signs are memoized, and so is what
+    maps of the low family.  ``swaps[i]`` is :func:`i3_swaps` of the
+    lengthened row i.  Label signs are memoized, and so is what
     :meth:`closed` has accepted.
     """
 
@@ -368,6 +370,7 @@ class _FamilyCheck:
         self.failures: list[tuple[str, Member | None]] = []
         self.reachable = Counter()
         self.sign = lru_cache(maxsize=None)(permutation_sign)  # at most the family's labelings
+        self.swaps = (False,) + tuple(i3_swaps(lam, N, d, i) for i in range(1, N + 1)) if d else ()
         # What validate_in_family accepted: the row lengths of an image, by its
         # lengthened row, and every row of an image.
         self.lengths: dict[int, tuple[int, ...]] = {}
@@ -399,11 +402,12 @@ class _FamilyCheck:
 
 
 def _check_i1_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
-    if image != m and not c.closed(image):
-        return c.fail("closure", m)
-    if i1(image) != m:
-        return c.fail("involution", m)
     fixed = image == m
+    if not fixed:  # a map is a function, so a fixed point needs no involution check
+        if not c.closed(image):
+            return c.fail("closure", m)
+        if i1(image) != m:
+            return c.fail("involution", m)
     if fixed != is_column_strict(m[0]):
         return c.fail("fixed_iff_column_strict", m)
     if fixed:
@@ -418,11 +422,12 @@ def _check_i1_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
 
 
 def _check_i2_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
-    if image != m and not c.closed(image):
-        return c.fail("closure", m)
-    if i2(image, c.d) != m:
-        return c.fail("involution", m)
     fixed = image == m
+    if not fixed:
+        if not c.closed(image):
+            return c.fail("closure", m)
+        if i2(image, c.d) != m:
+            return c.fail("involution", m)
     if fixed != i2_is_fixed(m, c.d):
         return c.fail("fixed_point_rule", m)
     if fixed:
@@ -439,11 +444,12 @@ def _check_i2_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
 
 
 def _check_i3_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
-    if image != m and not c.closed(image):
-        return c.fail("closure", m)
-    if i3(image) != m:
-        return c.fail("involution", m)
     fixed = image == m
+    if not fixed:
+        if not c.closed(image):
+            return c.fail("closure", m)
+        if i3(image) != m:
+            return c.fail("involution", m)
     if fixed:
         parts, height, landed = slide_to_border_strip(m)
         if list(parts) != sorted(parts, reverse=True):  # a tie left the rows unsorted
@@ -483,19 +489,24 @@ def _check_i4_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
 # Per map: the map, looked up here when it is applied; its member check; the
 # part of a moved image's own check that its partner's check does not cover,
 # the rest being symmetric in the pair (first map: the image is not
-# column-strict; second: the rule does not name it fixed); whether it
-# lengthens a row by k*n cells (k >= 1); whether it acts only on the low
-# family (1 <= l < n); and the shift of its weight check, given l and n.
-_Map = namedtuple("_Map", "apply check_member check_image lengthens low shift")
+# column-strict; second: the rule does not name it fixed); its own rule for
+# the members it moves, read without applying it (first map: not
+# column-strict; second: not i2_is_fixed; third: the lengthened row ties a
+# row above it; fourth: every member); whether it lengthens a row by k*n
+# cells (k >= 1); whether it acts only on the low family (1 <= l < n); and
+# the shift of its weight check, given l and n.
+_Map = namedtuple("_Map", "apply check_member check_image moves lengthens low shift")
+_not_column_strict = lambda c, m: not is_column_strict(m[0])
+_not_i2_fixed = lambda c, m: not i2_is_fixed(m, c.d)
 _MAPS = {
-    "I1": _Map(lambda c, m: i1(m), _check_i1_member, lambda c, image: not is_column_strict(image[0]),
+    "I1": _Map(lambda c, m: i1(m), _check_i1_member, _not_column_strict, _not_column_strict,
                False, False, lambda l, n: l or int(n > 1)),
-    "I2": _Map(lambda c, m: i2(m, c.d), _check_i2_member,
-               lambda c, image: not i2_is_fixed(image, c.d), True, False, lambda l, n: 0),
-    "I3": _Map(lambda c, m: i3(m), _check_i3_member, lambda c, image: True,
-               True, False, lambda l, n: l),
-    "I4": _Map(lambda c, m: i4(m, c.d, c.kl), _check_i4_member, lambda c, image: True,
-               True, True, lambda l, n: l),
+    "I2": _Map(lambda c, m: i2(m, c.d), _check_i2_member, _not_i2_fixed, _not_i2_fixed,
+               True, False, lambda l, n: 0),
+    "I3": _Map(lambda c, m: i3(m), _check_i3_member, lambda c, m: True,
+               lambda c, m: c.swaps[m[2]], True, False, lambda l, n: l),
+    "I4": _Map(lambda c, m: i4(m, c.d, c.kl), _check_i4_member, lambda c, m: True,
+               lambda c, m: True, True, True, lambda l, n: l),
 }
 
 
@@ -518,21 +529,33 @@ def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
     """Check each orbit of the map once; returns what :func:`_walk_each`
     returns when every check passes, and None otherwise.
 
-    A member whose image precedes it in tuple order is *backward* and only
-    counted.  Every other member is checked with its image; a moved one,
-    *forward*, also has its image's own checks confirmed.  The images of the
-    forward members are distinct backward members, so when the two counts
-    agree every backward member is such an image and its check is implied.
-    The cancelled pairs leave ``c.reachable`` empty.
+    The label sign directs each pair.  A positive member is checked with its
+    image; a moved one, *forward*, also has its image's own checks
+    confirmed.  A negative member that the map's ``moves`` rule names moved
+    is *backward* and only counted, without applying the map.  Any other
+    negative member is mapped: a fixed one is checked as a fixed point, and
+    a moved one is counted as backward.  The map reverses the sign, so the
+    forward members' images are negative, and the involution checks make
+    them distinct; so when the two counts agree every backward member is
+    such an image and its check is implied.  A map that fixes a member its
+    rule names moved leaves that member without a forward partner, and the
+    counts disagree.  The cancelled pairs leave ``c.reachable`` empty.
     """
-    apply, check_member, check_image = _MAPS[which][:3]
+    apply, check_member, check_image, moves = _MAPS[which][:4]
     checked = fixed = forward = backward = 0
+    tau = sign = None
     for m in members:
         checked += 1
-        image = apply(c, m)
-        if image < m:
+        if m[1] != tau:
+            tau = m[1]
+            sign = c.sign(tau)
+        if sign < 0 and moves(c, m):
             backward += 1
-        elif check_member(c, m, c.sign(m[1]), image):
+            continue
+        image = apply(c, m)
+        if sign < 0 and image != m:
+            backward += 1
+        elif check_member(c, m, sign, image):
             fixed += 1
         elif c.failures or not check_image(c, image):
             return None
@@ -582,13 +605,17 @@ def check_involution(
     moved member fails both, and one that lost a fixed point the second.
 
     Members are walked as plain data.  The exhaustive walk checks each pair
-    of the map once, from its lesser member in tuple order, together with the
-    checks its image's own turn would run; the greater member is only
-    counted.  It passes when every check passes and the forward and backward
-    counts agree; otherwise the family is walked again checking every member
-    on its own, so a failing report names the same first witness and number
-    of failures either way.  Sampled mode always checks member by member and
-    keeps no sum.  The closure check validates an image
+    of the map once, from its member of positive label sign, together with
+    the checks its image's own turn would run; the negative member is only
+    counted, and when the map's ``moves`` rule names it moved the map is not
+    applied to it at all.  A negative member the rule does not name moved is
+    mapped, and checked if the map fixes it.  Every forward image is a
+    distinct negative member, so the walk passes when every check passes and
+    the forward and backward counts agree; a map that fixes a member its rule
+    names moved leaves the counts apart.  Otherwise the family is walked
+    again checking every member on its own, so a failing report names the
+    same first witness and number of failures either way.  Sampled mode
+    always checks member by member and keeps no sum.  The closure check validates an image
     (:meth:`_FamilyCheck.closed`); a fixed point's image is the member itself,
     valid by construction, so it is not validated again.
     """

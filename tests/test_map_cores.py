@@ -23,6 +23,7 @@ from loopschur import (
     i2,
     i2_is_fixed,
     i3,
+    i3_swaps,
     i4,
     in_low_family,
     insert_power_sum_factor,
@@ -35,7 +36,7 @@ from loopschur import (
     validate_in_family,
 )
 from loopschur import involutions, verify
-from loopschur.involutions import DEFAULT_CAP, strip_rows
+from loopschur.involutions import DEFAULT_CAP, column_violation, strip_rows
 from loopschur.tableaux import WeightCode, cell_weights, rows_monomial, staircase_cells
 
 from conftest import assert_code_matches_rows_monomial
@@ -110,6 +111,28 @@ def test_augmented_family_maps_are_closed_involutions(lam, n, k, N):
                 assert in_low_family(image, k * l) and image != m
                 assert i4(image, d, k * l) == m
         assert_weights(m, lam, n, N, d)
+
+
+@pytest.mark.parametrize("lam,k,N", [(lam, 0, N) for lam, n, N in BASE if n == 1]
+                         + [(lam, k, N) for lam, n, k, N in AUGMENTED if n == 1], ids=str)
+def test_column_strictness_agrees_with_the_full_scan(lam, k, N):
+    # is_column_strict stops at the first violating pair of rows; the scan
+    # for the rightmost violation reads them all.  k = 0 is the base family.
+    family = (enumerate_augmented_tableaux(lam, 1, k, N) if k
+              else enumerate_staircase_tableaux(lam, 1, N))
+    for rows, _, _ in family:
+        assert is_column_strict(rows) == (column_violation(rows) is None)
+
+
+@pytest.mark.parametrize("lam,n,k,N", AUGMENTED, ids=str)
+def test_third_map_moves_every_member_whose_row_lengths_tie(lam, n, k, N):
+    d = k * n
+    for m in enumerate_augmented_tableaux(lam, n, k, N):
+        rows, _, i = m
+        tie = len(rows[i - 1]) in map(len, rows[:i - 1])
+        assert i3_swaps(lam, N, d, i) == tie
+        if tie:
+            assert i3(m) != m
 
 
 @pytest.mark.parametrize("module", [involutions, verify], ids=lambda module: module.__name__)

@@ -655,6 +655,27 @@ def shifted_weight_not_preserved(which):
     return apply
 
 
+def moves_rule(which):
+    """The ``moves`` rule of ``which``'s ``_MAPS`` entry on its fault family:
+    whether it names a member moved without applying the map."""
+    lam, n, k, N, l = FAULT_FAMILIES[which]
+    c = verify_mod._FamilyCheck(lam, n, N, 0 if which == "I1" else k * n, l)
+    return lambda m: verify_mod._MAPS[which].moves(c, m)
+
+
+def spied_walks(monkeypatch):
+    """What each pair walk returns, with the failures it found, from now on."""
+    original, walks = verify_mod._walk_pairs, []
+
+    def spied(c, *args):
+        counts = original(c, *args)
+        walks.append((counts, list(c.failures)))
+        return counts
+
+    monkeypatch.setattr(verify_mod, "_walk_pairs", spied)
+    return walks
+
+
 def sign_and_weight(which, member):
     """The label sign and the plain weight of a member of ``which``'s fault family."""
     lam, n, k, N, l = FAULT_FAMILIES[which]
@@ -905,26 +926,48 @@ class TestInvolutionCheckCatchesFaultyMaps:
         assert report.details["failures"] == (2 if which == "I4" else 1)
         self.assert_per_member_report(which, monkeypatch)
 
-    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    @pytest.mark.parametrize("which", ["I2", "I3"])
     def test_fault_only_the_pair_counts_catch(self, which, monkeypatch):
-        # x < y is a moved pair, and z belongs to another moved pair and
-        # precedes x.  With i(x) = z, both x and y look backward, so no
-        # forward check meets the fault, and only the counts disagree.
-        pairs = {min(m, image): max(m, image) for m, image in self.members(which) if image != m}
-        x = max(pairs)
-        z = min(pairs)
-        assert z < x
-        original = verify_mod._walk_pairs
-        walks = []
-
-        def spied(c, *args):
-            counts = original(c, *args)
-            walks.append((counts, list(c.failures)))
-            return counts
-
-        monkeypatch.setattr(verify_mod, "_walk_pairs", spied)
-        corrupt = lambda core, m, *args: z if m == x else core(m, *args)
+        # A negative fixed point y, which the rule does not name moved, is
+        # sent to a moved member x.  The walk maps y and counts it as
+        # backward, but no positive member's image is y, so no check meets
+        # the fault and only the counts disagree.  The first and fourth maps
+        # have no such member: the first fixes only members labeled by the
+        # identity, the fourth none, so their rules name every negative
+        # member moved, and each one's partner maps it in its involution check.
+        members, moves = self.members(which), moves_rule(which)
+        y = next(m for m, image in members
+                 if image == m and permutation_sign(m[1]) < 0 and not moves(m))
+        x = next(m for m, image in members if image != m)
+        walks = spied_walks(monkeypatch)
+        corrupt = lambda core, m, *args: x if m == y else core(m, *args)
         assert self.check(which, monkeypatch, corrupt) == "involution"
+        assert walks == [(None, [])]
+        self.assert_per_member_report(which, monkeypatch)
+
+    @pytest.mark.parametrize("which,expected", [
+        ("I1", "fixed_iff_column_strict"), ("I2", "fixed_point_rule"),
+        ("I3", "strip_shape"), ("I4", "unexpected_fixed_point"),
+    ])
+    def test_fixing_a_member_the_rule_names_moved_breaks_the_counts(self, which, expected,
+                                                                    monkeypatch):
+        # The map fixes a negative member y that its rule names moved, so the
+        # walk counts y as backward without applying the map.  With y's
+        # partner in the stream, the partner's involution check meets the
+        # fault; with the partner gone, y has no forward partner, and only
+        # the counts disagree.
+        members, moves = self.members(which), moves_rule(which)
+        y, partner = next((m, image) for m, image in members
+                          if permutation_sign(m[1]) < 0 and moves(m))
+        walks = spied_walks(monkeypatch)
+        self.check(which, monkeypatch, lambda core, m, *args: m if m == y else core(m, *args))
+        assert walks == [(None, [("involution", partner)])]
+        name = "enumerate_staircase_tableaux" if which == "I1" else "enumerate_augmented_tableaux"
+        stream = getattr(verify_mod, name)
+        monkeypatch.setattr(verify_mod, name,
+                            lambda *args: (m for m in stream(*args) if m != partner))
+        walks.clear()
+        assert self.failed_property(which) == expected
         assert walks == [(None, [])]
         self.assert_per_member_report(which, monkeypatch)
 
@@ -1053,6 +1096,28 @@ class TestPairWalk:
         self.no_fallback(monkeypatch)
         for case, reference in zip(cases, expected):
             assert check_involution(which, case[0], *case[1:4], l=case[4]).to_json() == reference
+
+    @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
+    def test_negative_members_the_rule_names_moved_are_not_mapped(self, which, monkeypatch):
+        # The walk applies the map to every member but these; their partners'
+        # involution checks map them.
+        lam, n, k, N, l = FAULT_FAMILIES[which]
+        spec, moves, mapped = verify_mod._MAPS[which], moves_rule(which), []
+
+        def apply(c, m):
+            mapped.append(m)
+            return spec.apply(c, m)
+
+        monkeypatch.setitem(verify_mod._MAPS, which, spec._replace(apply=apply))
+        self.no_fallback(monkeypatch)
+        report = check_involution(which, lam, n, k, N, l=l)
+        assert report.passed
+        low_l = l if which == "I4" else 0
+        family = (verify_mod.enumerate_staircase_tableaux(lam, n, N) if which == "I1"
+                  else verify_mod.enumerate_augmented_tableaux(lam, n, k, N, l=low_l))
+        skipped = [m for m in family if permutation_sign(m[1]) < 0 and moves(m)]
+        assert skipped and not set(skipped) & set(mapped)
+        assert len(mapped) + len(skipped) == report.details["checked"]
 
     @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
     def test_reversed_stream_gives_the_same_report(self, which, monkeypatch):
