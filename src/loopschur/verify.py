@@ -606,16 +606,15 @@ def check_involution(
 
     Members are walked as plain data.  The exhaustive walk checks each pair
     of the map once, from its member of positive label sign, together with
-    the checks its image's own turn would run; the negative member is only
-    counted, and when the map's ``moves`` rule names it moved the map is not
-    applied to it at all.  A negative member the rule does not name moved is
-    mapped, and checked if the map fixes it.  Every forward image is a
-    distinct negative member, so the walk passes when every check passes and
-    the forward and backward counts agree; a map that fixes a member its rule
-    names moved leaves the counts apart.  Otherwise the family is walked
-    again checking every member on its own, so a failing report names the
-    same first witness and number of failures either way.  Sampled mode
-    always checks member by member and keeps no sum.  The closure check validates an image
+    the checks its image's own turn would run.  A negative member the map
+    moves is only counted, and the map is not even applied to it when the
+    ``moves`` rule of the map's :data:`_MAPS` entry names it moved; any other
+    negative member is mapped, and checked if the map fixes it.  The walk
+    passes when every check passes and the forward and backward counts agree
+    (see :func:`_walk_pairs`); otherwise the family is walked again checking
+    every member on its own, so a failing report names the same first
+    witness and number of failures either way.  Sampled mode always checks
+    member by member and keeps no sum.  The closure check validates an image
     (:meth:`_FamilyCheck.closed`); a fixed point's image is the member itself,
     valid by construction, so it is not validated again.
     """
