@@ -82,6 +82,17 @@ CASES = [
     "involution-check --which I2 --lambda 0 --n 1 --k 1 --N 4 --exhaustive --format structured",
     "involution-check --which I3 --lambda 0 --n 1 --k 1 --N 4 --exhaustive --format structured",
     "involution-check --which I4 --lambda 0 --n 2 --k 1 --N 4 --l 1 --exhaustive --format structured",
+    # the benchmark's mn_ladder report checks, at the sizes it runs them
+    "mn-verify --lambda 3,1 --n 2 --k 2 --N 7 --format structured",
+    "mn-verify --lambda 2,2,1 --n 2 --k 1 --N 7 --format structured",
+    "mn-verify --lambda 2,1 --n 3 --k 1 --N 8 --format structured",
+    "thm2-verify --lambda 2,1 --n 3 --k 1 --N 7 --l 1 --format structured",
+    "thm2-verify --lambda 2,1 --n 3 --k 1 --N 7 --l 2 --format structured",
+    "specialize-check --lambda 3,2,1 --n 3 --N 6 --format structured",
+    # loop Schur functions of shapes with equal rows
+    "schur --lambda 3,3 --n 3 --N 3 --l 1 --format structured",
+    "schur --lambda 2,2,2 --n 3 --N 4",
+    "schur --lambda 4,4 --n 2 --N 3",
     # specialize-check
     "specialize-check --lambda 3,1 --n 2 --N 4",
     "specialize-check --lambda 2,1 --n 3 --N 4 --format structured",
