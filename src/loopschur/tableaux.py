@@ -11,9 +11,10 @@ weights stay positive; on staircase extensions they may reach zero or below.
 
 Weights are counted as packed integer keys (:class:`WeightCode`).
 :func:`ssyt_keys`, behind every SSYT builder and identity check, walks the
-rows one at a time: the first row comes from :func:`enumerate_ssyt`, and each
-later row is filled in bulk, once per distinct set of entries above it, its
-keys added to every key of the rows above by C-level iteration.
+rows one at a time: the first row comes from :func:`enumerate_ssyt`; each later
+row visits its groups, one per distinct set of entries above it, in sorted
+order, so one column step refills only the columns where consecutive groups
+differ, and its keys are added to every key of the rows above in C.
 """
 
 from __future__ import annotations
@@ -279,28 +280,37 @@ def ssyt_code(shapes, n: int, l: int, N: int) -> WeightCode:
     return WeightCode(cells[0], n, N, cells[1:])
 
 
-def _row_keys(bits, above, N: int):
+def _row_keys(bits, floors, N: int, states: list):
     """The keys, as an iterable, of every weakly increasing filling of a row
-    with entries at most N whose entry in column c exceeds ``above[c]``;
+    with entries at most N whose entry in column c exceeds ``floors[c]``;
     ``bits`` holds the :meth:`WeightCode.cell_bits` of the cells filled.  Each
     column extends the partial fillings ending at or below each value in one
-    ``map`` per value."""
-    ends = [[0]] + [[] for _ in range(N)]  # ends[v]: partial keys whose last entry is v
-    for cell, floor in zip(bits, above):
+    ``map`` per value.  ``states``, one list per walk over one ``bits``, keeps
+    each column's floor and partial fillings from the call before, and only the
+    columns from the first floor that differs are refilled."""
+    c = 0
+    while c < len(states) and states[c][0] == floors[c]:
+        c += 1
+    del states[c:]
+    ends = states[-1][1] if states else [[0]] + [[] for _ in range(N)]  # ends[v]: last entry v
+    for cell, floor in zip(bits[c:], floors[c:]):
         reach, extended = [], [[] for _ in range(N + 1)]
         for v in range(N + 1):
             reach += ends[v]
             if v > floor:
                 extended[v] = list(map(cell[v].__add__, reach))
         ends = extended
+        states.append((floor, ends))
     return chain.from_iterable(ends)
 
 
-def _heads(above, N: int) -> list[tuple[int, ...]]:
-    """Every weakly increasing row of entries at most N whose column c exceeds ``above[c]``."""
-    heads = [()]
-    for floor in above:
-        heads = [head + (v,) for head in heads for v in range(max((floor + 1, *head[-1:])), N + 1)]
+def _heads(bits, above, N: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each weakly increasing row of entries at most N whose column c exceeds
+    ``above[c]``, with its key from ``bits``."""
+    heads = [((), 0)]
+    for cell, floor in zip(bits, above):
+        heads = [(head + (v,), key + cell[v]) for head, key in heads
+                 for v in range(max(floor + 1, head[-1] if head else 0), N + 1)]
     return heads
 
 
@@ -311,13 +321,17 @@ def ssyt_keys(lam: Partition, n: int, l: int, N: int, code: WeightCode) -> Count
     The rows are walked one at a time, the keys of rows 1..r grouped by the
     first ``lam.part(r + 1)`` entries of row r, all that row r + 1 depends on.
     The first row comes from :func:`enumerate_ssyt`, keyed in bulk.  Each later
-    row is filled once per group: its head, the entries that name the next
-    group, is enumerated; its tail, the rest, comes from :func:`_row_keys` with
-    floors raised to start it at the head's last entry or above, through a memo
-    that lives for one row.  Each head's row keys are added to every key of the
-    group by C-level iteration, the last row's straight into the counts.  Groups
-    are released as they are filled, so beside the counts the call holds at
-    most one key per tableau of the rows above the last.
+    row visits its groups in sorted order, so that consecutive groups share the
+    column states of :func:`_row_keys` up to their first differing floor; that
+    one column step fills the last row and each tail (the entries after the
+    head that names the next group), floors raised to start it at the head's
+    last entry, through a memo that lives for one row.  Heads and their keys are
+    built once per run of groups with the same entries above them; when the
+    next row is as long, a head is the whole row and its key alone is added to
+    the group's keys.  Row keys are added to every key of the group by C-level
+    iteration, the last row's straight into the counts.  Groups are released as
+    they are filled, so beside the counts the call holds at most one key per
+    tableau of the rows above the last.
     """
     if not lam.parts:
         return Counter((0,))
@@ -329,21 +343,35 @@ def ssyt_keys(lam: Partition, n: int, l: int, N: int, code: WeightCode) -> Count
             map(sum, map(map, repeat(dict.__getitem__), repeat(bits[0]), rows)))
     counts = Counter(groups.get((), ()) if len(lam) == 1 else ())  # a first row that is the last
     for r in range(1, len(lam)):
-        m, grown, tails = parts[r + 1], {}, {}
-        for above in list(groups):  # popped, so each group's memory is reused
+        m, grown, tails, states, tail_states, prefix = parts[r + 1], {}, {}, [], [], None
+        for above in sorted(groups):  # popped, so each group's memory is reused
             keys = groups.pop(above)
             if not m:  # the last row
-                counts.update(starmap(add, product(keys, _row_keys(bits[r], above, N))))
+                counts.update(starmap(add, product(keys, _row_keys(bits[r], above, N, states))))
                 continue
-            for head in _heads(above[:m], N):
-                floors = tuple(map(max, above[m:], repeat(head[-1] - 1)))
+            if m == parts[r]:  # each head is a whole row, its tail empty
+                for head, head_key in _heads(bits[r], above, N):
+                    grown.setdefault(head, []).extend(map(head_key.__add__, keys))
+                continue
+            if above[:m] != prefix:  # heads and their keys by last entry, once per prefix
+                prefix, heads = above[:m], {}
+                for head, head_key in _heads(bits[r], prefix, N):
+                    heads.setdefault(head[-1], []).append((head, head_key))
+            for last, same_last in heads.items():
+                floors = tuple(map(max, above[m:], repeat(last - 1)))
                 tail = tails.get(floors)
                 if tail is None:
-                    tail = tails[floors] = list(_row_keys(bits[r][m:], floors, N))
-                if tail:
-                    head_key = sum(map(dict.__getitem__, bits[r], head))
+                    tail = tails[floors] = list(_row_keys(bits[r][m:], floors, N, tail_states))
+                if not tail:
+                    continue
+                if len(same_last) == 1:  # a lone head's key joins its tail, in one pass
+                    head, head_key = same_last[0]
                     grown.setdefault(head, []).extend(
                         starmap(add, product(keys, map(head_key.__add__, tail))))
+                    continue
+                grouped = list(starmap(add, product(keys, tail)))
+                for head, head_key in same_last:
+                    grown.setdefault(head, []).extend(map(head_key.__add__, grouped))
         groups = grown
     return counts
 

@@ -313,15 +313,20 @@ class TestSsytKeys:
                     assert got == reference_ssyt_keys(lam, n, l, N, code)
                     assert sum(got.values()) == hook_content_count(lam, N)
 
-    @pytest.mark.parametrize("parts", [(2, 2, 2), (3, 3, 1), (3, 3, 2), (4, 4), (3, 2, 2, 1),
-                                       (2, 2, 1, 1, 1), (3, 1, 1, 1, 1, 1)], ids=str)
-    def test_strip_shapes_match_the_reference(self, parts):
-        # Equal consecutive rows and three or more rows: every row below the
-        # first is filled once per group, with heads and shared tails.
+    @pytest.mark.parametrize("parts, sizes", [
+        *(pytest.param(parts, (7, 8), id=str(parts))
+          for parts in [(2, 2, 2), (3, 3, 1), (3, 3, 2), (4, 4), (3, 2, 2, 1), (2, 2, 1, 1, 1),
+                        (3, 1, 1, 1, 1, 1)]),
+        pytest.param((3, 3, 3), range(2, 7), id="(3, 3, 3)"),
+        pytest.param((2, 2, 2, 2), range(3, 7), id="(2, 2, 2, 2)")])
+    def test_strip_shapes_match_the_reference(self, parts, sizes):
+        # Equal consecutive rows and three or more rows: each row's groups are
+        # walked in sorted order, sharing heads and column states; the
+        # rectangles start below their number of rows.
         lam = Partition(parts)
         for n in (1, 2, 3):
             for l in range(n):
-                for N in (7, 8):
+                for N in sizes:
                     code = ssyt_code((lam,), n, l, N)
                     got = ssyt_keys(lam, n, l, N, code)
                     assert got == reference_ssyt_keys(lam, n, l, N, code)
@@ -341,7 +346,7 @@ class TestSsytKeys:
             return iter(rows)
 
         monkeypatch.setattr(tableaux, "enumerate_ssyt", stream)
-        for parts in [(2,), (2, 1), (3, 1), (3, 3, 1), (2, 2, 2), (3, 2, 2, 1)]:
+        for parts in [(2,), (2, 1), (3, 1), (3, 3), (4, 4), (3, 3, 1), (2, 2, 2), (3, 2, 2, 1)]:
             lam = Partition(parts)
             code = ssyt_code((lam,), 3, 1, 6)
             assert ssyt_keys(lam, 3, 1, 6, code) == reference_ssyt_keys(lam, 3, 1, 6, code)
