@@ -292,7 +292,7 @@ def _row_keys(bits, floors, N: int, states: list):
     while c < len(states) and states[c][0] == floors[c]:
         c += 1
     del states[c:]
-    ends = states[-1][1] if states else [[0]] + [[] for _ in range(N)]  # ends[v]: last entry v
+    ends = states[-1][1] if states else [[0]] + [[] for _ in range(N)]  # ends[v]: keys ending in v
     for cell, floor in zip(bits[c:], floors[c:]):
         reach, extended = [], [[] for _ in range(N + 1)]
         for v in range(N + 1):

@@ -334,8 +334,9 @@ class TestSsytKeys:
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_first_rows_in_any_order(self, order, monkeypatch):
-        # The first rows are grouped by their leading entries whatever order
-        # the stream yields them in, split runs included.
+        # The first rows are grouped by their leading entries, and the groups
+        # walked in sorted order, whatever order the stream yields them in,
+        # split runs included.
         from loopschur import tableaux
 
         def stream(lam, N):
