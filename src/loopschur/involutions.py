@@ -188,21 +188,26 @@ def count_weakly_increasing(lo: int, hi: int, length: int) -> int:
 
 
 def unrank_weakly_increasing(lo: int, hi: int, length: int, index: int) -> tuple[int, ...]:
-    """The index-th weakly increasing sequence over [lo, hi] in lexicographic order.
-
-    With ``rest`` places after the current one, the sequences that put value v
-    there number C(a, rest) with a = hi - v + rest; as v rises the block
-    shrinks by the exact ratio C(a - 1, rest) = C(a, rest) * (a - rest) // a.
-    So a row costs one ``math.comb`` per place and at most hi - lo exact
-    integer steps in all, one per value skipped.
-    """
+    """The index-th weakly increasing sequence over [lo, hi] in lexicographic
+    order, by one ``math.comb``: the count, which bounds the index."""
     total = count_weakly_increasing(lo, hi, length)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside 0..{total - 1}")
-    seq, value = [], lo
+    return _unrank(lo, hi, length, index, total)
+
+
+def _unrank(lo: int, hi: int, length: int, index: int, block: int) -> tuple[int, ...]:
+    """:func:`unrank_weakly_increasing` given ``block``, the sequences' count.
+
+    With ``rest`` places after the current one, the sequences that put value v
+    there number C(a, rest) with a = hi - v + rest.  Exact steps carry the
+    block to the next place, C(a, rest) = C(a + 1, rest + 1) * (rest + 1) //
+    (a + 1), and to the next value, C(a - 1, rest) = C(a, rest) * (a - rest) // a.
+    """
+    seq, value, a = [], lo, hi - lo + length
     for rest in range(length - 1, -1, -1):
-        a = hi - value + rest
-        block = math.comb(a, rest)
+        block = block * (rest + 1) // a
+        a -= 1
         while index >= block:
             index -= block
             block = block * (a - rest) // a
@@ -215,17 +220,18 @@ def unrank_weakly_increasing(lo: int, hi: int, length: int, index: int) -> tuple
 class _LabelTable(NamedTuple):
     """Counts of one row-labeled family, as integers, by subset dynamic programming.
 
-    ``fillings[r][t]`` is the number of weakly increasing fillings of row
-    r + 1 with entries in [t + 1, N], that is, with label t + 1;
-    ``longer[r][t]`` counts the same row lengthened by d cells, with entries
-    at most ``top``.  ``subsets[S]`` is the number of fillings of the last |S|
-    rows whose labels are exactly the set S (bit t stands for label t + 1),
-    and ``lengthened[S]`` the number in which one of those rows is the
-    lengthened one: the ε part of the permanent of fillings + ε·longer.
+    ``lengths`` are the row lengths and ``fillings[r][t]`` the number of
+    weakly increasing fillings of row r + 1 with entries in [t + 1, N], that
+    is, with label t + 1; ``longer[r][t]`` counts the same row lengthened by d
+    cells, with entries at most ``top``.  ``subsets[S]`` is the number of
+    fillings of the last |S| rows whose labels are exactly the set S (bit t is
+    label t + 1), and ``lengthened[S]`` the number in which one of those rows
+    is the lengthened one: the ε part of the permanent of fillings + ε·longer.
     """
 
     d: int
     top: int
+    lengths: tuple[int, ...]
     fillings: tuple[tuple[int, ...], ...]
     longer: tuple[tuple[int, ...], ...]
     subsets: tuple[int, ...]
@@ -277,7 +283,8 @@ def _label_table(lam: Partition, N: int, d: int = 0, top: int = 0) -> _LabelTabl
         for hi, extra in ((N, 0), (top, d))
     )
     if not d:
-        return _LabelTable(d, top, fillings, longer, tuple(subset_expansion(fillings, 0, 1)), ())
+        subsets = tuple(subset_expansion(fillings, 0, 1))
+        return _LabelTable(d, top, lengths, fillings, longer, subsets, ())
     subsets, lengthened = [1] + [0] * ((1 << N) - 1), [0] * (1 << N)
     for subset in range(1, 1 << N):
         r = N - subset.bit_count()
@@ -290,7 +297,7 @@ def _label_table(lam: Partition, N: int, d: int = 0, top: int = 0) -> _LabelTabl
             plain += row[t] * subsets[below]
             either += row[t] * lengthened[below] + long_row[t] * subsets[below]
         subsets[subset], lengthened[subset] = plain, either
-    return _LabelTable(d, top, fillings, longer, tuple(subsets), tuple(lengthened))
+    return _LabelTable(d, top, lengths, fillings, longer, tuple(subsets), tuple(lengthened))
 
 
 def _augmented_table(lam: Partition, n: int, k: int, N: int, l: int) -> _LabelTable:
@@ -363,39 +370,45 @@ def enumerate_augmented_tableaux(
     return _members(lam, N, k * n, range(1, N + 1), N - k * l)
 
 
-def _draw(lam: Partition, N: int, table: _LabelTable, seed: int | random.Random) -> Member:
+def _draw(table: _LabelTable, seed: int | random.Random) -> Member:
     """A uniform member of ``table``'s family, deterministic given a seed.
 
-    One index below the family's size is unranked top-down: each row takes
-    its label t, then whether it is the lengthened row, weighing each choice
-    by its row's fillings times the members left for the rows below.  Each
-    row is then unranked uniformly among its fillings.
+    One index below the family's size is unranked top-down: each row walks
+    its free labels t, lowest first, and weighs its fillings with label t, then
+    (until the lengthened row is placed) its lengthened ones, by the members
+    left for the rows below.  Each row is then unranked among its fillings.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    d, top, fillings, longer, subsets, lengthened = table
-    placed = not d  # whether the rows below need no lengthened row
-    total = (subsets if placed else lengthened)[-1]
+    d, top, lengths, fillings, longer, subsets, lengthened = table
+    N, total = len(lengths), (lengthened if d else subsets)[-1]
     if total <= 0:
         raise ValueError("family is empty")
-    index, free, tau, i = rng.randrange(total), (1 << N) - 1, [], 0
+    index, free, tau, counts, i = rng.randrange(total), (1 << N) - 1, [], [], 0
     labels = list(range(N))  # the free labels, lowest first: the set bits of free
     for r in range(N):
-        for t, here in product(labels, (False,) if placed else (False, True)):
-            count = (longer if here else fillings)[r][t]
-            block = count * (subsets if placed or here else lengthened)[free ^ (1 << t)]
-            if index < block:
+        placed = i or not d  # whether the rows below need no lengthened row
+        row, long_row, below = fillings[r], longer[r], subsets if placed else lengthened
+        for t in labels:
+            left = free ^ (1 << t)  # the labels left for the rows below
+            count = row[t]
+            if index < (block := count * below[left]):
                 break
             index -= block
+            if not placed:
+                count = long_row[t]
+                if index < (block := count * subsets[left]):
+                    i = r + 1
+                    break
+                index -= block
         labels.remove(t)
         tau.append(t + 1)
+        counts.append(count)
         free ^= 1 << t
         index //= count
-        if here:
-            i, placed = r + 1, True
     rows = []
-    for r, (t, length) in enumerate(zip(tau, _row_lengths(lam, N))):
-        hi, length, counts = (top, length + d, longer) if r + 1 == i else (N, length, fillings)
-        rows.append(unrank_weakly_increasing(t, hi, length, rng.randrange(counts[r][t - 1])))
+    for r, (t, length, count) in enumerate(zip(tau, lengths, counts), start=1):
+        hi, length = (top, length + d) if r == i else (N, length)
+        rows.append(_unrank(t, hi, length, rng.randrange(count), count))
     return tuple(rows), tuple(tau), i
 
 
@@ -405,12 +418,13 @@ def sample_staircase_tableau(lam: Partition, n: int, N: int, seed: int | random.
     Labelings are drawn proportionally to the fillings they admit, then each
     row uniformly, which makes the draw uniform over the family.  The table of
     :func:`count_staircase_tableaux` costs O(2^N * N) time and 2^N entries to
-    build once.  A member then costs O(N^2) integer products for its labels,
-    over the free labels of each row, and per row one ``math.comb`` per cell
-    (:func:`unrank_weakly_increasing`).  ValueError for n < 1.
+    build once.  A member then costs N + 1 ``randrange`` calls, at most
+    N(N + 1)/2 integer products for its labels, and per row one exact step a
+    cell and a value skipped, with no ``math.comb`` (:func:`_unrank`).
+    ValueError for n < 1.
     """
     ShiftParams(n)
-    return _draw(lam, N, _label_table(lam, N), seed)
+    return _draw(_label_table(lam, N), seed)
 
 
 def sample_augmented_tableau(
@@ -428,7 +442,7 @@ def sample_augmented_tableau(
     :func:`sample_staircase_tableau` does, with two choices per free label
     until the lengthened row is placed.
     """
-    return _draw(lam, N, _augmented_table(lam, n, k, N, l), seed)
+    return _draw(_augmented_table(lam, n, k, N, l), seed)
 
 
 # ---------------------------------------------------------------------------

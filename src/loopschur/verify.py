@@ -66,6 +66,7 @@ from .tableaux import (  # also the builders, which callers may look up or repla
     KeyPolynomial,
     ShiftParams,
     WeightCode,
+    _RowKeys,
     loop_power_sum,
     loop_schur,
     ssyt_code,
@@ -356,17 +357,30 @@ class _FamilyCheck:
     :func:`staircase_cells`, taken of a member's rows by ``key`` (plain) or
     ``shifted_key``, and a product of weights is a sum of keys; ``l`` is the
     shift of the map's shifted-weight check, and ``kl`` is read only by the
-    maps of the low family.  ``swaps[i]`` is :func:`i3_swaps` of the
-    lengthened row i.  Label signs are memoized, and so is what
-    :meth:`closed` has accepted.
+    maps of the low family.  The first and third maps compare both weights of
+    a moved pair by one ``joint_key``: with a shift, the plain key plus the
+    shifted key times 2 ** offset, past every plain key of the family, so the
+    bits ``plain_bits`` hold the plain key exactly even when the shifted key
+    is negative; with none, the plain key, and ``plain_bits`` is -1.
+    ``swaps[i]`` is :func:`i3_swaps` of the lengthened row i.  Label signs are
+    memoized, and so is what :meth:`closed` has accepted.
     """
 
     def __init__(self, lam: Partition, n: int, N: int, d: int, l: int):
         self.lam, self.n, self.N, self.d, self.l = lam, n, N, d, l
         self.kl = d // n * l
-        self.plain = WeightCode(staircase_cells(lam, N, d, n), n, N)
-        self.shifted = WeightCode(staircase_cells(lam, N, d, n, l), n, N) if l else self.plain
+        cells, shifted_cells = (staircase_cells(lam, N, d, n, shift) for shift in (0, l))
+        self.plain = WeightCode(cells, n, N)
+        self.shifted = WeightCode(shifted_cells, n, N) if l else self.plain
         self.key, self.shifted_key = self.plain.key, self.shifted.key
+        self.joint_key, self.plain_bits = self.key, -1
+        if l and N:  # with no rows, the one member moves nowhere
+            low, high = self.plain.cell_bits(cells[0]), self.shifted.cell_bits(shifted_cells[0])
+            offset = (N * len(low) * max(max(bits.values()) for bits in low)).bit_length()
+            memo = _RowKeys(tuple({v: key + (up[v] << offset) for v, key in bits.items()}
+                                  for bits, up in zip(low, high)))  # lives as long as the check
+            self.joint_key, self.plain_bits = (lambda rows: sum(map(memo.__getitem__, rows)),
+                                               (1 << offset) - 1)
         self.failures: list[tuple[str, Member | None]] = []
         self.reachable = Counter()
         self.sign = lru_cache(maxsize=None)(permutation_sign)  # at most the family's labelings
@@ -414,9 +428,10 @@ def _check_i1_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
         if not staircase_entries_standard(m[0]) or m[1] != tuple(range(1, c.N + 1)):
             return c.fail("fixed_point_shape", m)
     else:
-        if c.sign(image[1]) != -sign or c.key(image[0]) != c.key(m[0]):
+        diff = c.joint_key(image[0]) ^ c.joint_key(m[0])  # 0 when both weights agree
+        if c.sign(image[1]) != -sign or diff & c.plain_bits:
             return c.fail("sign_or_weight", m)
-        if c.l and c.shifted_key(image[0]) != c.shifted_key(m[0]):
+        if diff:
             return c.fail("shifted_weight", m)
     return fixed
 
@@ -465,9 +480,10 @@ def _check_i3_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
         if slide_from_border_strip(landed, *strip_rows(sigma, c.lam)) != m:
             return c.fail("slide_roundtrip", m)
     else:
-        if c.sign(image[1]) != -sign or c.key(image[0]) != c.key(m[0]):
+        diff = c.joint_key(image[0]) ^ c.joint_key(m[0])  # 0 when both weights agree
+        if c.sign(image[1]) != -sign or diff & c.plain_bits:
             return c.fail("sign_or_weight", m)
-        if c.l and c.shifted_key(image[0]) != c.shifted_key(m[0]):
+        if diff:
             return c.fail("shifted_weight", m)
     return fixed
 

@@ -8,7 +8,7 @@ must give the same counts and, for the same seed, the same members.
 import bisect
 import math
 import random
-from itertools import accumulate, combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -26,6 +26,7 @@ from loopschur import (
 from loopschur.involutions import (
     _augmented_table,
     _label_table,
+    _row_lengths,
     count_weakly_increasing,
     subset_expansion,
 )
@@ -207,6 +208,70 @@ class TestDraws:
         for seed in range(200):
             rows, tau, i = sample_augmented_tableau(lam, n, k, N, seed, l)
             assert (i, rows, tau) == reference_draw(table, random.Random(seed))
+
+
+def reference_unrank(lo, hi, length, index):
+    """The row unranking the samplers used before the block was carried from
+    place to place: one ``math.comb`` per place."""
+    seq, value = [], lo
+    for rest in range(length - 1, -1, -1):
+        a = hi - value + rest
+        block = math.comb(a, rest)
+        while index >= block:
+            index -= block
+            block = block * (a - rest) // a
+            a -= 1
+            value += 1
+        seq.append(value)
+    return tuple(seq)
+
+
+def reference_subset_draw(lam, N, table, seed):
+    """The samplers' draw before the flat label walk, kept as it was: each
+    free label's choices come from ``product``, each row's length from
+    ``_row_lengths``, and each row from :func:`reference_unrank`."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    d, top, fillings, longer, subsets, lengthened = (
+        table.d, table.top, table.fillings, table.longer, table.subsets, table.lengthened)
+    placed = not d  # whether the rows below need no lengthened row
+    total = (subsets if placed else lengthened)[-1]
+    if total <= 0:
+        raise ValueError("family is empty")
+    index, free, tau, i = rng.randrange(total), (1 << N) - 1, [], 0
+    labels = list(range(N))  # the free labels, lowest first: the set bits of free
+    for r in range(N):
+        for t, here in product(labels, (False,) if placed else (False, True)):
+            count = (longer if here else fillings)[r][t]
+            block = count * (subsets if placed or here else lengthened)[free ^ (1 << t)]
+            if index < block:
+                break
+            index -= block
+        labels.remove(t)
+        tau.append(t + 1)
+        free ^= 1 << t
+        index //= count
+        if here:
+            i, placed = r + 1, True
+    rows = []
+    for r, (t, length) in enumerate(zip(tau, _row_lengths(lam, N))):
+        hi, length, counts = (top, length + d, longer) if r + 1 == i else (N, length, fillings)
+        rows.append(reference_unrank(t, hi, length, rng.randrange(counts[r][t - 1])))
+    return tuple(rows), tuple(tau), i
+
+
+class TestDrawsAtSampledSizes:
+    """At the sizes that sampled checks run, where no N!-sized reference fits,
+    each seed draws the member that the walk before the flat label walk drew."""
+
+    @pytest.mark.parametrize("lam,n,k,N,l", [((2, 1), 3, 0, 9, 0), ((1,), 2, 1, 9, 0),
+                                             ((1,), 3, 2, 8, 2)], ids=["base", "augmented", "low"])
+    def test_draws_match_the_earlier_walk(self, lam, n, k, N, l):
+        lam = Partition(lam)
+        table = _augmented_table(lam, n, k, N, l) if k else _label_table(lam, N)
+        for seed in range(500):
+            drawn = (sample_augmented_tableau(lam, n, k, N, seed, l) if k
+                     else sample_staircase_tableau(lam, n, N, seed))
+            assert drawn == reference_subset_draw(lam, N, table, seed)
 
 
 class TestLowFamily:

@@ -226,6 +226,28 @@ class TestCountsAndEnumeration:
                     for index in (-1, total, total + 1):
                         with pytest.raises(ValueError, match=rf"^index {index} outside 0\.\.{total - 1}$"):
                             unrank_weakly_increasing(lo, hi, length, index)
+        # Wide value ranges and long rows, where the carried blocks are large:
+        # the first and last index and seeded random ones rank back to their
+        # index by a sum of binomial blocks, one per value skipped at a place.
+        def rank(seq, lo, hi):
+            index, value = 0, lo
+            for place, entry in enumerate(seq):
+                rest = len(seq) - place - 1
+                index += sum(math.comb(hi - v + rest, rest) for v in range(value, entry))
+                value = entry
+            return index
+
+        rng = random.Random(215)
+        for values in range(1, 21):
+            lo = 1 + values % 3
+            hi = lo + values - 1
+            for length in range(16):
+                total = count_weakly_increasing(lo, hi, length)
+                for index in {0, total - 1, *(rng.randrange(total) for _ in range(200))}:
+                    seq = unrank_weakly_increasing(lo, hi, length, index)
+                    assert len(seq) == length and list(seq) == sorted(seq)
+                    assert not seq or lo <= seq[0] and seq[-1] <= hi
+                    assert rank(seq, lo, hi) == index
 
 
 def filled_member(lam, N, d):

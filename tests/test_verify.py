@@ -1,5 +1,6 @@
 import inspect
 import json
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -1196,6 +1197,54 @@ class TestClosureCheck:
                 with pytest.raises(MembershipError, match=message):
                     verify_mod.validate_in_family(image, lam, N, d)
                 assert not check.closed(image)
+
+
+def joint_keys_split(check, members):
+    """Assert that ``check.joint_key`` tells two of ``members`` apart exactly
+    when their plain or their shifted keys differ, for every pair at once: the
+    joint keys and the pairs of keys make the same classes.  Returns the
+    classes of plain keys and of pairs."""
+    joint = [check.joint_key(rows) for rows, _, _ in members]
+    pairs = [(check.key(rows), check.shifted_key(rows)) for rows, _, _ in members]
+    assert len(set(joint)) == len(set(pairs)) == len(set(zip(joint, pairs)))
+    assert [key & check.plain_bits for key in joint] == [plain for plain, _ in pairs]
+    return len({plain for plain, _ in pairs}), len(set(pairs))
+
+
+class TestJointKey:
+    """One key a filling holds the plain and the shifted weight of a moved
+    pair's check: equal joint keys mean equal plain and equal shifted keys."""
+
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("parts,n,k,N", [((1,), 3, 0, 3), ((), 3, 1, 3), ((2, 1), 3, 0, 3)],
+                             ids=str)
+    def test_every_pair_of_a_small_family(self, parts, n, k, N, l):
+        lam, d = Partition(parts), k * n
+        members = list(verify_mod.enumerate_augmented_tableaux(lam, n, k, N) if k
+                       else verify_mod.enumerate_staircase_tableaux(lam, n, N))
+        plain, both = joint_keys_split(verify_mod._FamilyCheck(lam, n, N, d, l), members)
+        assert plain < both  # some members share a plain key and differ in the shifted one
+
+    def test_seeded_pairs_with_negative_shifted_degrees(self):
+        # At n=3, l=2, N=5 the first members of the base family of () have
+        # small entries on cells of content down to -5, so a negative shifted
+        # degree field; the family has 3.3M members, so pairs are drawn.
+        lam, n, N, l = Partition(), 3, 5, 2
+        check = verify_mod._FamilyCheck(lam, n, N, 0, l)
+        rng = random.Random(29)
+        members = list(islice(verify_mod.enumerate_staircase_tableaux(lam, n, N), 3000))
+        members += [verify_mod.sample_staircase_tableau(lam, n, N, rng) for _ in range(1000)]
+        assert any(check.shifted_key(rows) >> check.shifted.top < 0 for rows, _, _ in members)
+        plain, both = joint_keys_split(check, members)
+        assert plain < both
+        for _ in range(2000):
+            a, b = (rows for rows, _, _ in rng.sample(members, 2))
+            same = check.key(a) == check.key(b) and check.shifted_key(a) == check.shifted_key(b)
+            assert (check.joint_key(a) == check.joint_key(b)) == same
+
+    def test_unshifted_check_keys_plain_weights(self):
+        check = verify_mod._FamilyCheck(Partition.of(1), 2, 3, 0, 0)
+        assert check.joint_key is check.key and check.plain_bits == -1
 
 
 class TestGrid:
