@@ -61,6 +61,8 @@ CASES = [
     "lemma-verify --which 4 --lambda 1 --n 2 --N 3",
     "lemma-verify --which 2 --lambda 0 --n 2 --k 1 --N 4 --format structured",
     "lemma-verify --which 1 --lambda 1 --n 2 --N 4",
+    "lemma-verify --which 1 --lambda 1 --n 2 --N 4 --format structured",
+    "lemma-verify --which 3 --lambda 1 --n 2 --k 1 --N 3 --format structured",
     # involution-check
     "involution-check --which I1 --lambda 1 --n 2 --N 3 --exhaustive",
     "involution-check --which I2 --lambda 0 --n 1 --k 1 --N 2",
