@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations, product, repeat
 from operator import le
 from typing import Iterator, NamedTuple
 
@@ -336,8 +336,7 @@ def _members(lam: Partition, N: int, d: int, lengthened, top: int) -> Iterator[M
                                               lengths[r])
                 for r in range(N)
             ]
-            for rows in product(*options):
-                yield rows, tau, i
+            yield from zip(product(*options), repeat(tau), repeat(i))
 
 
 def enumerate_staircase_tableaux(
@@ -690,16 +689,21 @@ def _signed_sum(members: Iterator[Member], lam: Partition, n: int, N: int, d: in
                 l: int) -> Polynomial:
     """Count the members' signed keys on one :class:`WeightCode` over the
     family's cells, built once the cap has admitted the family, and weigh the
-    first member of each distinct key.  Members arrive grouped by labeling: one
-    sign per run of equal labels."""
+    first member of each distinct key.  A member is keyed inline, as the
+    code's ``key`` would: the row-count check, then one sum of bound lookups
+    in its one ``memo``.  Members arrive grouped by labeling: one sign per
+    run of equal labels."""
     terms: dict[int, list] = {}  # key: [signed count, first member]
-    key = tau = sign = None
+    lookup = tau = sign = None
     for m in members:
-        if key is None:
-            key = WeightCode(staircase_cells(lam, N, d, n, l), n, N).key
+        if lookup is None:
+            lookup = WeightCode(staircase_cells(lam, N, d, n, l), n, N).memo.__getitem__
         if m[1] != tau:
             tau, sign = m[1], permutation_sign(m[1])
-        k = key(m[0])
+        rows = m[0]
+        if len(rows) != N:
+            raise ValueError(f"{len(rows)} rows for {N} cell tables")
+        k = sum(map(lookup, rows))
         term = terms.get(k)
         if term is None:
             terms[k] = [sign, m]

@@ -147,6 +147,16 @@ class _RowKeys(dict):
         key = self[row] = sum(map(dict.__getitem__, self.bits, row))
         return key
 
+    def keyer(self, count: int):
+        """The key function of fillings of ``count`` rows that share this memo's
+        table: :func:`rows_monomial`'s row-count check, then one C-level sum."""
+        lookup = self.__getitem__
+        def key(rows) -> int:
+            if len(rows) != count:
+                raise ValueError(f"{len(rows)} rows for {count} cell tables")
+            return sum(map(lookup, rows))
+        return key
+
 
 class WeightCode:
     """The weight monomials of fillings of ``cells`` and ``others``, as integer keys.
@@ -163,8 +173,10 @@ class WeightCode:
     degree, and the least key has the least degree.  On a shifted staircase
     code that field can be negative, and so can the key; Python's integers
     keep the fields below ``top`` exact all the same.  Row keys are memoized
-    per key function (:meth:`keyer`); ``key`` keeps its memo for the life of
-    the code, one family or call.
+    per key function (:meth:`keyer`); ``key`` keeps its memos for the life of
+    the code, one family or call.  A staircase code's rows share one table
+    (none at N = 0), so ``key`` reads one ``memo`` by bound lookup, as the
+    signed sums do inline; on codes with several tables ``memo`` is None.
     """
 
     def __init__(self, cells, n: int, N: int, others=()):
@@ -181,14 +193,16 @@ class WeightCode:
         self._bits = {row: tuple({v: self.unit[(color, n * v + offset)] for v in values}
                                  for color, offset in row) for row in set().union(*tables)}
         self._powers: dict[tuple[int, int], int] = {}
-        self.key = self.keyer(cells)
+        self.memo = _RowKeys(self._bits[cells[0]] if cells else ()) if len(set(cells)) < 2 else None
+        self.key = self.memo.keyer(len(cells)) if self.memo is not None else self.keyer(cells)
 
     def keyer(self, cells):
         """The key function of fillings of ``cells``, whose rows are rows of the
         code's tables: the key of :func:`rows_monomial`, raising ValueError as it does.
         Row keys are memoized on the function, one memo per distinct row table,
-        so a filling's key is one C-level sum over its rows' memos; all rows of
-        a staircase code share one table, and so one memo."""
+        so a filling's key is one C-level sum that zips its rows with their
+        memos.  A staircase code's own ``key`` reads its one ``memo`` instead
+        (:meth:`_RowKeys.keyer`)."""
         memos = {row: _RowKeys(self._bits[row]) for row in cells}
         tables = tuple(memos[row] for row in cells)
         count = len(tables)

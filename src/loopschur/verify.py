@@ -361,9 +361,12 @@ class _FamilyCheck:
     a moved pair by one ``joint_key``: with a shift, the plain key plus the
     shifted key times 2 ** offset, past every plain key of the family, so the
     bits ``plain_bits`` hold the plain key exactly even when the shifted key
-    is negative; with none, the plain key, and ``plain_bits`` is -1.
-    ``swaps[i]`` is :func:`i3_swaps` of the lengthened row i.  Label signs are
-    memoized, and so is what :meth:`closed` has accepted.
+    is negative; with none, the plain key, and ``plain_bits`` is -1.  Each
+    of the three keys checks a filling's row count, then sums bound lookups
+    in one memo of row keys (:meth:`_RowKeys.keyer`).  ``swaps[i]`` is
+    :func:`i3_swaps` of the lengthened row i, and ``factors[j]`` the key of
+    the second map's power-sum factor of label j.  Label signs are memoized,
+    and so is what :meth:`closed` has accepted.
     """
 
     def __init__(self, lam: Partition, n: int, N: int, d: int, l: int):
@@ -375,16 +378,16 @@ class _FamilyCheck:
         self.key, self.shifted_key = self.plain.key, self.shifted.key
         self.joint_key, self.plain_bits = self.key, -1
         if l and N:  # with no rows, the one member moves nowhere
-            low, high = self.plain.cell_bits(cells[0]), self.shifted.cell_bits(shifted_cells[0])
+            low, high = self.plain.memo.bits, self.shifted.memo.bits
             offset = (N * len(low) * max(max(bits.values()) for bits in low)).bit_length()
-            memo = _RowKeys(tuple({v: key + (up[v] << offset) for v, key in bits.items()}
-                                  for bits, up in zip(low, high)))  # lives as long as the check
-            self.joint_key, self.plain_bits = (lambda rows: sum(map(memo.__getitem__, rows)),
-                                               (1 << offset) - 1)
+            self.joint_key = _RowKeys(tuple({v: key + (up[v] << offset) for v, key in bits.items()}
+                                            for bits, up in zip(low, high))).keyer(N)
+            self.plain_bits = (1 << offset) - 1
         self.failures: list[tuple[str, Member | None]] = []
         self.reachable = Counter()
         self.sign = lru_cache(maxsize=None)(permutation_sign)  # at most the family's labelings
         self.swaps = (False,) + tuple(i3_swaps(lam, N, d, i) for i in range(1, N + 1)) if d else ()
+        self.factors = (0,) + tuple(map(self.plain.power_key, range(1, N + 1), repeat(d // n))) if d else ()
         # What validate_in_family accepted: the row lengths of an image, by its
         # lengthened row, and every row of an image.
         self.lengths: dict[int, tuple[int, ...]] = {}
@@ -447,8 +450,7 @@ def _check_i2_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bo
         return c.fail("fixed_point_rule", m)
     if fixed:
         base, i = extract_power_sum_factor(m, c.d), m[2]
-        factor = c.plain.power_key(m[1][i - 1], c.d // c.n)
-        if c.sign(base[1]) != sign or factor + c.key(base[0]) != c.key(m[0]):
+        if c.sign(base[1]) != sign or c.factors[m[1][i - 1]] + c.key(base[0]) != c.key(m[0]):
             return c.fail("factor_weight_law", m)
         if insert_power_sum_factor(base, i, c.d) != m:
             return c.fail("factor_roundtrip", m)

@@ -582,6 +582,19 @@ def reference_signed_sum(members, lam, n, N, d, l, sign=permutation_sign):
     return Polynomial(n, terms)
 
 
+def family_stream(lam, n, d, N):
+    """The name on ``involutions`` of the enumerator of the family of ``lam``
+    with N rows and d cells appended, and the members it streams."""
+    if d:
+        return "enumerate_augmented_tableaux", list(enumerate_augmented_tableaux(lam, n, d // n, N))
+    return "enumerate_staircase_tableaux", list(enumerate_staircase_tableaux(lam, n, N))
+
+
+def signed_sum(lam, n, d, N, l):
+    """The keyed signed sum of that family."""
+    return augmented_signed_sum(lam, n, d // n, N, l) if d else staircase_signed_sum(lam, n, N, l)
+
+
 SUM_PARTITIONS = [(), (1,), (2,), (1, 1), (2, 1)]
 
 
@@ -606,6 +619,36 @@ class TestKeyedSignedSums:
             for l in range(n):
                 expected = reference_signed_sum(members, lam, n, N, k * n, l)
                 assert augmented_signed_sum(lam, n, k, N, l) == expected
+
+    @pytest.mark.parametrize("edit", ["drop", "repeat"])
+    @pytest.mark.parametrize("d,l", [(0, 0), (0, 1), (2, 0), (2, 1)])
+    def test_the_sums_sum_exactly_their_stream(self, d, l, edit, monkeypatch):
+        # The sums key every member of the stream they look up on
+        # ``involutions``, and nothing else: a member dropped from it, or
+        # repeated in it, moves the sum just as it moves the reference.
+        lam, n, N = Partition.of(1), 2, 3
+        name, members = family_stream(lam, n, d, N)
+        at = len(members) // 2
+        altered = members[:at] + members[at + 1:] if edit == "drop" else members[:at + 1] + members[at:]
+        monkeypatch.setattr(involutions_mod, name, lambda *args: iter(altered))
+        total = signed_sum(lam, n, d, N, l)
+        assert total == reference_signed_sum(altered, lam, n, N, d, l)
+        assert total != reference_signed_sum(members, lam, n, N, d, l)
+
+    @pytest.mark.parametrize("N", [0, 1, 3])
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_a_member_with_the_wrong_row_count_is_refused(self, d, N, monkeypatch):
+        # Each member's row count is checked, also at N = 0, where a staircase
+        # code has no cell table at all; an extra row that is a row of the
+        # family must not be keyed as one.
+        lam, n = Partition(), 2
+        name, members = family_stream(lam, n, d, N)
+        rows, tau, i = members[-1] if members else ((), (), 0)
+        for wrong in [rows + (rows[-1] if N else (),)] + ([rows[:-1]] if N else []):
+            stream = members + [(wrong, tau, i)]
+            monkeypatch.setattr(involutions_mod, name, lambda *args: iter(stream))
+            with pytest.raises(ValueError, match=f"^{len(wrong)} rows for {N} cell tables$"):
+                signed_sum(lam, n, d, N, 0)
 
     def test_bad_shift_is_refused_before_counting(self, monkeypatch):
         def no_count(*args):
