@@ -705,6 +705,34 @@ FAULTS = {
 }
 
 
+def raised_landing(original, member):
+    """A slide whose landing has the last entry of its first row raised by one,
+    where that keeps it in 1..N and column-strict, so still fixed by the
+    first map: the sign is kept and only the weight changes."""
+    parts, height, (rows, tau, i) = original(member)
+    top = rows[0][:-1] + (rows[0][-1] + 1,)
+    if top[-1] <= len(rows) and verify_mod.is_column_strict((top,) + rows[1:]):
+        rows = (top,) + rows[1:]
+    return parts, height, (rows, tau, i)
+
+
+def swapped_first_labels(original, member, d):
+    """An extracted base member with its first two labels swapped: its weight
+    is kept and its sign flips."""
+    rows, tau, i = original(member, d)
+    return rows, (tau[1], tau[0]) + tau[2:], i
+
+
+# (map, property, fault) for checks of a fixed point that the faults above
+# leave unexercised: a fault that only the named test of that check catches.
+FIXED_POINT_FAULTS = [
+    ("I3", "landing_not_fixed", replace_on_verify(
+        "i1", lambda f, m: (m[0], m[1][::-1], m[2]) if f(m) == m else f(m))),
+    ("I3", "slide_sign_or_weight", replace_on_verify("slide_to_border_strip", raised_landing)),
+    ("I2", "factor_weight_law", replace_on_verify("extract_power_sum_factor", swapped_first_labels)),
+]
+
+
 class TestInvolutionCheckCatchesFaultyMaps:
     """``check_involution`` applies the map cores it finds on ``verify``; a
     corrupted core must give a failing report naming the broken property."""
@@ -857,6 +885,26 @@ class TestInvolutionCheckCatchesFaultyMaps:
     def test_fault_reports_its_property(self, which, expected, monkeypatch):
         FAULTS[which, expected](self, monkeypatch)
         assert self.failed_property(which) == expected
+
+    @pytest.mark.parametrize("which,expected,fault", FIXED_POINT_FAULTS, ids=str)
+    def test_fixed_point_fault_reports_its_property(self, which, expected, fault, monkeypatch):
+        fault(self, monkeypatch)
+        assert self.failed_property(which) == expected
+        self.assert_per_member_report(which, monkeypatch)
+
+    def test_image_outside_the_low_family(self, monkeypatch):
+        # The fourth map swaps its first low member x with a valid member h of
+        # the augmented family whose lengthened row passes N - k*l.  h is in
+        # the family that validate_in_family checks, so only the low-family
+        # part of closure catches it.
+        lam, n, k, N, l = FAULT_FAMILIES["I4"]
+        x = self.members("I4")[0][0]
+        h = next(m for m in verify_mod.enumerate_augmented_tableaux(lam, n, k, N)
+                 if not in_low_family(m, k * l))
+        pairing = {x: h, h: x}
+        corrupt = lambda core, m, *args: pairing.get(m) or core(m, *args)
+        assert self.check("I4", monkeypatch, corrupt) == "closure"
+        self.assert_per_member_report("I4", monkeypatch)
 
     def test_false_fixed_point_breaks_the_factor_law(self, monkeypatch):
         # A moved pair of the second map is declared fixed by both the core and
