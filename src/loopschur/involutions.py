@@ -43,20 +43,12 @@ to the lengthened row (d = 0: the base family).  A member is plain data, a
 lengthened row (0 on the base family).  Each map is written once, on members:
 it trusts its input, validates nothing and builds nothing, and
 :func:`validate_in_family` is the one membership check.  ``check_involution``
-applies the maps, and its exhaustive walk checks each pair of a map once, from
-its member of positive label sign, validating each moved image it checks as
-:func:`validate_in_family` does.  A negative member is counted as backward,
-without applying the map, when the map's own rule names it moved (not
-:func:`is_column_strict`; not :func:`i2_is_fixed`; :func:`i3_swaps`; every
-member, for the fourth map); any other is mapped, and checked if the map
-fixes it or counted as backward if not.  The walk matches the count of
-forward members checked against the backward ones, falling back to checking
-every member on its own when a check fails or the counts differ.  The fourth
-map's walk streams only its low family (:func:`enumerate_augmented_tableaux`
-with ``l``), while the cap counts the whole augmented family.  Enumerated and
-sampled members are valid by construction.  Every stream yields plain members,
-and a :class:`SignedTableau` pairs one with its family only to weigh or
-document it.
+(:mod:`loopschur.verify`) applies the maps and checks every member by the
+steps that its ``_check_member`` states, reading which members a map fixes or
+moves off the rules here (:func:`is_column_strict`, :func:`i2_is_fixed`,
+:func:`i3_swaps`, :func:`in_low_family`).  Enumerated and sampled members
+are valid by construction.  Every stream yields plain members, and a
+:class:`SignedTableau` pairs one with its family only to weigh or document it.
 """
 
 from __future__ import annotations

@@ -349,27 +349,32 @@ _first = itemgetter(0)
 
 
 class _FamilyCheck:
-    """What the member checks of one family share: its parameters, the failures
-    found, and the signed shifted sum of the members the map moves.
+    """What the member checks of one family share: its map's :data:`_MAPS`
+    entry, whose fields it binds, its parameters, the failures found, and the
+    signed shifted sum of the members the map moves.
 
     Members and images are plain data (see :mod:`loopschur.involutions`).  A
     weight is the integer key of a :class:`WeightCode` on the family's
     :func:`staircase_cells`, taken of a member's rows by ``key`` (plain) or
     ``shifted_key``, and a product of weights is a sum of keys; ``l`` is the
     shift of the map's shifted-weight check, and ``kl`` is read only by the
-    maps of the low family.  The first and third maps compare both weights of
-    a moved pair by one ``joint_key``: with a shift, the plain key plus the
-    shifted key times 2 ** offset, past every plain key of the family, so the
-    bits ``plain_bits`` hold the plain key exactly even when the shifted key
-    is negative; with none, the plain key, and ``plain_bits`` is -1.  Each
-    of the three keys checks a filling's row count, then sums bound lookups
-    in one memo of row keys (:meth:`_RowKeys.keyer`).  ``swaps[i]`` is
-    :func:`i3_swaps` of the lengthened row i, and ``factors[j]`` the key of
-    the second map's power-sum factor of label j.  Label signs are memoized,
-    and so is what :meth:`closed` has accepted.
+    fourth map.  A moved pair's weights are compared by one ``joint_key``,
+    whose bits ``plain_bits`` hold the plain key.  With a shift, the first and
+    third maps join the plain key and the shifted key times 2 ** offset, past
+    every plain key of the family, so ``plain_bits`` hold the plain key
+    exactly even when the shifted key is negative; with none, it is the plain
+    key, and ``plain_bits`` is -1.  The fourth map preserves only the shifted
+    weight, so its joint key is the shifted key and ``plain_bits`` is 0.  Each
+    key checks a filling's row count, then sums bound lookups in one memo of
+    row keys (:meth:`_RowKeys.keyer`).  ``swaps[i]`` is :func:`i3_swaps` of
+    the lengthened row i, and ``factors[j]`` the key of the second map's
+    power-sum factor of label j.  Label signs are memoized, and so is what
+    :meth:`closed` has accepted.
     """
 
-    def __init__(self, lam: Partition, n: int, N: int, d: int, l: int):
+    def __init__(self, spec: _Map, lam: Partition, n: int, N: int, d: int, l: int):
+        self.apply, self.rule, self.breach, self.check_fixed, self.sign_failure, self.moves = spec[:6]
+        self.low = spec.low
         self.lam, self.n, self.N, self.d, self.l = lam, n, N, d, l
         self.kl = d // n * l
         cells, shifted_cells = (staircase_cells(lam, N, d, n, shift) for shift in (0, l))
@@ -377,7 +382,9 @@ class _FamilyCheck:
         self.shifted = WeightCode(shifted_cells, n, N) if l else self.plain
         self.key, self.shifted_key = self.plain.key, self.shifted.key
         self.joint_key, self.plain_bits = self.key, -1
-        if l and N:  # with no rows, the one member moves nowhere
+        if spec.low:
+            self.joint_key, self.plain_bits = self.shifted_key, 0
+        elif l and N:  # with no rows, the one member moves nowhere
             low, high = self.plain.memo.bits, self.shifted.memo.bits
             offset = (N * len(low) * max(max(bits.values()) for bits in low)).bit_length()
             self.joint_key = _RowKeys(tuple({v: key + (up[v] << offset) for v, key in bits.items()}
@@ -389,21 +396,21 @@ class _FamilyCheck:
         self.swaps = (False,) + tuple(i3_swaps(lam, N, d, i) for i in range(1, N + 1)) if d else ()
         self.factors = (0,) + tuple(map(self.plain.power_key, range(1, N + 1), repeat(d // n))) if d else ()
         # What validate_in_family accepted: the row lengths of an image, by its
-        # lengthened row, and every row of an image.
+        # lengthened row, every row and every labeling of an image.
         self.lengths: dict[int, tuple[int, ...]] = {}
         self.rows: set[tuple[int, ...]] = set()
-        self.labels = list(range(1, N + 1))
+        self.taus: set[tuple[int, ...]] = set()
 
     def closed(self, image: Member) -> bool:
         """Whether :func:`validate_in_family` accepts ``image``.  An image whose
         rows are all rows of images accepted before, with the lengthened row and
-        row lengths of one of them, whose labels are a permutation, and each of
-        whose rows starts at or above its label, is accepted without the
+        row lengths of one of them, whose labels are those of one of them, and
+        each of whose rows starts at or above its label, is accepted without the
         per-entry walk; any other is validated in full.  The first test is the
         one that fails on members that rarely share rows, such as sampled ones."""
         rows, tau, i = image
         if (self.rows.issuperset(rows) and tuple(map(len, rows)) == self.lengths.get(i)
-                and sorted(tau) == self.labels and all(map(ge, map(_first, rows), tau))):
+                and tau in self.taus and all(map(ge, map(_first, rows), tau))):
             return True
         try:
             validate_in_family(image, self.lam, self.N, self.d)
@@ -411,6 +418,7 @@ class _FamilyCheck:
             return False
         self.lengths[i] = tuple(map(len, rows))
         self.rows.update(rows)
+        self.taus.add(tau)
         return True
 
     def fail(self, name: str, member: Member) -> bool:
@@ -418,148 +426,135 @@ class _FamilyCheck:
         return False
 
 
-def _check_i1_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
-    fixed = image == m
-    if not fixed:  # a map is a function, so a fixed point needs no involution check
-        if not c.closed(image):
-            return c.fail("closure", m)
-        if i1(image) != m:
-            return c.fail("involution", m)
-    if fixed != is_column_strict(m[0]):
-        return c.fail("fixed_iff_column_strict", m)
-    if fixed:
-        if not staircase_entries_standard(m[0]) or m[1] != tuple(range(1, c.N + 1)):
-            return c.fail("fixed_point_shape", m)
-    else:
-        diff = c.joint_key(image[0]) ^ c.joint_key(m[0])  # 0 when both weights agree
-        if c.sign(image[1]) != -sign or diff & c.plain_bits:
-            return c.fail("sign_or_weight", m)
-        if diff:
-            return c.fail("shifted_weight", m)
-    return fixed
+def _check_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
+    """Check member ``m``, of label sign ``sign``, and its ``image`` under the
+    map of ``c``; record the first failure, and return whether ``m`` is a fixed
+    point that passed.  Every map is checked by these steps, in this order:
 
-
-def _check_i2_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
+    1. closure: a moved image is in the family (:meth:`_FamilyCheck.closed`)
+       and, for the fourth map, in its low family;
+    2. involution: the map sends a moved image back to ``m`` (a map is a
+       function, so a fixed point needs neither step);
+    3. the rule: where the map's entry knows which members it fixes, ``m`` is
+       fixed exactly when the rule names it fixed, else the entry's breach;
+    4. a fixed point passes the entry's fixed-point checks, and a moved pair
+       has opposite signs and equal weights, compared by ``joint_key``: a
+       differing sign or plain weight is the entry's sign failure, and a
+       differing shifted weight alone is ``shifted_weight``.
+    """
     fixed = image == m
     if not fixed:
-        if not c.closed(image):
+        if not c.closed(image) or c.low and not in_low_family(image, c.kl):
             return c.fail("closure", m)
-        if i2(image, c.d) != m:
+        if c.apply(c, image) != m:
             return c.fail("involution", m)
-    if fixed != i2_is_fixed(m, c.d):
-        return c.fail("fixed_point_rule", m)
+    if c.rule is not None and fixed != c.rule(c, m):
+        return c.fail(c.breach, m)
     if fixed:
-        base, i = extract_power_sum_factor(m, c.d), m[2]
-        if c.sign(base[1]) != sign or c.factors[m[1][i - 1]] + c.key(base[0]) != c.key(m[0]):
-            return c.fail("factor_weight_law", m)
-        if insert_power_sum_factor(base, i, c.d) != m:
-            return c.fail("factor_roundtrip", m)
-    else:
-        if c.sign(image[1]) != -sign or c.key(image[0]) != c.key(m[0]):
-            return c.fail("sign_or_weight", m)
-    return fixed
-
-
-def _check_i3_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
-    fixed = image == m
-    if not fixed:
-        if not c.closed(image):
-            return c.fail("closure", m)
-        if i3(image) != m:
-            return c.fail("involution", m)
-    if fixed:
-        parts, height, landed = slide_to_border_strip(m)
-        if list(parts) != sorted(parts, reverse=True):  # a tie left the rows unsorted
-            return c.fail("strip_shape", m)
-        sigma = Partition(parts)
-        if not is_border_strip(sigma, c.lam, c.d):
-            return c.fail("strip_shape", m)
-        if not is_column_strict(landed[0]) or i1(landed) != landed:
-            return c.fail("landing_not_fixed", m)
-        sign_factor = -1 if height % 2 else 1
-        if sign != sign_factor * c.sign(landed[1]) or c.key(landed[0]) != c.key(m[0]):
-            return c.fail("slide_sign_or_weight", m)
-        if slide_from_border_strip(landed, *strip_rows(sigma, c.lam)) != m:
-            return c.fail("slide_roundtrip", m)
-    else:
-        diff = c.joint_key(image[0]) ^ c.joint_key(m[0])  # 0 when both weights agree
-        if c.sign(image[1]) != -sign or diff & c.plain_bits:
-            return c.fail("sign_or_weight", m)
-        if diff:
-            return c.fail("shifted_weight", m)
-    return fixed
-
-
-def _check_i4_member(c: _FamilyCheck, m: Member, sign: int, image: Member) -> bool:
-    if not c.closed(image) or not in_low_family(image, c.kl):
-        return c.fail("closure", m)
-    if i4(image, c.d, c.kl) != m:
-        return c.fail("involution", m)
-    if image == m:
-        return c.fail("unexpected_fixed_point", m)
-    if c.sign(image[1]) != -sign:
-        return c.fail("sign", m)
-    if c.shifted_key(image[0]) != c.shifted_key(m[0]):
+        return c.check_fixed(c, m, sign)
+    key, image_key = c.joint_key(m[0]), c.joint_key(image[0])
+    if c.sign(image[1]) != -sign or key != image_key and (key ^ image_key) & c.plain_bits:
+        return c.fail(c.sign_failure, m)
+    if key != image_key:
         return c.fail("shifted_weight", m)
     return False
 
 
-# Per map: the map, looked up here when it is applied; its member check; the
-# part of a moved image's own check that its partner's check does not cover,
-# the rest being symmetric in the pair (first map: the image is not
-# column-strict; second: the rule does not name it fixed); its own rule for
-# the members it moves, read without applying it (first map: not
-# column-strict; second: not i2_is_fixed; third: the lengthened row ties a
-# row above it; fourth: every member); whether it lengthens a row by k*n
-# cells (k >= 1); whether it acts only on the low family (1 <= l < n); and
-# the shift of its weight check, given l and n.
-_Map = namedtuple("_Map", "apply check_member check_image moves lengthens low shift")
-_not_column_strict = lambda c, m: not is_column_strict(m[0])
-_not_i2_fixed = lambda c, m: not i2_is_fixed(m, c.d)
+def _i1_fixed_point(c: _FamilyCheck, m: Member, sign: int) -> bool:
+    """Its staircase entries are standard and its labels the identity."""
+    if not staircase_entries_standard(m[0]) or m[1] != tuple(range(1, c.N + 1)):
+        return c.fail("fixed_point_shape", m)
+    return True
+
+
+def _i2_fixed_point(c: _FamilyCheck, m: Member, sign: int) -> bool:
+    """Its power-sum factor comes off with the sign kept and the weight split
+    into the factor's and the rest's, and goes back on to give ``m``."""
+    base, i = extract_power_sum_factor(m, c.d), m[2]
+    if (base[1] != m[1] and c.sign(base[1]) != sign  # equal labels have one sign
+            or c.factors[m[1][i - 1]] + c.key(base[0]) != c.key(m[0])):
+        return c.fail("factor_weight_law", m)
+    if insert_power_sum_factor(base, i, c.d) != m:
+        return c.fail("factor_roundtrip", m)
+    return True
+
+
+def _i3_fixed_point(c: _FamilyCheck, m: Member, sign: int) -> bool:
+    """It slides onto a border strip sigma / lam, landing on a fixed point of
+    the first map with the sign times (-1) ** height and the same weight, and
+    slides back to ``m``."""
+    parts, height, landed = slide_to_border_strip(m)
+    if list(parts) != sorted(parts, reverse=True):  # a tie left the rows unsorted
+        return c.fail("strip_shape", m)
+    sigma = Partition(parts)
+    if not is_border_strip(sigma, c.lam, c.d):
+        return c.fail("strip_shape", m)
+    if not is_column_strict(landed[0]) or i1(landed) != landed:
+        return c.fail("landing_not_fixed", m)
+    sign_factor = -1 if height % 2 else 1
+    if sign != sign_factor * c.sign(landed[1]) or c.key(landed[0]) != c.key(m[0]):
+        return c.fail("slide_sign_or_weight", m)
+    if slide_from_border_strip(landed, *strip_rows(sigma, c.lam)) != m:
+        return c.fail("slide_roundtrip", m)
+    return True
+
+
+# Per map, what :func:`_check_member` and the walks read of it: the map, looked
+# up here when it is applied; the rule naming the members it fixes (None for
+# the third map, which has none known) and the failure that names a breach of
+# it; the checks of a fixed point; the failure of a moved pair's sign or plain
+# weight; the rule naming members it moves, read without applying it (see
+# :func:`_walk_pairs`); whether it lengthens a row by k*n cells (k >= 1);
+# whether it acts only on the low family (1 <= l < n); and the shift of its
+# weight check, given l and n.
+_Map = namedtuple("_Map", "apply rule breach check_fixed sign_failure moves lengthens low shift")
 _MAPS = {
-    "I1": _Map(lambda c, m: i1(m), _check_i1_member, _not_column_strict, _not_column_strict,
+    "I1": _Map(lambda c, m: i1(m), lambda c, m: is_column_strict(m[0]), "fixed_iff_column_strict",
+               _i1_fixed_point, "sign_or_weight", lambda c, m: not is_column_strict(m[0]),
                False, False, lambda l, n: l or int(n > 1)),
-    "I2": _Map(lambda c, m: i2(m, c.d), _check_i2_member, _not_i2_fixed, _not_i2_fixed,
+    "I2": _Map(lambda c, m: i2(m, c.d), lambda c, m: i2_is_fixed(m, c.d), "fixed_point_rule",
+               _i2_fixed_point, "sign_or_weight", lambda c, m: not i2_is_fixed(m, c.d),
                True, False, lambda l, n: 0),
-    "I3": _Map(lambda c, m: i3(m), _check_i3_member, lambda c, m: True,
+    "I3": _Map(lambda c, m: i3(m), None, None, _i3_fixed_point, "sign_or_weight",
                lambda c, m: c.swaps[m[2]], True, False, lambda l, n: l),
-    "I4": _Map(lambda c, m: i4(m, c.d, c.kl), _check_i4_member, lambda c, m: True,
-               lambda c, m: True, True, True, lambda l, n: l),
+    "I4": _Map(lambda c, m: i4(m, c.d, c.kl), lambda c, m: False, "unexpected_fixed_point",
+               None, "sign", lambda c, m: True, True, True, lambda l, n: l),
 }
 
 
-def _walk_each(c: _FamilyCheck, which: str, members, moved_sum: bool = True) -> tuple[int, int]:
+def _walk_each(c: _FamilyCheck, members, moved_sum: bool = True) -> tuple[int, int]:
     """Check every member on its own; returns the members checked and the fixed
     points.  With ``moved_sum`` it adds up the signed shifted weights of the
     members the map moves in ``c.reachable``, where pairs cancel."""
-    apply, check_member = _MAPS[which][:2]
+    apply = c.apply
     checked = fixed = 0
     for m in members:
         checked += 1
         sign, image = c.sign(m[1]), apply(c, m)
         if moved_sum and image != m:
             c.reachable[c.shifted_key(m[0])] += sign
-        fixed += check_member(c, m, sign, image)
+        fixed += _check_member(c, m, sign, image)
     return checked, fixed
 
 
-def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
+def _walk_pairs(c: _FamilyCheck, members) -> tuple[int, int] | None:
     """Check each orbit of the map once; returns what :func:`_walk_each`
     returns when every check passes, and None otherwise.
 
     The label sign directs each pair.  A positive member is checked with its
-    image; a moved one, *forward*, also has its image's own checks
-    confirmed.  A negative member that the map's ``moves`` rule names moved
-    is *backward* and only counted, without applying the map.  Any other
-    negative member is mapped: a fixed one is checked as a fixed point, and
-    a moved one is counted as backward.  The map reverses the sign, so the
-    forward members' images are negative, and the involution checks make
-    them distinct; so when the two counts agree every backward member is
-    such an image and its check is implied.  A map that fixes a member its
-    rule names moved leaves that member without a forward partner, and the
-    counts disagree.  The cancelled pairs leave ``c.reachable`` empty.
+    image; a moved one, *forward*, also has the map's rule read on its image,
+    the one check of the image's own turn that its partner's does not cover.
+    A negative member that the map's ``moves`` rule names moved is *backward*
+    and only counted, without applying the map.  Any other negative member
+    is mapped: a fixed one is checked as a fixed point, and a moved one is
+    counted as backward.  The map reverses the sign, so the forward members'
+    images are negative, and the involution checks make them distinct; so
+    when the two counts agree every backward member is such an image and its
+    check is implied.  A map that fixes a member its rule names moved leaves
+    that member without a forward partner, and the counts disagree.  The
+    cancelled pairs leave ``c.reachable`` empty.
     """
-    apply, check_member, check_image, moves = _MAPS[which][:4]
+    apply, moves, rule = c.apply, c.moves, c.rule
     checked = fixed = forward = backward = 0
     tau = sign = None
     for m in members:
@@ -573,9 +568,9 @@ def _walk_pairs(c: _FamilyCheck, which: str, members) -> tuple[int, int] | None:
         image = apply(c, m)
         if sign < 0 and image != m:
             backward += 1
-        elif check_member(c, m, sign, image):
+        elif _check_member(c, m, sign, image):
             fixed += 1
-        elif c.failures or not check_image(c, image):
+        elif c.failures or rule is not None and rule(c, image):
             return None
         else:
             forward += 1
@@ -606,35 +601,25 @@ def check_involution(
     """Exercise one pairing map over its family and report property failures.
 
     Exhaustive mode walks the whole family (subject to the cap); sampled mode
-    draws the requested number of members (at least one) with the given seed.
-    Checked per member: the involution property, closure in the family, sign
-    reversal and weight preservation off fixed points, and the fixed-point
-    behavior specific to the map.  Its family and the shift of its weight
-    check are read off its :data:`_MAPS` entry.  The second to fourth maps
-    need k >= 1, refused before any counting.  The fourth map also needs
-    1 <= l < n; it draws from and walks only the members it acts on, its low
-    family, and raises MembershipError at a member outside it, in either mode,
-    while the cap counts the whole augmented family.  Exhaustive mode
-    makes its stream, which counts the family and refuses above the cap,
-    before it builds anything else.  The signed shifted weights of the members
-    the map moves must then cancel in pairs, else ``unreachable_sum_mismatch``,
-    and the members checked must number the family's count (the low family's
-    for the fourth map), else ``member_count_mismatch``: a stream that lost a
-    moved member fails both, and one that lost a fixed point the second.
+    draws the requested number of members (at least one) with the given seed
+    and checks each on its own.  Every member is checked by
+    :func:`_check_member`, with the map's :data:`_MAPS` entry, which also
+    names its family and the shift of its weight check.  The second to fourth
+    maps need k >= 1, refused before any counting.  The fourth map also needs
+    1 <= l < n; it draws from and walks only its low family, and raises
+    MembershipError at a member outside it, in either mode, while the cap
+    counts the whole augmented family.
 
-    Members are walked as plain data.  The exhaustive walk checks each pair
-    of the map once, from its member of positive label sign, together with
-    the checks its image's own turn would run.  A negative member the map
-    moves is only counted, and the map is not even applied to it when the
-    ``moves`` rule of the map's :data:`_MAPS` entry names it moved; any other
-    negative member is mapped, and checked if the map fixes it.  The walk
-    passes when every check passes and the forward and backward counts agree
-    (see :func:`_walk_pairs`); otherwise the family is walked again checking
-    every member on its own, so a failing report names the same first
-    witness and number of failures either way.  Sampled mode always checks
-    member by member and keeps no sum.  The closure check validates an image
-    (:meth:`_FamilyCheck.closed`); a fixed point's image is the member itself,
-    valid by construction, so it is not validated again.
+    Exhaustive mode makes its stream, which counts the family and refuses
+    above the cap, before it builds anything else, and walks each pair of the
+    map once (:func:`_walk_pairs`).  If a check fails or the pair counts
+    differ, it walks the family again checking every member on its own, so a
+    failing report names the same first witness and number of failures either
+    way.  The signed shifted weights of the members the map moves must then
+    cancel in pairs, else ``unreachable_sum_mismatch``, and the members checked
+    must number the family's count (the low family's for the fourth map), else
+    ``member_count_mismatch``: a stream that lost a moved member fails both,
+    and one that lost a fixed point the second.
     """
     which = which.upper()
     spec = _MAPS.get(which)
@@ -651,7 +636,7 @@ def check_involution(
     start = time.perf_counter()
     ShiftParams(n, l)  # refuses l outside 0 <= l < n, whatever shift the map checks
     d, low_l = (k * n if spec.lengthens else 0), (l if spec.low else 0)
-    family = lambda: _FamilyCheck(lam, n, N, d, spec.shift(l, n))
+    family = lambda: _FamilyCheck(spec, lam, n, N, d, spec.shift(l, n))
     # The fourth map's streams and draws must keep to its low family.
     guard = (lambda stream: _low_family_only(stream, k * l)) if spec.low else (lambda stream: stream)
     if spec.lengthens:
@@ -666,10 +651,10 @@ def check_involution(
     if mode == "exhaustive":
         stream = members()  # counted, and refused above the cap, before the check is built
         c = family()
-        counts = _walk_pairs(c, which, stream)
+        counts = _walk_pairs(c, stream)
         if counts is None:  # walk again member by member, for the failures it reports
             c = family()
-            counts = _walk_each(c, which, members())
+            counts = _walk_each(c, members())
         if any(c.reachable.values()):  # the moved members do not cancel
             c.failures.append(("unreachable_sum_mismatch", None))
         if counts[0] != size():  # the stream lost or repeated a member
@@ -678,7 +663,7 @@ def check_involution(
         c = family()
         rng = random.Random(seed)
         draws = guard(draw(rng) for _ in range(samples))
-        counts = _walk_each(c, which, draws, moved_sum=False)
+        counts = _walk_each(c, draws, moved_sum=False)
     total, fixed_count = counts
 
     failures = c.failures

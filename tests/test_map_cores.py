@@ -162,16 +162,16 @@ def test_one_pass_sum_of_the_fourth_map(lam, n, k, N):
     # pair walk cancels each pair it checks, so it leaves that sum empty.
     # Both walk the low stream that check_involution hands them.
     for l in range(1, n):
-        check = verify._FamilyCheck(lam, n, N, k * n, l)
-        verify._walk_each(check, "I4", enumerate_augmented_tableaux(lam, n, k, N, DEFAULT_CAP, l))
+        check = verify._FamilyCheck(verify._MAPS["I4"], lam, n, N, k * n, l)
+        verify._walk_each(check, enumerate_augmented_tableaux(lam, n, k, N, DEFAULT_CAP, l))
         unreachable: dict = {}
         for m in enumerate_augmented_tableaux(lam, n, k, N):
             if not in_low_family(m, check.kl):
                 weight = check.shifted_key(m[0])
                 unreachable[weight] = unreachable.get(weight, 0) + permutation_sign(m[1])
-        pair = verify._FamilyCheck(lam, n, N, k * n, l)
+        pair = verify._FamilyCheck(verify._MAPS["I4"], lam, n, N, k * n, l)
         low = enumerate_augmented_tableaux(lam, n, k, N, DEFAULT_CAP, l)
-        assert verify._walk_pairs(pair, "I4", low) is not None
+        assert verify._walk_pairs(pair, low) is not None
         assert not pair.reachable
         assert not check.failures
         decode = check.shifted.decode

@@ -660,8 +660,9 @@ def moves_rule(which):
     """The ``moves`` rule of ``which``'s ``_MAPS`` entry on its fault family:
     whether it names a member moved without applying the map."""
     lam, n, k, N, l = FAULT_FAMILIES[which]
-    c = verify_mod._FamilyCheck(lam, n, N, 0 if which == "I1" else k * n, l)
-    return lambda m: verify_mod._MAPS[which].moves(c, m)
+    spec = verify_mod._MAPS[which]
+    c = verify_mod._FamilyCheck(spec, lam, n, N, 0 if which == "I1" else k * n, l)
+    return lambda m: spec.moves(c, m)
 
 
 def spied_walks(monkeypatch):
@@ -1091,14 +1092,23 @@ PROPERTY_FIXTURES = {
 
 
 def reported_properties():
-    """Every (map, property) that ``check_involution`` can report, read off the
-    source of ``verify``: the ``c.fail`` names of each member check, and for
-    every map the failures that ``check_involution`` appends after its walk."""
+    """Every (map, property) that ``check_involution`` can report, read off
+    ``verify``: the ``c.fail`` names of the shared member check, each map's
+    breach and sign failure on its ``_MAPS`` entry and the ``c.fail`` names of
+    its fixed-point check, and for every map the failures that
+    ``check_involution`` appends after its walk.  A map whose weight check on
+    its fault family has no shift cannot report ``shifted_weight``."""
+    fails = lambda function: re.findall(r'c\.fail\("(\w+)"', inspect.getsource(function))
     appended = re.findall(r'failures\.append\(\("(\w+)"', inspect.getsource(verify_mod.check_involution))
     found = set()
-    for which in FAULT_FAMILIES:
-        source = inspect.getsource(getattr(verify_mod, f"_check_{which.lower()}_member"))
-        found |= {(which, name) for name in re.findall(r'c\.fail\("(\w+)"', source) + appended}
+    for which, (lam, n, k, N, l) in FAULT_FAMILIES.items():
+        spec = verify_mod._MAPS[which]
+        names = fails(verify_mod._check_member) + appended + [spec.sign_failure]
+        names += [spec.breach] if spec.breach else []
+        names += fails(spec.check_fixed) if spec.check_fixed else []
+        if not spec.shift(l, n):
+            names.remove("shifted_weight")
+        found |= {(which, name) for name in names}
     return found
 
 
@@ -1149,15 +1159,26 @@ class TestPairWalk:
     @pytest.mark.parametrize("which", ["I1", "I2", "I3", "I4"])
     def test_negative_members_the_rule_names_moved_are_not_mapped(self, which, monkeypatch):
         # The walk applies the map to every member but these; their partners'
-        # involution checks map them.
+        # involution checks map them.  What the member check maps is not the
+        # walk's, so it is not recorded.
         lam, n, k, N, l = FAULT_FAMILIES[which]
-        spec, moves, mapped = verify_mod._MAPS[which], moves_rule(which), []
+        spec, moves, mapped, checking = verify_mod._MAPS[which], moves_rule(which), [], []
+        check_member = verify_mod._check_member
 
         def apply(c, m):
-            mapped.append(m)
+            if not checking:
+                mapped.append(m)
             return spec.apply(c, m)
 
+        def checked(*args):
+            checking.append(args)
+            try:
+                return check_member(*args)
+            finally:
+                checking.pop()
+
         monkeypatch.setitem(verify_mod._MAPS, which, spec._replace(apply=apply))
+        monkeypatch.setattr(verify_mod, "_check_member", checked)
         self.no_fallback(monkeypatch)
         report = check_involution(which, lam, n, k, N, l=l)
         assert report.passed
@@ -1236,7 +1257,7 @@ class TestClosureCheck:
         lam, d = Partition(parts), k * n
         members = list(verify_mod.enumerate_augmented_tableaux(lam, n, k, N) if k
                        else verify_mod.enumerate_staircase_tableaux(lam, n, N))
-        check = verify_mod._FamilyCheck(lam, n, N, d, 0)
+        check = verify_mod._FamilyCheck(verify_mod._MAPS["I3" if d else "I1"], lam, n, N, d, 0)
         for _ in range(2):  # the second pass finds every row in the memo
             assert all(map(check.closed, members))
         assert check.rows == {row for rows, _, _ in members for row in rows}
@@ -1270,7 +1291,8 @@ class TestJointKey:
         lam, d = Partition(parts), k * n
         members = list(verify_mod.enumerate_augmented_tableaux(lam, n, k, N) if k
                        else verify_mod.enumerate_staircase_tableaux(lam, n, N))
-        plain, both = joint_keys_split(verify_mod._FamilyCheck(lam, n, N, d, l), members)
+        check = verify_mod._FamilyCheck(verify_mod._MAPS["I3" if d else "I1"], lam, n, N, d, l)
+        plain, both = joint_keys_split(check, members)
         assert plain < both  # some members share a plain key and differ in the shifted one
 
     def test_seeded_pairs_with_negative_shifted_degrees(self):
@@ -1278,7 +1300,7 @@ class TestJointKey:
         # small entries on cells of content down to -5, so a negative shifted
         # degree field; the family has 3.3M members, so pairs are drawn.
         lam, n, N, l = Partition(), 3, 5, 2
-        check = verify_mod._FamilyCheck(lam, n, N, 0, l)
+        check = verify_mod._FamilyCheck(verify_mod._MAPS["I1"], lam, n, N, 0, l)
         rng = random.Random(29)
         members = list(islice(verify_mod.enumerate_staircase_tableaux(lam, n, N), 3000))
         members += [verify_mod.sample_staircase_tableau(lam, n, N, rng) for _ in range(1000)]
@@ -1291,7 +1313,7 @@ class TestJointKey:
             assert (check.joint_key(a) == check.joint_key(b)) == same
 
     def test_unshifted_check_keys_plain_weights(self):
-        check = verify_mod._FamilyCheck(Partition.of(1), 2, 3, 0, 0)
+        check = verify_mod._FamilyCheck(verify_mod._MAPS["I1"], Partition.of(1), 2, 3, 0, 0)
         assert check.joint_key is check.key and check.plain_bits == -1
 
 
