@@ -887,7 +887,8 @@ class TestInvolutionCheckCatchesFaultyMaps:
         FAULTS[which, expected](self, monkeypatch)
         assert self.failed_property(which) == expected
 
-    @pytest.mark.parametrize("which,expected,fault", FIXED_POINT_FAULTS, ids=str)
+    @pytest.mark.parametrize("which,expected,fault", FIXED_POINT_FAULTS,
+                             ids=[f"{which}-{name}" for which, name, _ in FIXED_POINT_FAULTS])
     def test_fixed_point_fault_reports_its_property(self, which, expected, fault, monkeypatch):
         fault(self, monkeypatch)
         assert self.failed_property(which) == expected
