@@ -602,7 +602,7 @@ def check_involution(
 
     Exhaustive mode walks the whole family (subject to the cap); sampled mode
     draws the requested number of members (at least one) with the given seed
-    and checks each on its own.  Every member is checked by
+    and checks each on its own, keeping no sum.  Every member is checked by
     :func:`_check_member`, with the map's :data:`_MAPS` entry, which also
     names its family and the shift of its weight check.  The second to fourth
     maps need k >= 1, refused before any counting.  The fourth map also needs
