@@ -52,6 +52,11 @@ CASES = [
     "thm2-verify --lambda 0 --n 2 --k 1 --N 4 --l 0",
     "thm2-verify --lambda 0 --n 2 --k 1 --N 4",
     "thm2-verify --lambda 0 --n 2 --k 1 --N 4 --l 2",
+    # an empty sum (infinite degree) with negative bounds, and bounds that are fractions
+    "thm2-verify --lambda 0 --n 3 --k 2 --N 0 --l 2",
+    "thm2-verify --lambda 0 --n 3 --k 2 --N 0 --l 2 --format structured",
+    "thm2-verify --lambda 0 --n 2 --k 1 --N 1 --l 1",
+    "thm2-verify --lambda 0 --n 2 --k 1 --N 1 --l 1 --format structured",
     # lemma-verify
     "lemma-verify --which 1 --lambda 1 --n 2 --N 3",
     "lemma-verify --which 2 --lambda 0 --n 1 --k 1 --N 2 --format structured",

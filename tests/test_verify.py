@@ -418,6 +418,24 @@ class TestDegreeBound:
         assert report.witness == {"min_degree_terms": [
             {"coeff": "1", "vars": [[1, int(n * stated) - 1, 1]]}]}
 
+    def test_a_term_on_the_floor_passes(self, monkeypatch):
+        # The floor is inclusive: a least degree equal to the stated bound passes.
+        lam, n, k, N, l = Partition(), 2, 1, 11, 1
+        stated = Fraction(N * (n - l), n) - k * n
+        assert stated.denominator == 2
+        strip_sum = verify_mod._signed_border_strip_sum
+
+        def with_term_on_floor(*args):
+            keys, strips, code = strip_sum(*args)
+            key = code.unit[(1, int(n * stated))]
+            keys[key] = keys.get(key, 0) + 1
+            return keys, strips, code
+
+        monkeypatch.setattr(verify_mod, "_signed_border_strip_sum", with_term_on_floor)
+        report = verify_degree_bound(lam, n, k, N, l)
+        assert report.passed and report.witness is None
+        assert report.details["achieved_min_degree"] == report.details["stated_bound"] == "7/2"
+
     # The same 228 cases and N = 0, against the report built by decoding
     # every key of the strip sum and taking Polynomial.min_degree.
     @pytest.mark.parametrize("k", [1, 2])
