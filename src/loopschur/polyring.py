@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import starmap
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
@@ -44,17 +42,32 @@ from .errors import (
     MonomialDivisionError,
     RingMismatchError,
 )
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+def fraction_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den >= 1``: the reduced fraction, or an integer."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+class Monomial(Frozen):
     """A product of variables with positive exponents in canonical order.
 
     ``vars`` is a tuple of ``(color, weight_num, exponent)`` triples sorted by
-    ``(color, weight_num)``.  The empty tuple is the unit monomial.
-    """
+    ``(color, weight_num)``.  The empty tuple is the unit monomial.  A frozen
+    value, equal and hashed by ``vars``."""
 
-    vars: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("vars",)
+
+    def __init__(self, vars: tuple[tuple[int, int, int], ...] = ()):
+        object.__setattr__(self, "vars", vars)
+
+    def __eq__(self, other):
+        return self.vars == other.vars if type(other) is Monomial else NotImplemented
+
+    def __hash__(self):
+        return hash((self.vars,))
 
     @staticmethod
     def one() -> "Monomial":
@@ -88,6 +101,7 @@ class Monomial:
 
     def degree(self, n: int) -> Fraction:
         """Total degree: the sum of ``exponent * weight_num / n`` over factors."""
+        from fractions import Fraction  # here, so that the command line never loads it
         return Fraction(sum(wn * exp for _, wn, exp in self.vars), n)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -127,13 +141,12 @@ class Monomial:
             return "1"
         pieces = []
         for color, wn, exp in self.vars:
-            g = math.gcd(wn, n)
-            base = f"x({color},{wn // g})" if g == n else f"x({color},{wn // g}/{n // g})"
+            base = f"x({color},{fraction_text(wn, n)})"
             pieces.append(base if exp == 1 else f"{base}^{exp}")
         return "*".join(pieces)
 
 
-class Polynomial:
+class Polynomial(Frozen):
     """Immutable sparse polynomial with integer coefficients and modulus ``n``."""
 
     __slots__ = ("n", "_terms")
@@ -144,9 +157,6 @@ class Polynomial:
         object.__setattr__(self, "n", n)
         clean = {m: c for m, c in (terms or {}).items() if c != 0}
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Polynomial is immutable")
 
     @staticmethod
     def zero(n: int) -> "Polynomial":
@@ -266,7 +276,7 @@ def specialize_forget_color(a: Polynomial) -> Polynomial:
             if wn % a.n != 0:
                 raise FractionalWeightError(
                     f"variable (color={color}, weight_num={wn}) has fractional "
-                    f"weight {Fraction(wn, a.n)}"
+                    f"weight {fraction_text(wn, a.n)}"
                 )
             key = (0, wn // a.n)
             factors[key] = factors.get(key, 0) + exp

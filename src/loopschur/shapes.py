@@ -10,21 +10,34 @@ constant along diagonals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
+from typing import NamedTuple
+
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Partition:
-    """Weakly decreasing positive parts; the empty tuple is the empty partition."""
+@total_ordering
+class Partition(Frozen):
+    """Weakly decreasing positive parts, () for the empty partition; compared and hashed by them."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        for i, p in enumerate(self.parts):
+    def __init__(self, parts: tuple[int, ...] = ()):
+        for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p}")
-            if i and self.parts[i - 1] < p:
-                raise ValueError(f"parts must weakly decrease, got {self.parts}")
+            if i and parts[i - 1] < p:
+                raise ValueError(f"parts must weakly decrease, got {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if type(other) is Partition else NotImplemented
+
+    def __lt__(self, other):
+        return self.parts < other.parts if type(other) is Partition else NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @staticmethod
     def of(*parts: int) -> "Partition":
@@ -77,8 +90,7 @@ def require_rows(lam: Partition, N: int) -> None:
         raise ValueError(f"need N >= {len(lam)} rows for partition {lam}, got {N}")
 
 
-@dataclass(frozen=True, slots=True)
-class BorderStripAddition:
+class BorderStripAddition(NamedTuple):
     """A partition ``sigma`` containing the base partition, plus the strip height.
 
     The height is the number of rows the strip occupies, minus one.

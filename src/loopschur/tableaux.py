@@ -20,27 +20,33 @@ differ, and its keys are added to every key of the rows above in C.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, groupby, product, repeat, starmap
 from operator import add, itemgetter
 from typing import Iterator
 
+from .frozen import Frozen
 from .polyring import Monomial, Polynomial
 from .shapes import Partition, require_rows
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftParams:
-    """Modulus ``n`` and shift ``l`` with 0 <= l < n."""
+class ShiftParams(Frozen):
+    """Modulus ``n`` and shift ``l`` with 0 <= l < n; a frozen value, equal by both."""
 
-    n: int
-    l: int = 0
+    __slots__ = ("n", "l")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be positive, got {self.n}")
-        if not 0 <= self.l < self.n:
-            raise ValueError(f"shift must satisfy 0 <= l < {self.n}, got {self.l}")
+    def __init__(self, n: int, l: int = 0):
+        if n < 1:
+            raise ValueError(f"modulus must be positive, got {n}")
+        if not 0 <= l < n:
+            raise ValueError(f"shift must satisfy 0 <= l < {n}, got {l}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "l", l)
+
+    def __eq__(self, other):
+        return (self.n, self.l) == (other.n, other.l) if type(other) is ShiftParams else NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.l))
 
 
 def enumerate_ssyt(lam: Partition, N: int) -> Iterator[tuple[tuple[int, ...], ...]]:

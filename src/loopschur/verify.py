@@ -18,16 +18,15 @@ measured but excluded from canonical output.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from collections import Counter, namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat, tee
 from operator import add, ge, itemgetter, rshift, sub
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import ConfigError, MembershipError, PreconditionError
 from .involutions import (  # also the maps, which callers may look up or replace here
@@ -60,7 +59,7 @@ from .involutions import (  # also the maps, which callers may look up or replac
     subset_expansion,
     validate_in_family,
 )
-from .polyring import Monomial, Polynomial, to_document
+from .polyring import Monomial, Polynomial, fraction_text, to_document
 from .shapes import Partition, enumerate_border_strips, is_border_strip
 from .tableaux import (  # also the builders, which callers may look up or replace here
     KeyPolynomial,
@@ -76,16 +75,14 @@ from .tableaux import (  # also the builders, which callers may look up or repla
 )
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one check.  ``passed`` is true iff the witness is absent."""
+class VerificationReport(SimpleNamespace):
+    """Outcome of one check.  ``passed`` is true iff the witness is absent.
+    Mutable, equal by its fields, which its ``repr`` shows; ``details`` starts as a fresh dict."""
 
-    check: str
-    params: dict
-    passed: bool
-    witness: dict | None = None
-    details: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
+    def __init__(self, check: str, params: dict, passed: bool, witness: dict | None = None,
+                 details: dict | None = None, wall_time_s: float = 0.0):
+        super().__init__(check=check, params=params, passed=passed, witness=witness,
+                         details={} if details is None else details, wall_time_s=wall_time_s)
 
     def to_document(self) -> dict:
         return {
@@ -239,13 +236,11 @@ def verify_degree_bound(lam: Partition, n: int, k: int, N: int, l: int) -> Verif
         raise PreconditionError(f"k must be positive, got {k}")
     start = time.perf_counter()
     keys, strip_count, code = _signed_border_strip_sum(lam, n, k, N, l)
-    # A key's field above code.top is n times its degree, so only the terms
-    # at the least degree are decoded, and only for a FAIL's witness.
+    # A key's field above code.top is n times its degree: degrees and bounds are compared
+    # times n, as integers, and only a FAIL's terms at the least degree are decoded.
     least = min(keys) >> code.top if keys else None
-    achieved = math.inf if least is None else Fraction(least, n)
-    stated = Fraction(N * (n - l), n) - k * n
-    stronger = Fraction(N * (n - l), n) - k * l
-    passed = achieved >= stated
+    stated, stronger = N * (n - l) - k * n * n, N * (n - l) - k * l * n
+    passed = least is None or least >= stated
     witness = None
     if not passed:
         lowest = code.polynomial({key: c for key, c in keys.items() if key >> code.top == least})
@@ -258,9 +253,9 @@ def verify_degree_bound(lam: Partition, n: int, k: int, N: int, l: int) -> Verif
         passed=passed,
         witness=witness,
         details={
-            "achieved_min_degree": str(achieved),
-            "stated_bound": str(stated),
-            "proof_bound": str(stronger),
+            "achieved_min_degree": "inf" if least is None else fraction_text(least, n),
+            "stated_bound": fraction_text(stated, n),
+            "proof_bound": fraction_text(stronger, n),
             "strips": strip_count,
             "terms": len(keys),
         },
@@ -721,8 +716,7 @@ def positive(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One option of a check: the grid key ``key=`` and the flag ``--key``.
     ``parse`` raises ValueError on bad text; a ``default`` of None means required."""
 
@@ -732,8 +726,7 @@ class Param:
     choices: tuple | None = None
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     """A check's subcommand ``name``, grid ``kind``, options, and runner on parsed options."""
 
     name: str
@@ -790,8 +783,7 @@ CHECKS = (
 CHECKS_BY_KIND = {spec.kind: spec for spec in CHECKS}
 
 
-@dataclass(frozen=True)
-class GridEntry:
+class GridEntry(NamedTuple):
     kind: str
     options: dict
     line: int

@@ -21,6 +21,7 @@ from loopschur import (
     specialize_forget_color,
     to_document,
 )
+from loopschur.polyring import fraction_text
 
 from loopschur.tableaux import WeightCode, staircase_cells
 
@@ -286,6 +287,19 @@ class TestTemplateText:
                     assert m.format(n) == expected
         assert Monomial.one().format(3) == "1"
         assert str(x(3, 1, 0) + x(3, 2, -4, exp=2, coeff=-3)) == "x(1,0) - 3*x(2,-4/3)^2"
+
+
+@pytest.mark.parametrize("den", range(1, 9))
+def test_fraction_text_is_the_fraction_form(den):
+    # The one writer of weights, degrees and bounds: str(Fraction) without building one.
+    for num in range(-40, 41):
+        assert fraction_text(num, den) == str(Fraction(num, den))
+
+
+def test_fractional_weight_message():
+    with pytest.raises(FractionalWeightError) as info:
+        specialize_forget_color(x(6, 1, 4))
+    assert str(info.value) == "variable (color=1, weight_num=4) has fractional weight 2/3"
 
 
 @settings(max_examples=200, derandomize=True)

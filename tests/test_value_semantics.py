@@ -2,9 +2,17 @@
 value, frozen fields, ordering, validation messages, ``repr``, and defaults
 that are not shared between instances."""
 
+import copy
+import pickle
+
 import pytest
 
-from loopschur import BorderStripAddition, Monomial, Partition, ShiftParams, VerificationReport
+from loopschur import (
+    BorderStripAddition, Monomial, Partition, Polynomial, ShiftParams, VerificationReport,
+)
+
+DUPLICATES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+              "pickle": lambda value: pickle.loads(pickle.dumps(value))}
 
 VALUES = [
     (lambda: Partition.of(2, 1), "parts", (2, 1)),
@@ -37,6 +45,12 @@ class TestEqualValues:
         table[make()] = "second"
         assert table == {make(): "second"}
         assert make() in {make()}
+
+    @pytest.mark.parametrize("duplicate", DUPLICATES.values(), ids=DUPLICATES.keys())
+    def test_copies_are_equal_values(self, make, duplicate):
+        value = make()
+        again = duplicate(value)
+        assert again == value and hash(again) == hash(value) and repr(again) == repr(value)
 
     def test_assignment_and_deletion_raise_attribute_error(self, make):
         value = make()
@@ -143,3 +157,20 @@ class TestVerificationReportDefaults:
         assert report.witness is None and report.wall_time_s == 0.0
         assert report.text() == "FAIL c n=1"
         assert report.to_json() == '{"check":"c","details":{},"params":{"n":1},"pass":false,"witness":null}'
+
+    def test_equality_and_repr(self):
+        report = VerificationReport("c", {"n": 1}, True, details={"terms": 2})
+        assert report == VerificationReport("c", {"n": 1}, True, None, {"terms": 2}, 0.0)
+        assert report != VerificationReport("c", {"n": 1}, True, details={"terms": 3})
+        assert repr(report) == ("VerificationReport(check='c', params={'n': 1}, passed=True, "
+                                "witness=None, details={'terms': 2}, wall_time_s=0.0)")
+
+
+def test_polynomials_copy_and_refuse_assignment():
+    p = Polynomial(3, {Monomial(((0, 2, 1),)): 2, Monomial(()): -1})
+    for duplicate in DUPLICATES.values():
+        again = duplicate(p)
+        assert again == p and hash(again) == hash(p) and str(again) == str(p)
+    with pytest.raises(AttributeError):
+        p.n = 4
+    assert p.n == 3
