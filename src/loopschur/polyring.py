@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import starmap
+from functools import partial
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -49,6 +49,25 @@ def fraction_text(num: int, den: int) -> str:
     """``str(Fraction(num, den))`` for ``den >= 1``: the reduced fraction, or an integer."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+class _Memo(dict):
+    """A dict that makes a missing value once, by ``make(*args, key)``, and keeps it as long as it lives."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make, *args):
+        self.make = partial(make, *args)
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _variable_text(n: int, var: tuple[int, int, int]) -> str:
+    """The text of a ``(color, weight_num, exp)`` factor, its weight a reduced fraction over ``n``."""
+    base = f"x({var[0]},{fraction_text(var[1], n)})"
+    return base if var[2] == 1 else f"{base}^{var[2]}"
 
 
 class Monomial(Frozen):
@@ -137,13 +156,7 @@ class Monomial(Frozen):
 
     def format(self, n: int) -> str:
         """Human-readable form, weights shown as reduced fractions over ``n``."""
-        if not self.vars:
-            return "1"
-        pieces = []
-        for color, wn, exp in self.vars:
-            base = f"x({color},{fraction_text(wn, n)})"
-            pieces.append(base if exp == 1 else f"{base}^{exp}")
-        return "*".join(pieces)
+        return "*".join(map(partial(_variable_text, n), self.vars)) or "1"
 
 
 class Polynomial(Frozen):
@@ -233,9 +246,9 @@ class Polynomial(Frozen):
         return min(m.degree(self.n) for m in self._terms)
 
     def __str__(self) -> str:
-        pieces = []
+        pieces, texts = [], _Memo(_variable_text, self.n)  # each variable's text once
         for m, c in self.terms():
-            text = str(abs(c)) if m.is_one else m.format(self.n)
+            text = str(abs(c)) if m.is_one else "*".join(map(texts.__getitem__, m.vars))
             if abs(c) != 1 and not m.is_one:
                 text = f"{abs(c)}*{text}"
             sign = ("+ " if c > 0 else "- ") if pieces else ("" if c > 0 else "-")
@@ -291,14 +304,16 @@ def to_document(a: Polynomial) -> dict:
 
 
 # Templates of the canonical text, keys sorted; _VARIABLE takes a (color, weight_num, exp) triple.
-_VARIABLE = '{{"color":{0},"exp":{2},"weight_num":{1}}}'.format
+_VARIABLE = '{{"color":{0[0]},"exp":{0[2]},"weight_num":{0[1]}}}'.format
 _TERM = '{"coeff":"%d","vars":[%s]}'.__mod__
 
 
 def serialize(a: Polynomial) -> str:
     """Canonical JSON text of ``a``: sorted keys, compact separators, written by templates
-    term by term, with no ``json.dumps``.  Equal polynomials serialize identically."""
-    terms = (_TERM((c, ",".join(starmap(_VARIABLE, m.vars)))) for m, c in a.terms())
+    term by term, with no ``json.dumps``; each distinct variable's text is made once per
+    call, in a :class:`_Memo`.  Equal polynomials serialize identically."""
+    texts = _Memo(_VARIABLE)
+    terms = (_TERM((c, ",".join(map(texts.__getitem__, m.vars)))) for m, c in a.terms())
     return '{"n":%d,"terms":[%s]}' % (a.n, ",".join(terms))
 
 

@@ -25,7 +25,7 @@ from operator import add, itemgetter
 from typing import Iterator
 
 from .frozen import Frozen
-from .polyring import Monomial, Polynomial
+from .polyring import Monomial, Polynomial, _Memo
 from .shapes import Partition, require_rows
 
 
@@ -191,9 +191,9 @@ class WeightCode:
         self.n = n
         self.variables = sorted({(color, n * v + offset) for table in tables
                                  for row in table for color, offset in row for v in values})
-        self.width = max(sum(map(len, table)) for table in tables).bit_length()
-        self.top = len(self.variables) * self.width
-        self.unit = {var: (1 << (j * self.width)) + (var[1] << self.top)
+        width = self.width = max(sum(map(len, table)) for table in tables).bit_length()
+        self.top = len(self.variables) * width
+        self.unit = {var: (1 << (j * width)) + (var[1] << self.top)
                      for j, var in enumerate(self.variables)}
         # bits[c][v] per row of a table: the key of entry v in cell c.
         self._bits = {row: tuple({v: self.unit[(color, n * v + offset)] for v in values}
@@ -201,6 +201,9 @@ class WeightCode:
         self._powers: dict[tuple[int, int], int] = {}
         self.memo = _RowKeys(self._bits[cells[0]] if cells else ()) if len(set(cells)) < 2 else None
         self.key = self.memo.keyer(len(cells)) if self.memo is not None else self.keyer(cells)
+        per = max(1, 12 // (width or 1))  # fields per chunk of about 12 bits
+        self._step, self._chunks = per * width, [
+            _Memo(_chunk_triples, self.variables[j:j + per], width) for j in range(0, len(self.variables), per)]
 
     def keyer(self, cells):
         """The key function of fillings of ``cells``, whose rows are rows of the
@@ -232,26 +235,34 @@ class WeightCode:
         return key
 
     def decode(self, key: int) -> Monomial:
-        """The monomial of a key, in the variables' canonical order.  The degree
-        field is masked off first; a run of empty fields is skipped in one
-        shift, to the field of the lowest set bit."""
-        width, mask, variables, out, j = self.width, (1 << self.width) - 1, self.variables, [], 0
+        """The monomial of a key, in the variables' canonical order.  The degree field is
+        masked off first; the key is then read a chunk of fields, about 12 bits, at a time,
+        and a run of empty chunks is skipped in one shift, to the lowest set bit.  Each chunk's
+        memo on the code maps a chunk value to its ``(color, weight_num, exp)`` triples, made
+        once and shared by every monomial that holds them."""
+        step, chunks, out, j, mask = self._step, self._chunks, [], 0, (1 << self._step) - 1
         key &= (1 << self.top) - 1
         while key:
-            exp = key & mask
-            if exp:
-                out.append((*variables[j], exp))
-                key >>= width
+            low = key & mask
+            if low:
+                out += chunks[j][low]
+                key >>= step
                 j += 1
             else:
-                skip = ((key & -key).bit_length() - 1) // width
-                key >>= skip * width
+                skip = ((key & -key).bit_length() - 1) // step
+                key >>= skip * step
                 j += skip
         return Monomial(tuple(out))
 
     def polynomial(self, counts) -> Polynomial:
         """The polynomial of a key-to-coefficient map, decoding each nonzero term once."""
         return Polynomial(self.n, {self.decode(key): c for key, c in counts.items() if c})
+
+
+def _chunk_triples(variables, width: int, low: int) -> tuple:
+    """The ``(color, weight_num, exp)`` triples of ``low``, a chunk of one ``width``-bit field per variable."""
+    mask = (1 << width) - 1
+    return tuple((*var, low >> i * width & mask) for i, var in enumerate(variables) if low >> i * width & mask)
 
 
 class KeyPolynomial(dict):

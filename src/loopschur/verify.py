@@ -24,7 +24,7 @@ from collections import Counter, namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import repeat, tee
-from operator import add, ge, itemgetter, rshift, sub
+from operator import add, ge, itemgetter, neg, rshift, sub
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -172,16 +172,20 @@ def classical_schur(lam: Partition, N: int) -> Polynomial:
 
 def _signed_border_strip_sum(lam: Partition, n: int, k: int, N: int, l: int = 0) -> tuple[dict, int, WeightCode]:
     """The signed sum of the (shifted) loop Schur functions of the kn-border strips sigma/lam,
-    as its nonzero key counts, folded strip by strip in C; with the strip count and the code,
-    which covers lam and all sigma."""
+    as its nonzero key counts, with the strip count and the code, which covers lam and all sigma.
+    The sum is ``sign`` times a total; each strip's counts and the total are folded in C, the smaller
+    into the larger (union by size), which keeps its strip's sign, so a strip costs the smaller size."""
     strips = enumerate_border_strips(lam, k * n)
     code = ssyt_code([lam] + [addition.sigma for addition in strips], n, l, N)
-    total = {}
+    total, sign = {}, 1
     for addition in strips:
-        keys = ssyt_keys(addition.sigma, n, l, N, code)
-        _fold(total, keys, keys.values(), add if addition.height % 2 == 0 else sub)
+        keys, keys_sign = ssyt_keys(addition.sigma, n, l, N, code), -1 if addition.height % 2 else 1
+        if len(keys) > len(total):
+            total, keys, sign, keys_sign = keys, total, keys_sign, sign
+        _fold(total, keys, keys.values(), add if keys_sign == sign else sub)
         del keys  # before the next strip is counted
-    return dict(filter(itemgetter(1), total.items())), len(strips), code
+    counts = total.values() if sign > 0 else map(neg, total.values())
+    return dict(filter(itemgetter(1), zip(total, counts))), len(strips), code
 
 
 def _power_sum_product(lam: Partition, n: int, k: int, N: int, code: WeightCode) -> dict:

@@ -205,6 +205,37 @@ class TestWeightCode:
         fillings = list(enumerate_ssyt(lam, 2))
         assert_code_matches_rows_monomial(WeightCode(cells, 1, 2), fillings, cells, 1)
 
+    def test_chunked_decode_equals_the_field_by_field_reference(self):
+        # Young codes of width 0 (no cell) to 4 (9 cells), and shifted staircase
+        # codes at n = 4, l = 3, whose degree field goes below zero from N = 2;
+        # both include N = 0 codes, which have no variable.
+        rng = random.Random(33)
+        codes = [WeightCode(young_cells(Partition(parts), n, l), n, N)
+                 for parts in [(), (1,), (2, 1), (3, 2, 1), (4, 3, 2)]
+                 for n in (1, 2, 3) for l in range(n) for N in range(5)]
+        codes += [WeightCode(staircase_cells(Partition(parts), N, d, 4, 3), 4, N)
+                  for parts, d in [((), 0), ((1,), 0), ((), 2), ((2,), 1)] for N in range(len(parts), 4)]
+        widths, partial, negative = set(), set(), False
+        for code in codes:
+            width, mask = code.width, (1 << code.width) - 1
+            widths.add(width)
+            # A chunk holds 12 // width fields; a count that is no multiple of it
+            # leaves the last chunk partly empty.
+            if width and len(code.variables) % (12 // width):
+                partial.add(width)
+            for _ in range(30):
+                exponents = [rng.choice((0, 0, 0, rng.randint(1, mask))) for _ in code.variables]
+                if not any(exponents) and code.variables:
+                    exponents[-1] = mask  # some keys with all fields full
+                key = sum(e * code.unit[var] for e, var in zip(exponents, code.variables))
+                negative |= key < 0
+                expected = Monomial(tuple((*var, key >> j * width & mask)
+                                          for j, var in enumerate(code.variables)
+                                          if key >> j * width & mask))
+                assert code.decode(key) == expected == code.decode(key), (code.variables, key)
+        assert {1, 2, 3, 4} <= partial and 0 in widths and negative
+        assert any(not code.variables for code in codes)
+
     def test_power_keys_are_the_power_sum_terms(self):
         code = WeightCode(young_cells(Partition.of(2, 1), 3), 3, 4)
         for j in range(1, 5):

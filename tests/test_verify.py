@@ -293,6 +293,43 @@ class TestFolds:
                             assert type(product) is dict and 0 not in product.values()
                             assert product == reference_power_sum_product(lam, n, k, N, code)
 
+    # Strips of lambda = (1) at kn = 2, with key counts given per strip: the
+    # fold takes the larger side as its running total, whatever its sign.
+    @pytest.mark.parametrize("heights,counts", [
+        # the largest strip is odd and counted last, so the total ends at sign -1
+        ((0, 1), ({1: 2}, {1: 1, 2: 3, 3: -4})),
+        # the largest strip is odd and counted first
+        ((1, 0), ({1: 5, 2: 1, 4: 1}, {2: 1})),
+        # two strips of equal size, odd then even, and even then odd
+        ((1, 0), ({1: 1, 2: 2}, {2: 2, 3: 7})),
+        ((0, 1), ({1: 1, 2: 2}, {2: 2, 3: 7})),
+        # both odd: the signs agree, and the total stays at sign -1
+        ((1, 1), ({1: 1}, {1: 1, 2: 1})),
+        # strips that cancel completely
+        ((0, 1), ({1: 3, 5: -2}, {1: 3, 5: -2})),
+        ((1, 0), ({7: 1}, {7: 1})),
+    ], ids=str)
+    def test_signed_strip_fold_by_size(self, monkeypatch, heights, counts):
+        lam, n, k, N = Partition.of(1), 2, 1, 3
+        strips = enumerate_border_strips(lam, k * n)
+        assert len(strips) == 2
+        strips = [BorderStripAddition(a.sigma, h) for a, h in zip(strips, heights)]
+        made = []
+
+        def counted(sigma, *args):
+            made.append(Counter(counts[[a.sigma for a in strips].index(sigma)]))
+            return made[-1]
+
+        monkeypatch.setattr(verify_mod, "enumerate_border_strips", lambda *args: strips)
+        monkeypatch.setattr(verify_mod, "ssyt_keys", counted)
+        got, strip_count, _ = verify_mod._signed_border_strip_sum(lam, n, k, N)
+        expected = Counter()
+        for h, c in zip(heights, counts):
+            (expected.subtract if h % 2 else expected.update)(c)
+        assert type(got) is dict and 0 not in got.values() and strip_count == 2
+        assert got == {key: c for key, c in expected.items() if c}
+        assert all(got is not strip for strip in made)
+
     @pytest.mark.parametrize("parts", [p for size in range(6) for p in brute_partitions(size)],
                              ids=str)
     def test_forgotten_keys(self, parts):
