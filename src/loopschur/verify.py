@@ -173,8 +173,8 @@ def classical_schur(lam: Partition, N: int) -> Polynomial:
 def _signed_border_strip_sum(lam: Partition, n: int, k: int, N: int, l: int = 0) -> tuple[dict, int, WeightCode]:
     """The signed sum of the (shifted) loop Schur functions of the kn-border strips sigma/lam,
     as its nonzero key counts, with the strip count and the code, which covers lam and all sigma.
-    The sum is ``sign`` times a total; each strip's counts and the total are folded in C, the smaller
-    into the larger (union by size), which keeps its strip's sign, so a strip costs the smaller size."""
+    The sum is ``sign`` times a total; a strip's counts and the total are folded in C, the smaller
+    into the larger (union by size), which becomes the total with its own sign: a strip costs the smaller."""
     strips = enumerate_border_strips(lam, k * n)
     code = ssyt_code([lam] + [addition.sigma for addition in strips], n, l, N)
     total, sign = {}, 1

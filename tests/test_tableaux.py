@@ -223,10 +223,9 @@ class TestWeightCode:
             # leaves the last chunk partly empty.
             if width and len(code.variables) % (12 // width):
                 partial.add(width)
-            for _ in range(30):
-                exponents = [rng.choice((0, 0, 0, rng.randint(1, mask))) for _ in code.variables]
-                if not any(exponents) and code.variables:
-                    exponents[-1] = mask  # some keys with all fields full
+            full = [[mask] * len(code.variables)]  # every field at its largest exponent
+            for exponents in full + [[rng.choice((0, 0, 0, rng.randint(1, mask))) for _ in code.variables]
+                                     for _ in range(30)]:
                 key = sum(e * code.unit[var] for e, var in zip(exponents, code.variables))
                 negative |= key < 0
                 expected = Monomial(tuple((*var, key >> j * width & mask)
