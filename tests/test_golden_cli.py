@@ -37,6 +37,8 @@ CASES = [
     "power-sum --k 2 --n 3 --N 4 --format structured",
     "border-strips --lambda 2,1 --k 1 --n 3",
     "border-strips --lambda 0 --k 3 --format structured",
+    "power-sum --k 2 --n x --N 3",
+    "border-strips --lambda 1 --k 0",
     # mn-verify
     "mn-verify --lambda 2,1 --n 3 --k 1 --N 5",
     "mn-verify --lambda 1 --n 2 --k 1 --N 4 --format structured",
@@ -113,6 +115,9 @@ CASES = [
     "grid --config /nonexistent/grid.cfg",
     # help
     "--help",
+    "schur --help",
+    "power-sum --help",
+    "border-strips --help",
     "mn-verify --help",
     "thm2-verify --help",
     "lemma-verify --help",

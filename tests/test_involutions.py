@@ -143,6 +143,74 @@ class TestMembership:
             validate_in_family((tuple(rows), tau, 0), Partition(), 3, 0)
         assert str(err.value) == message
 
+    def test_random_members_against_the_entry_by_entry_rule(self):
+        # Rows inside and outside 1..N, weakly increasing or not, labels above
+        # and below their row's first entry, and now and then a wrong
+        # lengthened row, wrong row lengths or labels that repeat.
+        rng, seen = random.Random(34), Counter()
+        for _ in range(3000):
+            lam = Partition(rng.choice([(), (1,), (2,), (2, 1)]))
+            N = rng.randint(max(len(lam), 1), 5)
+            d = rng.choice((0, 0, 1, 2))
+            i = rng.randint(1, N) if d else 0
+            if rng.random() < 0.03:
+                i = rng.choice((0, N + 1)) if d else 1
+            tau = list(range(1, N + 1))
+            rng.shuffle(tau)
+            if rng.random() < 0.03:
+                tau[rng.randrange(N)] = rng.randint(0, N + 1)
+            rows = []
+            for r in range(1, N + 1):
+                length = lam.part(r) + N - r + 1 + (d if r == i else 0)
+                if rng.random() < 0.02:
+                    length += rng.choice((-1, 1))
+                low = tau[r - 1] if rng.random() < 0.9 else rng.randint(0, N)
+                row = [rng.randint(min(max(low, 1), N), N) for _ in range(length)]
+                if rng.random() < 0.9:
+                    row.sort()
+                if row and rng.random() < 0.05:
+                    row[rng.randrange(len(row))] = rng.choice((0, N + 1))
+                rows.append(tuple(row))
+            m = (tuple(rows), tuple(tau), i)
+            expected = first_membership_fault(m, lam, N, d)
+            seen[expected and next(word for word in FAULT_WORDS if word in expected)] += 1
+            if expected is None:
+                validate_in_family(m, lam, N, d)
+            else:
+                with pytest.raises(MembershipError) as err:
+                    validate_in_family(m, lam, N, d)
+                assert str(err.value) == expected, m
+        # Every kind of fault occurs, and so do members that pass.
+        assert seen[None] > 300
+        assert min(seen[word] for word in FAULT_WORDS) > 20, seen
+
+
+FAULT_WORDS = ("lengthened", "lengths", "labels", "outside", "increasing", "below")
+
+
+def first_membership_fault(member, lam, N, d):
+    """The message of the first fault of ``member`` in the family of ``lam``
+    with N rows and d cells appended, or None: the lengthened row, the row
+    lengths, the labels, then each row's entries one by one in reading order,
+    each row's label tested after its entries."""
+    rows, tau, i = member
+    if not (1 <= i <= N if d else i == 0):
+        return f"lengthened row {i} outside the family"
+    lengths = tuple(map(len, rows))
+    if lengths != tuple(lam.part(r) + N - r + 1 + (d if r == i else 0) for r in range(1, N + 1)):
+        return f"row lengths {lengths} do not match the family"
+    if sorted(tau) != list(range(1, N + 1)):
+        return f"labels {tau} are not a permutation of 1..{N}"
+    for r, row in enumerate(rows, start=1):
+        for c, value in enumerate(row):
+            if value < 1 or value > N:
+                return f"entry {value} in row {r} outside 1..{N}"
+            if c > 0 and value < row[c - 1]:
+                return f"row {r} is not weakly increasing: {row}"
+        if row[0] < tau[r - 1]:
+            return f"row {r} starts with {row[0]}, below its label {tau[r - 1]}"
+    return None
+
 
 class TestCountsAndEnumeration:
     @pytest.mark.parametrize("lam,N", [((), 2), ((), 3), ((1,), 2), ((1,), 3)])
