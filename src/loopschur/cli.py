@@ -11,16 +11,21 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import LoopSchurError
 from .polyring import Polynomial, serialize
-from .shapes import Partition, enumerate_border_strips
+from .shapes import enumerate_border_strips
 from .tableaux import (  # also the builders, which callers may look up or replace here
     ShiftParams, loop_power_sum, loop_schur, shifted_loop_schur,
 )
 from .verify import (  # also the verifiers, which callers may look up or replace here
     CHECKS,
     DEFAULT_CAP,
+    _LAMBDA,
+    _N,
+    _TRUNCATION,
+    Param,
     VerificationReport,
     check_involution,
     check_specialization,
@@ -28,7 +33,6 @@ from .verify import (  # also the verifiers, which callers may look up or replac
     parse_grid_config,
     positive,
     run_grid,
-    truncation,
     verify_degree_bound,
     verify_expansion,
     verify_murnaghan_nakayama,
@@ -76,6 +80,48 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="report wall times on stderr")
 
 
+def _emit_polynomial(poly: Polynomial, fmt: str) -> None:
+    print(serialize(poly) if fmt == "structured" else str(poly))
+
+
+def _emit_strips(o: dict, fmt: str) -> None:
+    strips = enumerate_border_strips(o["lambda"], o["k"] * o["n"])
+    if fmt == "structured":
+        doc = {
+            "lambda": list(o["lambda"].parts),
+            "length": o["k"] * o["n"],
+            "strips": [{"sigma": list(b.sigma.parts), "height": b.height} for b in strips],
+        }
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    else:
+        for b in strips:
+            print(f"sigma={b.sigma} height={b.height}")
+
+
+class _Builder(NamedTuple):
+    """A subcommand that prints what it builds: its ``name``, options, and
+    ``run`` on the parsed options and the output format."""
+
+    name: str
+    help: str
+    params: tuple[Param, ...]
+    run: Callable[[dict, str], None]
+
+
+# Each ``run`` looks its builder and writer up on this module when it is
+# called, so one replaced here (to trace it) is the one that runs.
+_BUILDERS = (
+    _Builder("schur", "print a (shifted) truncated loop Schur function",
+             (_LAMBDA, _N, _TRUNCATION, Param("l", default=0)),
+             lambda o, fmt: _emit_polynomial(
+                 shifted_loop_schur(o["lambda"], ShiftParams(o["n"], o["l"]), o["N"]), fmt)),
+    _Builder("power-sum", "print a truncated loop power sum", (Param("k"), _N, _TRUNCATION),
+             lambda o, fmt: _emit_polynomial(loop_power_sum(o["k"], o["n"], o["N"]), fmt)),
+    _Builder("border-strips", "list border-strip enlargements of length k*n",
+             (_LAMBDA, Param("k", positive), Param("n", positive, 1)), _emit_strips),
+)
+
+
 @lru_cache(maxsize=1)  # reused by every main call of a process
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process and shared by
@@ -86,28 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Loop Schur functions, border-strip expansions, and their pairing maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    partition, nonnegative = _flag_type(Partition.from_text), _flag_type(truncation)
-
-    p = sub.add_parser("schur", help="print a (shifted) truncated loop Schur function")
-    p.add_argument("--lambda", dest="lam", type=partition, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=nonnegative, required=True)
-    p.add_argument("--l", type=int, default=0)
-    _add_format(p)
-
-    p = sub.add_parser("power-sum", help="print a truncated loop power sum")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=nonnegative, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("border-strips", help="list border-strip enlargements of length k*n")
-    p.add_argument("--lambda", dest="lam", type=partition, required=True)
-    p.add_argument("--k", type=_flag_type(positive), required=True)
-    p.add_argument("--n", type=_flag_type(positive), default=1)
-    _add_format(p)
-
-    for spec in CHECKS:
+    for spec in (*_BUILDERS, *CHECKS):
         p = sub.add_parser(spec.name, help=spec.help)
         _add_params(p, spec.params)
         _add_format(p)
@@ -119,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     return parser
-
-
-def _emit_polynomial(poly: Polynomial, fmt: str) -> None:
-    print(serialize(poly) if fmt == "structured" else str(poly))
 
 
 def _emit_report(report: VerificationReport, args) -> int:
@@ -142,35 +163,13 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    for spec in CHECKS:
+    for spec in (*_BUILDERS, *CHECKS):
         if args.command == spec.name:
             options = {param.key: getattr(args, param.key) for param in spec.params}
+            if isinstance(spec, _Builder):
+                spec.run(options, args.format)
+                return 0
             return _emit_report(spec.run(options), args)
-
-    if args.command == "schur":
-        poly = shifted_loop_schur(args.lam, ShiftParams(args.n, args.l), args.N)
-        _emit_polynomial(poly, args.format)
-        return 0
-
-    if args.command == "power-sum":
-        _emit_polynomial(loop_power_sum(args.k, args.n, args.N), args.format)
-        return 0
-
-    if args.command == "border-strips":
-        strips = enumerate_border_strips(args.lam, args.k * args.n)
-        if args.format == "structured":
-            doc = {
-                "lambda": list(args.lam.parts),
-                "length": args.k * args.n,
-                "strips": [
-                    {"sigma": list(b.sigma.parts), "height": b.height} for b in strips
-                ],
-            }
-            print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        else:
-            for b in strips:
-                print(f"sigma={b.sigma} height={b.height}")
-        return 0
 
     if args.command == "grid":
         if args.config is None:

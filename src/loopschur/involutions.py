@@ -57,7 +57,6 @@ import math
 import random
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product, repeat
-from operator import le
 from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError, MembershipError
@@ -138,14 +137,11 @@ def validate_in_family(member: Member, lam: Partition, N: int, d: int) -> None:
     if sorted(tau) != list(range(1, N + 1)):
         raise MembershipError(f"labels {tau} are not a permutation of 1..{N}")
     for r, row in enumerate(rows, start=1):
-        # A weakly increasing row inside 1..N passes whole; any other is walked
-        # entry by entry to name its first fault.
-        if not (1 <= row[0] and row[-1] <= N and all(map(le, row, row[1:]))):
-            for idx, value in enumerate(row):
-                if not 1 <= value <= N:
-                    raise MembershipError(f"entry {value} in row {r} outside 1..{N}")
-                if idx and row[idx - 1] > value:
-                    raise MembershipError(f"row {r} is not weakly increasing: {row}")
+        for idx, value in enumerate(row):
+            if not 1 <= value <= N:
+                raise MembershipError(f"entry {value} in row {r} outside 1..{N}")
+            if idx and row[idx - 1] > value:
+                raise MembershipError(f"row {r} is not weakly increasing: {row}")
         if row[0] < tau[r - 1]:
             raise MembershipError(
                 f"row {r} starts with {row[0]}, below its label {tau[r - 1]}"
@@ -680,16 +676,14 @@ def i4(member: Member, d: int, kl: int) -> Member:
 def _signed_sum(members: Iterator[Member], lam: Partition, n: int, N: int, d: int,
                 l: int) -> Polynomial:
     """Count the members' signed keys on one :class:`WeightCode` over the
-    family's cells, built once the cap has admitted the family, and weigh the
-    first member of each distinct key.  A member is keyed inline, as the
-    code's ``key`` would: the row-count check, then one sum of bound lookups
-    in its one ``memo``.  Members arrive grouped by labeling: one sign per
-    run of equal labels."""
+    family's cells, and weigh the first member of each distinct key.  A member
+    is keyed inline, as the code's ``key`` would: the row-count check, then
+    one sum of bound lookups in its one ``memo``.  Members arrive grouped by
+    labeling: one sign per run of equal labels."""
     terms: dict[int, list] = {}  # key: [signed count, first member]
-    lookup = tau = sign = None
+    lookup = WeightCode(staircase_cells(lam, N, d, n, l), n, N).memo.__getitem__
+    tau = sign = None
     for m in members:
-        if lookup is None:
-            lookup = WeightCode(staircase_cells(lam, N, d, n, l), n, N).memo.__getitem__
         if m[1] != tau:
             tau, sign = m[1], permutation_sign(m[1])
         rows = m[0]

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from functools import partial
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -199,8 +198,7 @@ class Polynomial(Frozen):
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """``(monomial, coefficient)`` pairs, sorted by the monomials' variable vectors."""
-        monomials = sorted(self._terms, key=attrgetter("vars"))
-        return zip(monomials, map(self._terms.__getitem__, monomials))
+        return iter(sorted(self._terms.items(), key=lambda term: term[0].vars))
 
     def coefficients(self) -> Iterator[int]:
         return iter(self._terms.values())

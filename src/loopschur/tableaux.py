@@ -20,6 +20,7 @@ differ, and its keys are added to every key of the rows above in C.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, combinations_with_replacement, groupby, product, repeat, starmap
 from operator import add, itemgetter
 from typing import Iterator
@@ -198,12 +199,8 @@ class WeightCode:
         # bits[c][v] per row of a table: the key of entry v in cell c.
         self._bits = {row: tuple({v: self.unit[(color, n * v + offset)] for v in values}
                                  for color, offset in row) for row in set().union(*tables)}
-        self._powers: dict[tuple[int, int], int] = {}
         self.memo = _RowKeys(self._bits[cells[0]] if cells else ()) if len(set(cells)) < 2 else None
         self.key = self.memo.keyer(len(cells)) if self.memo is not None else self.keyer(cells)
-        per = max(1, 12 // (width or 1))  # fields per chunk of about 12 bits
-        self._step, self._chunks = per * width, [
-            _Memo(_chunk_triples, self.variables[j:j + per], width) for j in range(0, len(self.variables), per)]
 
     def keyer(self, cells):
         """The key function of fillings of ``cells``, whose rows are rows of the
@@ -227,20 +224,24 @@ class WeightCode:
         return self._bits[row]
 
     def power_key(self, j: int, k: int) -> int:
-        """The key of (prod_i x(i, j))^k, the j-th term of the loop power sum;
-        each is computed once per code."""
-        key = self._powers.get((j, k))
-        if key is None:
-            key = self._powers[(j, k)] = k * sum(self.unit[(i, self.n * j)] for i in range(self.n))
-        return key
+        """The key of (prod_i x(i, j))^k, the j-th term of the loop power sum."""
+        return k * sum(self.unit[(i, self.n * j)] for i in range(self.n))
+
+    @cached_property
+    def _chunks(self) -> tuple[int, list]:
+        """The bit length of a chunk of fields, about 12 bits, and one memo per chunk, from a
+        chunk value to its ``(color, weight_num, exp)`` triples; made on the first :meth:`decode`."""
+        per = max(1, 12 // (self.width or 1))
+        return per * self.width, [_Memo(_chunk_triples, self.variables[j:j + per], self.width)
+                                  for j in range(0, len(self.variables), per)]
 
     def decode(self, key: int) -> Monomial:
         """The monomial of a key, in the variables' canonical order.  The degree field is
-        masked off first; the key is then read a chunk of fields, about 12 bits, at a time,
-        and a run of empty chunks is skipped in one shift, to the lowest set bit.  Each chunk's
-        memo on the code maps a chunk value to its ``(color, weight_num, exp)`` triples, made
-        once and shared by every monomial that holds them."""
-        step, chunks, out, j, mask = self._step, self._chunks, [], 0, (1 << self._step) - 1
+        masked off first; the key is then read a chunk of fields at a time, and a run of
+        empty chunks is skipped in one shift, to the lowest set bit.  A chunk value's
+        triples are made once and shared by every monomial that holds them."""
+        step, chunks = self._chunks
+        out, j, mask = [], 0, (1 << step) - 1
         key &= (1 << self.top) - 1
         while key:
             low = key & mask
@@ -395,11 +396,6 @@ def ssyt_keys(lam: Partition, n: int, l: int, N: int, code: WeightCode) -> Count
                     tail = tails[floors] = list(_row_keys(bits[r][m:], floors, N, tail_states))
                 if not tail:
                     continue
-                if len(same_last) == 1:  # a lone head's key joins its tail, in one pass
-                    head, head_key = same_last[0]
-                    grown.setdefault(head, []).extend(
-                        starmap(add, product(keys, map(head_key.__add__, tail))))
-                    continue
                 grouped = list(starmap(add, product(keys, tail)))
                 for head, head_key in same_last:
                     grown.setdefault(head, []).extend(map(head_key.__add__, grouped))
@@ -424,11 +420,8 @@ def loop_power_sum(k: int, n: int, N: int) -> Polynomial:
     """The truncated loop power sum: sum over j <= N of (prod_i x(i, j))^k."""
     if k < 1:
         raise ValueError(f"exponent must be positive, got {k}")
-    terms: dict[Monomial, int] = {}
-    for j in range(1, N + 1):
-        m = Monomial.from_exponents({(i, n * j): k for i in range(n)})
-        terms[m] = terms.get(m, 0) + 1
-    return Polynomial(n, terms)
+    return Polynomial(n, {Monomial.from_exponents({(i, n * j): k for i in range(n)}): 1
+                          for j in range(1, N + 1)})
 
 
 def staircase_monomial(N: int, n: int, l: int = 0) -> Monomial:

@@ -28,6 +28,7 @@ from loopschur import (
     i2,
     i2_is_fixed,
     i3,
+    i3_swaps,
     i4,
     in_low_family,
     insert_power_sum_factor,
@@ -519,6 +520,20 @@ class TestThirdMap:
                      (2, 4, 1, 5, 3), 3)
         assert i3(start) == end
         assert i3(end) == start
+
+    @pytest.mark.parametrize("lam,n,k,N", [((), 2, 1, 3), ((1,), 2, 1, 3), ((2, 1), 3, 1, 3)], ids=str)
+    def test_a_row_that_does_not_climb_maps_as_its_slide(self, lam, n, k, N):
+        # i3 applies i1 in place to a lengthened row that is already shorter
+        # than the row above it; the general path slides it zero rows, applies
+        # i1 and slides it back, and both must agree on every untied member.
+        lam, heights = Partition(lam), Counter()
+        for st in enumerate_augmented_tableaux(lam, n, k, N):
+            if i3_swaps(lam, N, k * n, st[2]):
+                continue
+            _, height, slid = slide_to_border_strip(st)
+            heights[height == 0] += 1
+            assert i3(st) == slide_from_border_strip(i1(slid), st[2] - height, st[2])
+        assert heights[True] and heights[False]
 
     def test_zero_slide_fixed_point(self):
         # lengthening row 1 keeps lengths strictly decreasing: no slides

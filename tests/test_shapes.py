@@ -107,6 +107,16 @@ class TestExtendedShapes:
         assert _row_lengths(Partition(), 1, 1, 1) == (2,)
         assert staircase_cells(Partition(), 1, 1, 2, 1) == (((1, -1), (0, 0)),)  # columns 0, 1
 
+    def test_cached_row_lengths_are_the_formula(self):
+        # Every validated image reads the cache; a hit must equal a cold call.
+        for lam in (Partition(), Partition.of(1), Partition.of(2, 1)):
+            for N in range(len(lam), 5):
+                for d, i in [(0, 0)] + [(2, i) for i in range(1, N + 1)]:
+                    expected = tuple(lam.part(r) + N - r + 1 + (d if r == i else 0)
+                                     for r in range(1, N + 1))
+                    assert _row_lengths.__wrapped__(lam, N, d, i) == expected
+                    assert _row_lengths(lam, N, d, i) == _row_lengths(lam, N, d, i) == expected
+
     def test_zero_extension_degenerates(self):
         assert _row_lengths(Partition.of(1), 3, 0, 2) == _row_lengths(Partition.of(1), 3)
 

@@ -235,13 +235,26 @@ class TestWeightCode:
         assert {1, 2, 3, 4} <= partial and 0 in widths and negative
         assert any(not code.variables for code in codes)
 
+    def test_decode_tables_are_made_on_the_first_decode(self):
+        # Staircase codes weigh members and never decode: building one, or
+        # keying with it, makes no chunk memo.  The first decode makes them,
+        # and equals the field-by-field reference of the test above.
+        lam, cells = Partition.of(2, 1), staircase_cells(Partition.of(2, 1), 8, 3, 3, 1)
+        code = WeightCode(cells, 3, 8)
+        rows = tuple((j,) * (lam.part(j) + 9 - j + (3 if j == 2 else 0)) for j in range(1, 9))
+        key, width, mask = code.key(rows), code.width, (1 << code.width) - 1
+        assert "_chunks" not in vars(code)
+        expected = Monomial(tuple((*var, key >> j * width & mask)
+                                  for j, var in enumerate(code.variables) if key >> j * width & mask))
+        assert code.decode(key) == expected == rows_monomial(rows, cells, 3)
+        assert "_chunks" in vars(code)
+
     def test_power_keys_are_the_power_sum_terms(self):
         code = WeightCode(young_cells(Partition.of(2, 1), 3), 3, 4)
         for j in range(1, 5):
             for k in (1, 2):
                 expected = Monomial.from_exponents({(i, 3 * j): k for i in range(3)})
                 assert code.decode(code.power_key(j, k)) == expected
-                assert code.power_key(j, k) is code.power_key(j, k)
 
     def test_rows_off_the_table_are_refused(self):
         cells = young_cells(Partition.of(2, 1), 2)
